@@ -9,10 +9,16 @@ pruning never changes the answer, only skips work:
   certified lower bound (a single coordinate gap is realized by an actual
   candidate, and any norm dominates a coordinate gap) and a certified upper
   bound (componentwise box diagonals assembled through the p-sum) on the
-  best distance at each j;
-- when an exact check at an ambiguous j comes back clean with margin m, the
-  triangle inequality lets the scan skip every j' whose cumulative adjacent
-  drift from j stays below m.
+  best distance at each j. The chunk of rows bounded at once doubles after
+  every chunk the box prunes whole, up to a fixed number of floats, and
+  drops back to its base size at the first row the box cannot prune;
+- when an exact check at an ambiguous j comes back clean, with largest
+  distance D < eps to the candidates, the scan skips the run of rows after j
+  that lie strictly within rho = min(eps - D, eps/2) of a_j. A skipped row is
+  within D + rho <= eps of every earlier candidate, and within 2 rho <= eps
+  of every row skipped before it, both strictly. The ball is measured by
+  displacement, which never exceeds path length, so tails that spiral in
+  are skipped in one run.
 
 Indices here are 0-based; the public modules translate to 1-based.
 """
@@ -25,6 +31,11 @@ from .errors import InvalidInputError
 from .spaces import batch_norm_p
 
 _CHUNK = 256
+_CHUNK_FLOATS = 2**15  # cap on rows x real coordinates of one chunk
+_BALL_STEP = 16  # first slice of the ball-run search; later slices double
+# Squares and p-th powers of coordinate gaps stay exact to rounding while a
+# row's largest gap lies in [2^-S, 2^S], S = _SAFE_EXP / max(p, 2).
+_SAFE_EXP = 500.0
 
 
 class PointsView:
@@ -67,6 +78,37 @@ def _pair_moduli(d_coords: np.ndarray, p: float) -> np.ndarray:
     return (comp**p).sum(axis=-1) ** (1.0 / p)
 
 
+def _box_bounds(gap: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds on the best distance from rows of (n, 2u) gaps >= 0.
+
+    Rows whose largest gap is too small or too large for unscaled powers get
+    their gaps divided by that largest gap first, so underflow cannot prune a
+    real violation.
+    """
+    lb = gap.max(axis=1)
+    limit = 2.0 ** (_SAFE_EXP / max(p, 2.0))
+    if lb.min() >= 1.0 / limit and lb.max() <= limit:
+        return lb, _pair_moduli(gap, p)
+    odd = ~((lb >= 1.0 / limit) & (lb <= limit))
+    ub = np.empty_like(lb)
+    ub[~odd] = _pair_moduli(gap[~odd], p)
+    scale = np.where(lb[odd] == 0.0, 1.0, lb[odd])
+    ub[odd] = scale * _pair_moduli(gap[odd] / scale[:, None], p)
+    return lb, ub
+
+
+def _ball_end(view: PointsView, centre: int, rho: float, hi: int) -> int:
+    """Largest t <= hi with every row of (centre, t] strictly within rho of centre."""
+    lo, step = centre + 1, _BALL_STEP
+    while lo <= hi:
+        top = min(hi + 1, lo + step)
+        outside = view.distances_to(centre, lo, top) >= rho
+        if outside.any():
+            return lo + int(np.argmax(outside)) - 1
+        lo, step = top, 2 * step
+    return hi
+
+
 def first_violation(
     view: PointsView, eps: float, anchor: int, hi: int
 ) -> tuple[int, int, int] | None:
@@ -80,12 +122,14 @@ def first_violation(
     if not 0 <= anchor <= hi < view.n:
         raise InvalidInputError(f"segment [{anchor}, {hi}] outside [0, {view.n - 1}]")
     coords, p = view.coords, view.p
+    max_chunk = max(_CHUNK, _CHUNK_FLOATS // coords.shape[1])
+    chunk = _CHUNK
 
     cmin = coords[anchor].copy()
     cmax = coords[anchor].copy()
     j = anchor + 1
     while j <= hi:
-        stop = min(hi + 1, j + _CHUNK)
+        stop = min(hi + 1, j + chunk)
         block = coords[j:stop]
         # Exclusive prefix boxes: candidate set for row t is [anchor, j+t-1].
         pmin = np.minimum(np.minimum.accumulate(block, axis=0), cmin)
@@ -96,13 +140,14 @@ def first_violation(
         bmin[1:], bmax[1:] = pmin[:-1], pmax[:-1]
 
         gap = np.maximum(block - bmin, bmax - block)
-        lb = gap.max(axis=1)
-        ub = _pair_moduli(gap, p)
+        lb, ub = _box_bounds(gap, p)
         alive = ub >= eps
         if not alive.any():
             cmin, cmax = pmin[-1], pmax[-1]
             j = stop
+            chunk = min(2 * chunk, max_chunk)
             continue
+        chunk = _CHUNK
         t = int(np.argmax(alive))
         jj = j + t
         dist = view.distances_to(jj, anchor, jj)
@@ -111,12 +156,8 @@ def first_violation(
             where = np.flatnonzero(valid)
             # lb >= eps certifies a witness exists, so `where` is nonempty.
             return anchor + int(where[0]), anchor + int(where[-1]), jj
-        # Clean with margin: skip every j' whose drift from jj stays inside it.
-        margin = eps - float(dist.max(initial=0.0))
-        cd = view.cumdrift()
-        skip_to = int(np.searchsorted(cd, cd[jj] + margin, side="left")) - 1
-        skip_to = max(skip_to, jj)
-        upto = min(skip_to, hi)
+        rho = min(eps - float(dist.max()), 0.5 * eps)
+        upto = _ball_end(view, jj, rho, hi)
         cmin = np.minimum(cmin, coords[j : upto + 1].min(axis=0))
         cmax = np.maximum(cmax, coords[j : upto + 1].max(axis=0))
         j = upto + 1

@@ -282,11 +282,19 @@ def scenario_from_mapping(doc: Mapping[str, Any], seed_override: int | None = No
     return Scenario(name=name, kind=kind, seed=int(seed), params=params, out=out)
 
 
+def _finite_number(text: str) -> float:
+    """JSON number hook: NaN, +-Infinity and overflowing literals are config errors."""
+    val = float(text)
+    if not math.isfinite(val):
+        raise ConfigError(f"non-finite number {text} in config")
+    return val
+
+
 def load_scenario(path: str, seed_override: int | None = None) -> Scenario:
     """Parse and validate a JSON scenario config file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -106,8 +106,19 @@ def batch_norm_p(points: np.ndarray, p: float) -> np.ndarray:
     moduli = np.abs(points)
     if p == 1.0:
         return moduli.sum(axis=1)
-    if p == 2.0:
-        return np.sqrt((moduli**2).sum(axis=1))
+    if p != 2.0 or moduli.max(initial=0.0) > 2.0**500:
+        return _scaled_norms(moduli, p)
+    # Squares of moduli up to 2^500 cannot overflow, and rows with norm at
+    # least 2^-500 lose nothing to underflow; the rest are recomputed scaled.
+    out = np.sqrt((moduli**2).sum(axis=1))
+    if out.min(initial=1.0) < 2.0**-500:
+        tiny = out < 2.0**-500
+        out[tiny] = _scaled_norms(moduli[tiny], p)
+    return out
+
+
+def _scaled_norms(moduli: np.ndarray, p: float) -> np.ndarray:
+    """Row-wise p-norm of nonnegative moduli, scaled by each row's peak."""
     peak = moduli.max(axis=1)
     safe = np.where(peak == 0.0, 1.0, peak)
     out = safe * np.sum((moduli / safe[:, None]) ** p, axis=1) ** (1.0 / p)

@@ -228,10 +228,13 @@ def metastability_rate(points: PointsLike, query: MetastabilityQuery, *,
     assumed. To make each jump maximal, the window is scanned reversed: the
     reversed scan's earliest violation endpoint is the largest index of the
     window that opens any separated pair, and the latest partner on the
-    reversed side is that index's smallest partner. Runs out of horizon ->
-    HorizonExhaustedError carrying the least n the answer could still be.
+    reversed side is that index's smallest partner. Every window is an index
+    range of one reversed view, where 1-based index k sits at row N - k. Runs
+    out of horizon -> HorizonExhaustedError carrying the least n the answer
+    could still be.
     """
     view = _points_view(points, p_norm)
+    rev = PointsView(view.pts[::-1], view.p)
     n = 1
     while True:
         end = query.window_end(n)
@@ -241,12 +244,11 @@ def metastability_rate(points: PointsLike, query: MetastabilityQuery, *,
                 f"every n < {n} was checked and failed",
                 checked_up_to=n - 1,
             )
-        rev = PointsView(view.pts[n - 1:end][::-1], view.p)
-        hit = first_violation(rev, query.epsilon, 0, end - n)
+        hit = first_violation(rev, query.epsilon, view.n - end, view.n - n)
         if hit is None:
             return n
         _, i_last_rev, j_rev = hit
-        i1, j1 = end - j_rev, end - i_last_rev
+        i1, j1 = view.n - j_rev, view.n - i_last_rev
         n += 1
         while n <= i1 and query.window_end(n) >= j1:
             n += 1

@@ -81,6 +81,46 @@ class TestScannersAgainstBruteForce:
         assert grown >= base - 1e-12
 
 
+def _long_sequence(kind, n, u, rng):
+    """(points, eps) for a long sequence of the given kind, drawn from rng."""
+    k = np.arange(1, n + 1)[:, None]
+    z = rng.standard_normal((n, u)) + 1j * rng.standard_normal((n, u))
+    if kind == "rotation":
+        theta = rng.uniform(0.05, np.pi, u) * rng.choice([-1.0, 1.0], u)
+        pts = np.cumsum(np.exp(1j * k * theta) * z[0], axis=0) / k
+    elif kind == "decaying":
+        pts = np.cumsum(z / k ** rng.uniform(0.6, 1.5), axis=0)
+    else:  # random walk with steps well below eps
+        pts = np.cumsum(z, axis=0) * 0.01
+        return pts, float(np.exp(rng.uniform(np.log(0.02), np.log(0.5))))
+    return pts, float(np.exp(rng.uniform(np.log(0.01), np.log(0.3))))
+
+
+def _greedy_witnesses(pts, eps, p):
+    """Greedy chain by direct search: earliest j, then smallest i >= anchor."""
+    out, anchor = [], 0
+    for j in range(1, len(pts)):
+        d = np.sum(np.abs(pts[anchor:j] - pts[j]) ** p, axis=1) ** (1.0 / p)
+        hit = np.flatnonzero(d >= eps)
+        if hit.size:
+            out.append((anchor + int(hit[0]) + 1, j + 1))
+            anchor = j
+    return tuple(out)
+
+
+class TestLongSequencesAgainstDirectSearch:
+    """Sequences long enough for the scan's ball skips and grown chunks to fire:
+    tails that spiral or decay into an eps-ball, and slow random walks."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["rotation", "decaying", "walk"]), st.integers(300, 1500),
+           st.integers(1, 3), st.sampled_from([1.0, 2.0, 3.0]), st.integers(0, 2**32 - 1))
+    def test_witnesses_match(self, kind, n, u, p, seed):
+        pts, eps = _long_sequence(kind, n, u, np.random.default_rng(seed))
+        rep = count_fluctuations(pts, eps, p_norm=p)
+        assert rep.witnesses == _greedy_witnesses(pts, eps, p)
+
+
 class TestMetastabilityInvariants:
     @given(grid_values, grid_eps, st.sampled_from(["succ", "dbl"]))
     def test_clean_interval_exists_below_conversion(self, vals, eps, gname):

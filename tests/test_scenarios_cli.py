@@ -122,6 +122,14 @@ class TestLoadScenario:
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_scenario(str(path))
 
+    @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "1e999"])
+    def test_non_finite_numbers_rejected(self, tmp_path, literal):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(_sweep_doc()).replace('"q_grid": [2.0]',
+                                                         f'"q_grid": [{literal}]'))
+        with pytest.raises(ConfigError, match="non-finite"):
+            load_scenario(str(path))
+
 
 class TestDeterminism:
     def test_same_seed_same_rows(self):
@@ -233,6 +241,18 @@ class TestCLI:
         cfg.write_text(json.dumps(_sweep_doc(horizont=4)))
         assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [
+        {"name": "dy", "kind": "dyadic-constants", "p": float("nan"),
+         "support": 48, "levels": 5, "cases": 1},
+        {"name": "meta", "kind": "metastability", "seed": 5, "dims": [2], "horizon": 16,
+         "eps_grid": [float("nan")], "g": "double", "cases": 1},
+    ])
+    def test_run_non_finite_config_exit_two(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))  # writes the bare constant NaN
+        assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "non-finite number NaN" in capsys.readouterr().err
 
     def test_run_failing_rows_exit_one(self, tmp_path, capsys):
         # horizon 4 cannot resolve eps = 1e-6 metastability for rotations

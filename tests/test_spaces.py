@@ -1,6 +1,7 @@
 """Vector arithmetic, p-norms, descriptors, and the convexity audit."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -87,6 +88,14 @@ class TestBatchNorm:
     def test_zero_rows(self):
         out = batch_norm_p(np.zeros((3, 2), dtype=complex), 3.0)
         assert np.all(out == 0.0)
+
+    def test_extreme_scale_rows(self):
+        # the unscaled p = 2 path must neither overflow nor underflow
+        pts = np.array([[1e200, 1e200], [1e-200, 1e-200], [3.0, 4.0], [0.0, 0.0]], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = batch_norm_p(pts, 2.0)
+        assert out == pytest.approx([2**0.5 * 1e200, 2**0.5 * 1e-200, 5.0, 0.0], rel=1e-15, abs=0.0)
 
 
 class TestDescriptor:

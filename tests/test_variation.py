@@ -31,6 +31,7 @@ from ergolab import (
     vector,
 )
 
+from ergolab._scan import PointsView
 from oracles import (
     brute_force_convergence_rate,
     brute_force_fluctuations,
@@ -175,6 +176,50 @@ class TestCountFluctuations:
         assert count_fluctuations(pts, 1.5).count == 1
         with pytest.raises(InvalidInputError):
             count_fluctuations([vector([0.0], p=1), vector([0.0], p=2)], 1.0)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("scale", [1e-120, 1e-170, 1e200])
+    def test_extreme_scales_keep_the_fluctuation(self, p, scale):
+        # neither the box bounds nor the exact distances may underflow or overflow
+        rep = count_fluctuations([[0.0], [scale]], scale / 2, p_norm=p)
+        assert rep.witnesses == ((1, 2),)
+
+    def test_ball_skip_radius_is_capped_at_half_eps(self):
+        # Rows 1-8 sit at -0.3 e_k, row 9 at 0.06 (1, ..., 1): its box bound
+        # reaches eps = 1 but its largest true distance is D = 0.393. Rows 10
+        # and 11 lie 0.55 from row 9, inside eps - D but outside eps / 2, and
+        # 1.1 apart: a ball of radius eps - D would skip the fluctuation.
+        u = 8
+        rows = [-0.3 * np.eye(u)[k] for k in range(u)]
+        centre = np.full(u, 0.06)
+        rows += [centre, centre + 0.55 * np.eye(u)[0], centre - 0.55 * np.eye(u)[0]]
+        pts = np.array(rows, dtype=complex)
+        rep = count_fluctuations(pts, 1.0, p_norm=2.0)
+        assert rep.witnesses == ((10, 11),)
+        assert rep.count == brute_force_fluctuations([tuple(r) for r in pts], 1.0, p=2.0)
+
+    def test_tight_tail_costs_linear_work(self, monkeypatch):
+        # A u = 4 rotation drawn from child 8 of SeedSequence(2026).spawn(12)
+        # by the benchmark's tail-family rule: 76 fluctuations, all by index
+        # 125, then a 65k-point eps-tight tail that must be certified without
+        # a quadratic number of point distances.
+        rng = np.random.default_rng(np.random.SeedSequence(2026).spawn(12)[8])
+        u = 4
+        angles = rng.uniform(0.25, math.pi, u) * np.where(rng.random(u) < 0.5, -1.0, 1.0)
+        z = rng.standard_normal(u) + 1j * rng.standard_normal(u)
+        traj = ergodic_averages(RotationProduct(angles), vector(z / np.linalg.norm(z), p=2), 2**16)
+        counted = []
+        distances_to = PointsView.distances_to
+
+        def counting(self, j, lo, hi):
+            counted.append(hi - lo)
+            return distances_to(self, j, lo, hi)
+
+        monkeypatch.setattr(PointsView, "distances_to", counting)
+        rep = count_fluctuations(traj, 0.02)
+        assert rep.count == 76
+        assert rep.witnesses[-1] == (118, 125)
+        assert sum(counted) <= 2_000_000
 
 
 class TestGSelectors:
