@@ -4,10 +4,21 @@
 
     A_n x = (1/n) * (x + Tx + ... + T^(n-1) x),
 
-computed from one pass over the orbit (a cumulative sum divided by n). For
+computed from one pass over the orbit (a running sum divided by n). For
 rotation products the orbit itself comes from the closed form e^(i*n*theta),
 and `rotation_average_closed_form` gives the scalar average directly so the
-two routes can be checked against each other.
+two routes can be checked against each other. DenseMatrix orbits are built
+64 rows at a time: single steps for the first block, then each block is
+T^64 (formed by iterated multiplication) times the one before it.
+
+The running sum is blocked: each block of 2^16 rows is summed in order by
+`np.cumsum` and offset by the total of the earlier blocks, which is carried
+with Kahan compensation; up to 2^16 rows this is exactly `np.cumsum`. To
+first order in the unit roundoff, each real and imaginary part of every
+computed A_n x is within (2^16 + 3) * 2^-53 * R ~= 7.3e-12 * R of the exact
+average of the computed orbit rows, R being the largest coordinate magnitude
+among x, ..., T^(n-1) x (R <= ||x|| for the isometries). A plain running sum
+only guarantees (n - 1) * 2^-53 * R.
 """
 
 from __future__ import annotations
@@ -31,9 +42,8 @@ from .spaces import Vector, batch_norm_p
 
 __all__ = ["AverageTrajectory", "ergodic_averages", "orbit", "rotation_average_closed_form"]
 
-# Above this horizon the plain cumulative sum's rounding can defeat the
-# 1e-10 recurrence budget, so a compensated sum takes over.
-_COMPENSATION_THRESHOLD = 1_000_000
+_SUM_BLOCK = 1 << 16  # rows per block of the running sum
+_ORBIT_BLOCK = 64  # rows per block of a DenseMatrix orbit
 
 
 @dataclass(frozen=True)
@@ -92,41 +102,45 @@ def orbit(op: Operator, x: Vector, n: int) -> np.ndarray:
         return phases * x.components[None, :]
     if isinstance(op, CyclicShift):
         u = op.dim
-        idx = (np.arange(u)[None, :] - np.arange(n)[:, None]) % u
-        return x.components[idx]
+        idx = (np.arange(u)[None, :] - np.arange(u)[:, None]) % u
+        return np.resize(x.components[idx], (n, u))  # rows repeat with period u
     if isinstance(op, DenseMatrix):
-        out = np.empty((n, x.dim), dtype=np.complex128)
-        coords = interleave_real(x.components)
-        for i in range(n):
-            out[i] = coords[0::2] + 1j * coords[1::2]
-            if i + 1 < n:
-                coords = op.matrix @ coords
-        return out
+        coords = np.empty((n, 2 * x.dim), dtype=np.float64)
+        coords[0] = interleave_real(x.components)
+        for i in range(1, min(n, _ORBIT_BLOCK)):
+            coords[i] = op.matrix @ coords[i - 1]
+        if n > _ORBIT_BLOCK:
+            power = op.matrix
+            for _ in range(_ORBIT_BLOCK - 1):
+                power = op.matrix @ power
+            for start in range(_ORBIT_BLOCK, n, _ORBIT_BLOCK):
+                stop = min(n, start + _ORBIT_BLOCK)
+                np.matmul(coords[start - _ORBIT_BLOCK:stop - _ORBIT_BLOCK], power.T,
+                          out=coords[start:stop])
+        return coords.view(np.complex128)
     raise InvalidInputError(f"unknown operator kind {type(op).__name__}")
 
 
-def _compensated_cumsum(rows: np.ndarray) -> np.ndarray:
-    """Kahan running sum down the rows; one row of compensation state."""
-    out = np.empty_like(rows)
+def _running_averages(rows: np.ndarray) -> None:
+    """rows[i] <- (rows[0] + ... + rows[i]) / (i + 1), in place, one block per step."""
     total = np.zeros(rows.shape[1], dtype=rows.dtype)
-    carry = np.zeros(rows.shape[1], dtype=rows.dtype)
-    for i in range(rows.shape[0]):
-        y = rows[i] - carry
+    carry = np.zeros_like(total)
+    for start in range(0, rows.shape[0], _SUM_BLOCK):
+        block = rows[start:start + _SUM_BLOCK]
+        np.cumsum(block, axis=0, out=block)
+        y = block[-1] - carry  # the block's own sum, taken before the offset
+        if start:
+            block += total
+        block /= np.arange(start + 1, start + 1 + block.shape[0], dtype=np.float64)[:, None]
         t = total + y
         carry = (t - total) - y
         total = t
-        out[i] = total
-    return out
 
 
 def ergodic_averages(op: Operator, x: Vector, n: int) -> AverageTrajectory:
-    """All averages A_1 x .. A_n x in one running-sum pass over the orbit."""
-    rows = orbit(op, x, n)
-    if n > _COMPENSATION_THRESHOLD:
-        sums = _compensated_cumsum(rows)
-    else:
-        sums = np.cumsum(rows, axis=0)
-    sums /= np.arange(1, n + 1, dtype=np.float64)[:, None]
+    """All averages A_1 x .. A_n x in one blocked running-sum pass over the orbit."""
+    sums = orbit(op, x, n)
+    _running_averages(sums)
     return AverageTrajectory(sums, x.p, op, x)
 
 

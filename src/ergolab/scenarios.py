@@ -126,12 +126,17 @@ def _want(doc: Mapping[str, Any], key: str, kinds: tuple[type, ...], default: An
     if not isinstance(val, kinds):
         raise ConfigError(f"key {key!r}: expected {'/'.join(k.__name__ for k in kinds)}, "
                           f"got {type(val).__name__}")
+    if isinstance(val, float) and not math.isfinite(val):
+        raise ConfigError(f"key {key!r}: non-finite number {val}")
     return val
 
 
 _REQUIRED = object()
 _INT_KINDS = (int,)
 _NUM_KINDS = (int, float)
+# Cap on horizon * max(dims): a trajectory of 2^24 complex slots is 256 MiB,
+# and building one holds about three arrays of that size.
+MAX_TRAJECTORY_SLOTS = 1 << 24
 
 
 def _positive_int(doc: Mapping[str, Any], key: str, default: Any) -> int:
@@ -149,6 +154,8 @@ def _num_list(doc: Mapping[str, Any], key: str, default: list, positive: bool = 
     for item in val:
         if isinstance(item, bool) or not isinstance(item, _NUM_KINDS):
             raise ConfigError(f"key {key!r}: entries must be numbers, got {item!r}")
+        if not math.isfinite(item):
+            raise ConfigError(f"key {key!r}: non-finite number {item}")
         if positive and item <= 0:
             raise ConfigError(f"key {key!r}: entries must be > 0, got {item}")
         out.append(float(item))
@@ -167,6 +174,17 @@ def _int_list(doc: Mapping[str, Any], key: str, default: list) -> list[int]:
             raise ConfigError(f"key {key!r}: entries must be >= 1, got {item}")
         out.append(int(item))
     return out
+
+
+def _trajectory_shape(doc: Mapping[str, Any], default_dims: list,
+                      default_horizon: int) -> tuple[list[int], int]:
+    """The 'dims' and 'horizon' keys, with horizon * max(dims) capped."""
+    dims = _int_list(doc, "dims", default_dims)
+    horizon = _positive_int(doc, "horizon", default_horizon)
+    if horizon * max(dims) > MAX_TRAJECTORY_SLOTS:
+        raise ConfigError(f"key 'horizon': horizon * max(dims) = {horizon * max(dims)} "
+                          f"exceeds the cap of {MAX_TRAJECTORY_SLOTS} trajectory slots")
+    return dims, horizon
 
 
 def _check_keys(doc: Mapping[str, Any], allowed: set[str], where: str) -> None:
@@ -197,8 +215,7 @@ def scenario_from_mapping(doc: Mapping[str, Any], seed_override: int | None = No
     params: dict[str, Any] = {}
     if kind == "variation-sweep":
         _check_keys(doc, _COMMON_KEYS | {"dims", "horizon", "q_grid", "cases"}, "variation-sweep config")
-        params["dims"] = _int_list(doc, "dims", [4])
-        params["horizon"] = _positive_int(doc, "horizon", 256)
+        params["dims"], params["horizon"] = _trajectory_shape(doc, [4], 256)
         params["q_grid"] = _num_list(doc, "q_grid", [2.0])
         if any(q < 1.0 for q in params["q_grid"]):
             raise ConfigError("key 'q_grid': variation exponents must be >= 1")
@@ -214,8 +231,7 @@ def scenario_from_mapping(doc: Mapping[str, Any], seed_override: int | None = No
             raise ConfigError(str(exc)) from exc
         params["preset"] = preset
         params["descriptor"] = desc
-        params["dims"] = _int_list(doc, "dims", [4])
-        params["horizon"] = _positive_int(doc, "horizon", 512)
+        params["dims"], params["horizon"] = _trajectory_shape(doc, [4], 512)
         params["eps_grid"] = _num_list(doc, "eps_grid", [0.5, 0.25])
         if any(not e < 2.0 for e in params["eps_grid"]):
             raise ConfigError("key 'eps_grid': points are normalized to ||x|| = 1, "
@@ -225,8 +241,7 @@ def scenario_from_mapping(doc: Mapping[str, Any], seed_override: int | None = No
     elif kind == "metastability":
         _check_keys(doc, _COMMON_KEYS | {"dims", "horizon", "eps_grid", "g", "cases"},
                     "metastability config")
-        params["dims"] = _int_list(doc, "dims", [3])
-        params["horizon"] = _positive_int(doc, "horizon", 512)
+        params["dims"], params["horizon"] = _trajectory_shape(doc, [3], 512)
         params["eps_grid"] = _num_list(doc, "eps_grid", [0.25])
         gname = _want(doc, "g", (str,), "double")
         if gname not in G_SELECTORS:

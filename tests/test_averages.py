@@ -104,16 +104,37 @@ def test_cyclic_shift_spreading():
     assert np.allclose(traj.point(4).components, [0.25] * 4)
 
 
-def test_kahan_path_agrees_with_plain_cumsum():
-    # force the compensated path via the internal threshold
-    from ergolab import averages as av
-    op = RotationProduct(np.array([0.9]))
-    x = vector([1.0], p=2)
-    plain = ergodic_averages(op, x, 512)
-    old = av._COMPENSATION_THRESHOLD
-    av._COMPENSATION_THRESHOLD = 0
-    try:
-        comp = ergodic_averages(op, x, 512)
-    finally:
-        av._COMPENSATION_THRESHOLD = old
-    assert np.allclose(plain.points, comp.points, atol=1e-13)
+def test_one_block_is_plain_cumsum_bit_for_bit():
+    rng = np.random.default_rng(8)
+    u = 3
+    x = vector(rng.standard_normal(u) + 1j * rng.standard_normal(u), p=2)
+    q, r = np.linalg.qr(rng.standard_normal((2 * u, 2 * u)))
+    ops = [RotationProduct(rng.uniform(-math.pi, math.pi, u)), CyclicShift(u),
+           DenseMatrix(q * np.sign(np.diag(r)))]
+    for op in ops:
+        for n in (1, 77, 2**16):
+            rows = orbit(op, x, n)
+            want = np.cumsum(rows, axis=0) / np.arange(1, n + 1, dtype=np.float64)[:, None]
+            assert np.array_equal(ergodic_averages(op, x, n).points, want)
+
+
+def test_blocked_sum_matches_closed_form_across_blocks():
+    angles = np.array([0.9, -2.1, 1e-3])
+    n = 3 * 2**16 + 5
+    traj = ergodic_averages(RotationProduct(angles), vector([1.0, 1.0, 1.0], p=2), n)
+    edges = [k * 2**16 + d for k in (1, 2, 3) for d in (-1, 0, 1, 2)]
+    for m in sorted({1, 2, 3, n, *edges, *range(1, n + 1, 4099)}):
+        want = [rotation_average_closed_form(t, m) for t in angles]
+        assert np.abs(traj.point(m).components - want).max() <= 1e-11, m
+
+
+def test_dense_blocks_match_naive_sum():
+    # 3 blocks of 64 orbit rows and a partial fourth
+    rng = np.random.default_rng(4)
+    q, r = np.linalg.qr(rng.standard_normal((6, 6)))
+    n = 3 * 64 + 5
+    for mat in (q * np.sign(np.diag(r)), rng.standard_normal((6, 6)) * 0.4):
+        op = DenseMatrix(mat)
+        x = vector(rng.standard_normal(3) + 1j * rng.standard_normal(3), p=2)
+        want = _naive_averages(op, x, n)
+        assert np.allclose(ergodic_averages(op, x, n).points, want, rtol=1e-12, atol=1e-12)

@@ -6,16 +6,23 @@ epsilons are then exact and the brute-force oracles must agree bit-for-bit
 with the library, not merely up to tolerance.
 """
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ergolab import (
+    CyclicShift,
+    DenseMatrix,
+    RotationProduct,
     SeqFunction,
     Vector,
     conditional_expectation,
     count_fluctuations,
     empirical_convergence_rate,
+    ergodic_averages,
     g_double,
     g_successor,
     lpb_norm,
@@ -119,6 +126,67 @@ class TestLongSequencesAgainstDirectSearch:
         pts, eps = _long_sequence(kind, n, u, np.random.default_rng(seed))
         rep = count_fluctuations(pts, eps, p_norm=p)
         assert rep.witnesses == _greedy_witnesses(pts, eps, p)
+
+
+def _operator_and_orbit(kind, u, n, rng):
+    """(operator, x, rows) with rows[k] = T^k x, built without ergolab's
+    orbit: the per-power closed forms of rotation and shift, and one matrix
+    step at a time for the dense kinds."""
+    x = rng.standard_normal(u) + 1j * rng.standard_normal(u)
+    if kind == "rotation":
+        angles = rng.uniform(-np.pi, np.pi, u)
+        return RotationProduct(angles), x, x * np.exp(1j * (np.arange(n)[:, None] * angles))
+    if kind == "cyclic":
+        return CyclicShift(u), x, x[(np.arange(u) - np.arange(n)[:, None]) % u]
+    g = rng.standard_normal((2 * u, 2 * u))
+    if kind == "dense-orthogonal":
+        q, r = np.linalg.qr(g)
+        mat = q * np.sign(np.diag(r))
+    else:  # non-normal, spectral norm 0.95
+        mat = 0.95 * g / np.linalg.norm(g, 2)
+    coords = np.empty((n, 2 * u))
+    coords[0] = np.column_stack((x.real, x.imag)).ravel()
+    for k in range(1, n):
+        coords[k] = mat @ coords[k - 1]
+    return DenseMatrix(mat), x, coords.view(np.complex128)
+
+
+def _exact_averages(rows, ms):
+    """A_m for each m in increasing ms from the real coordinates of rows,
+    each segment between consecutive m summed by fsum and carried exactly."""
+    parts = rows.view(np.float64)
+    totals = [Fraction(0)] * parts.shape[1]
+    out, lo = [], 0
+    for m in ms:
+        seg = parts[lo:m].T.tolist()
+        totals = [t + Fraction(math.fsum(col)) for t, col in zip(totals, seg)]
+        out.append([float(t / m) for t in totals])
+        lo = m
+    return np.array(out)
+
+
+class TestBlockedAverages:
+    """ergodic_averages against exactly summed orbits, at horizons on and
+    next to the block edges: 2^16 rows for the running sum, 64 rows for the
+    DenseMatrix orbit. The tolerance is the bound of the averages module,
+    (2^16 + 3) * 2^-53 * R with R the largest coordinate magnitude so far."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(["rotation", "cyclic", "dense-orthogonal", "dense-contraction"]),
+           st.integers(1, 4), st.integers(1, 3), st.integers(-2, 2), st.integers(0, 2**32 - 1))
+    def test_matches_exact_orbit_sum(self, kind, u, blocks, offset, seed):
+        block = 64 if kind.startswith("dense") else 2**16
+        n = blocks * block + offset
+        rng = np.random.default_rng(seed)
+        op, x, rows = _operator_and_orbit(kind, u, n, rng)
+        edges = [k * block + d for k in range(1, blocks + 1) for d in (-1, 0, 1)]
+        ms = sorted({m for m in (1, 2, n, *edges, *rng.integers(1, n + 1, 40).tolist())
+                     if 1 <= m <= n})
+        got = ergodic_averages(op, Vector(x, p=2.0), n).points.view(np.float64)
+        reach = np.maximum.accumulate(np.abs(rows.view(np.float64)).max(axis=1))
+        idx = np.array(ms) - 1
+        err = np.abs(got[idx] - _exact_averages(rows, ms)).max(axis=1)
+        assert np.all(err <= (2**16 + 3) * 2.0**-53 * reach[idx])
 
 
 class TestMetastabilityInvariants:

@@ -9,6 +9,7 @@ import pytest
 
 from ergolab.cli import main
 from ergolab.scenarios import (
+    MAX_TRAJECTORY_SLOTS,
     ConfigError,
     Report,
     SCENARIO_KINDS,
@@ -129,6 +130,27 @@ class TestLoadScenario:
                                                          f'"q_grid": [{literal}]'))
         with pytest.raises(ConfigError, match="non-finite"):
             load_scenario(str(path))
+
+
+    @pytest.mark.parametrize("doc", [
+        _sweep_doc(q_grid=[float("nan")]),
+        {"name": "meta", "kind": "metastability", "seed": 5, "dims": [2], "horizon": 16,
+         "eps_grid": [float("nan")], "g": "double", "cases": 1},
+        {"name": "dy", "kind": "dyadic-constants", "p": float("inf")},
+        {"name": "dy", "kind": "dyadic-constants", "ratio_cap": float("nan")},
+        {"name": "fb", "kind": "fluctuation-vs-bound", "p": float("nan")},
+        {"name": "cv", "kind": "convexity-audit", "audits": [{"p": 2.0, "K": float("-inf")}]},
+    ])
+    def test_non_finite_numbers_rejected_from_mapping(self, doc):
+        with pytest.raises(ConfigError, match="non-finite"):
+            scenario_from_mapping(doc)
+
+    @pytest.mark.parametrize("kind", ["variation-sweep", "fluctuation-vs-bound", "metastability"])
+    def test_trajectory_slots_capped(self, kind):
+        doc = {"name": "n", "kind": kind, "dims": [4], "horizon": MAX_TRAJECTORY_SLOTS // 4}
+        assert scenario_from_mapping(doc).params["horizon"] == MAX_TRAJECTORY_SLOTS // 4
+        with pytest.raises(ConfigError, match="horizon"):
+            scenario_from_mapping(dict(doc, dims=[1, 5]))
 
 
 class TestDeterminism:
@@ -253,6 +275,13 @@ class TestCLI:
         cfg.write_text(json.dumps(doc))  # writes the bare constant NaN
         assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
         assert "non-finite number NaN" in capsys.readouterr().err
+
+    def test_run_unbounded_horizon_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(_sweep_doc(horizon=10**11)))
+        assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "exceeds the cap" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.json").exists()
 
     def test_run_failing_rows_exit_one(self, tmp_path, capsys):
         # horizon 4 cannot resolve eps = 1e-6 metastability for rotations
