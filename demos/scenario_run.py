@@ -32,7 +32,7 @@ def main():
             json.dump(CONFIG, fh, indent=2)
 
         scenario = load_scenario(cfg_path)
-        report = run_scenario(scenario, jobs=2)
+        report = run_scenario(scenario)
         path = write_report(report, tmp, "json")
 
         print(f"report written to {path}")

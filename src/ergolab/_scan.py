@@ -6,12 +6,11 @@ i >= c (the anchor) has ||a_j - a_i|| >= eps. The scan below is exact; the
 pruning never changes the answer, only skips work:
 
 - a running per-real-coordinate bounding box of the candidate prefix gives a
-  certified lower bound (a single coordinate gap is realized by an actual
-  candidate, and any norm dominates a coordinate gap) and a certified upper
-  bound (componentwise box diagonals assembled through the p-sum) on the
-  best distance at each j. The chunk of rows bounded at once doubles after
-  every chunk the box prunes whole, up to a fixed number of floats, and
-  drops back to its base size at the first row the box cannot prune;
+  certified upper bound on the best distance at each j: the box's
+  per-coordinate gaps, paired into complex slots, go through the same row
+  norm as the exact distances. The chunk of rows bounded at once doubles
+  after every chunk the box prunes whole, up to a fixed number of floats,
+  and drops back to its base size at the first row the box cannot prune;
 - when an exact check at an ambiguous j comes back clean, with largest
   distance D < eps to the candidates, the scan skips the run of rows after j
   that lie strictly within rho = min(eps - D, eps/2) of a_j. A skipped row is
@@ -33,9 +32,6 @@ from .spaces import batch_norm_p
 _CHUNK = 256
 _CHUNK_FLOATS = 2**15  # cap on rows x real coordinates of one chunk
 _BALL_STEP = 16  # first slice of the ball-run search; later slices double
-# Squares and p-th powers of coordinate gaps stay exact to rounding while a
-# row's largest gap lies in [2^-S, 2^S], S = _SAFE_EXP / max(p, 2).
-_SAFE_EXP = 500.0
 
 
 class PointsView:
@@ -45,13 +41,12 @@ class PointsView:
         pts = np.asarray(pts, dtype=np.complex128)
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise InvalidInputError("points must form a nonempty (N, u) array")
+        if pts.shape[1] > 1 and pts.strides[1] != pts.itemsize:
+            pts = np.ascontiguousarray(pts)
         self.pts = pts
         self.p = float(p)
         self.n = pts.shape[0]
-        coords = np.empty((self.n, 2 * pts.shape[1]), dtype=np.float64)
-        coords[:, 0::2] = pts.real
-        coords[:, 1::2] = pts.imag
-        self.coords = coords
+        self.coords = pts.view(np.float64)  # (Re z_1, Im z_1, ..., Re z_u, Im z_u) per row
         self._cumdrift: np.ndarray | None = None
 
     def cumdrift(self) -> np.ndarray:
@@ -66,35 +61,6 @@ class PointsView:
     def distances_to(self, j: int, lo: int, hi: int) -> np.ndarray:
         """||a_i - a_j|| for i in [lo, hi)."""
         return batch_norm_p(self.pts[lo:hi] - self.pts[j], self.p)
-
-
-def _pair_moduli(d_coords: np.ndarray, p: float) -> np.ndarray:
-    """Norm assembled from per-coordinate gaps: rows of (.., 2u) -> (..,)."""
-    comp = np.sqrt(d_coords[..., 0::2] ** 2 + d_coords[..., 1::2] ** 2)
-    if p == 1.0:
-        return comp.sum(axis=-1)
-    if p == 2.0:
-        return np.sqrt((comp**2).sum(axis=-1))
-    return (comp**p).sum(axis=-1) ** (1.0 / p)
-
-
-def _box_bounds(gap: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper bounds on the best distance from rows of (n, 2u) gaps >= 0.
-
-    Rows whose largest gap is too small or too large for unscaled powers get
-    their gaps divided by that largest gap first, so underflow cannot prune a
-    real violation.
-    """
-    lb = gap.max(axis=1)
-    limit = 2.0 ** (_SAFE_EXP / max(p, 2.0))
-    if lb.min() >= 1.0 / limit and lb.max() <= limit:
-        return lb, _pair_moduli(gap, p)
-    odd = ~((lb >= 1.0 / limit) & (lb <= limit))
-    ub = np.empty_like(lb)
-    ub[~odd] = _pair_moduli(gap[~odd], p)
-    scale = np.where(lb[odd] == 0.0, 1.0, lb[odd])
-    ub[odd] = scale * _pair_moduli(gap[odd] / scale[:, None], p)
-    return lb, ub
 
 
 def _ball_end(view: PointsView, centre: int, rho: float, hi: int) -> int:
@@ -140,8 +106,7 @@ def first_violation(
         bmin[1:], bmax[1:] = pmin[:-1], pmax[:-1]
 
         gap = np.maximum(block - bmin, bmax - block)
-        lb, ub = _box_bounds(gap, p)
-        alive = ub >= eps
+        alive = batch_norm_p(gap.view(np.complex128), p) >= eps
         if not alive.any():
             cmin, cmax = pmin[-1], pmax[-1]
             j = stop
@@ -152,9 +117,8 @@ def first_violation(
         jj = j + t
         dist = view.distances_to(jj, anchor, jj)
         valid = dist >= eps
-        if lb[t] >= eps or valid.any():
+        if valid.any():
             where = np.flatnonzero(valid)
-            # lb >= eps certifies a witness exists, so `where` is nonempty.
             return anchor + int(where[0]), anchor + int(where[-1]), jj
         rho = min(eps - float(dist.max()), 0.5 * eps)
         upto = _ball_end(view, jj, rho, hi)
@@ -169,3 +133,17 @@ def has_separated_pair(view: PointsView, eps: float, lo: int, hi: int) -> bool:
     if lo >= hi:
         return False
     return first_violation(view, eps, lo, hi) is not None
+
+
+def greedy_chain(view: PointsView, eps: float, anchor: int, hi: int):
+    """Yield the greedy chain of eps-separated pairs (i, j) inside [anchor, hi].
+
+    Each pair closes at the earliest admissible j with the smallest
+    admissible i, and the next pair is searched from j on.
+    """
+    while anchor < hi:
+        hit = first_violation(view, eps, anchor, hi)
+        if hit is None:
+            return
+        yield hit[0], hit[2]
+        anchor = hit[2]

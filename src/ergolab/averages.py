@@ -4,12 +4,11 @@
 
     A_n x = (1/n) * (x + Tx + ... + T^(n-1) x),
 
-computed from one pass over the orbit (a running sum divided by n). For
-rotation products the orbit itself comes from the closed form e^(i*n*theta),
-and `rotation_average_closed_form` gives the scalar average directly so the
-two routes can be checked against each other. DenseMatrix orbits are built
-64 rows at a time: single steps for the first block, then each block is
-T^64 (formed by iterated multiplication) times the one before it.
+computed from one pass over the orbit (a running sum divided by n). Each
+operator kind builds its own orbit (see `operators`); for rotation products
+it comes from the closed form e^(i*n*theta), and
+`rotation_average_closed_form` gives the scalar average directly so the two
+routes can be checked against each other.
 
 The running sum is blocked: each block of 2^16 rows is summed in order by
 `np.cumsum` and offset by the total of the earlier blocks, which is carried
@@ -30,20 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .operators import (
-    CyclicShift,
-    DenseMatrix,
-    Operator,
-    RotationProduct,
-    ZShift,
-    interleave_real,
-)
+from .operators import Operator
 from .spaces import Vector, batch_norm_p
 
 __all__ = ["AverageTrajectory", "ergodic_averages", "orbit", "rotation_average_closed_form"]
 
 _SUM_BLOCK = 1 << 16  # rows per block of the running sum
-_ORBIT_BLOCK = 64  # rows per block of a DenseMatrix orbit
 
 
 @dataclass(frozen=True)
@@ -59,8 +50,9 @@ class AverageTrajectory:
         pts = np.asarray(self.points, dtype=np.complex128)
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise InvalidInputError("trajectory needs at least one point")
-        pts = pts.copy()
-        pts.flags.writeable = False
+        if _writable(pts):
+            pts = pts.copy()
+            pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
     @property
@@ -87,38 +79,23 @@ class AverageTrajectory:
         return AverageTrajectory(self.points[:m], self.p, self.operator, self.x)
 
 
+def _writable(arr: np.ndarray) -> bool:
+    """True when arr, or an array or buffer it views, can still be written."""
+    while isinstance(arr, np.ndarray):
+        if arr.flags.writeable:
+            return True
+        arr = arr.base
+    return arr is not None
+
+
 def orbit(op: Operator, x: Vector, n: int) -> np.ndarray:
     """The rows x, Tx, ..., T^(n-1) x. Closed forms for rotation and shift."""
     n = int(n)
     if n < 1:
         raise InvalidInputError(f"horizon must be >= 1, got {n}")
-    if isinstance(op, ZShift):
-        raise InvalidInputError("ZShift orbits live on integer-indexed functions")
     if x.dim != op.dim:
         raise InvalidInputError(f"operator dimension {op.dim} != vector dimension {x.dim}")
-
-    if isinstance(op, RotationProduct):
-        phases = np.exp(1j * np.outer(np.arange(n, dtype=np.float64), op.angles))
-        return phases * x.components[None, :]
-    if isinstance(op, CyclicShift):
-        u = op.dim
-        idx = (np.arange(u)[None, :] - np.arange(u)[:, None]) % u
-        return np.resize(x.components[idx], (n, u))  # rows repeat with period u
-    if isinstance(op, DenseMatrix):
-        coords = np.empty((n, 2 * x.dim), dtype=np.float64)
-        coords[0] = interleave_real(x.components)
-        for i in range(1, min(n, _ORBIT_BLOCK)):
-            coords[i] = op.matrix @ coords[i - 1]
-        if n > _ORBIT_BLOCK:
-            power = op.matrix
-            for _ in range(_ORBIT_BLOCK - 1):
-                power = op.matrix @ power
-            for start in range(_ORBIT_BLOCK, n, _ORBIT_BLOCK):
-                stop = min(n, start + _ORBIT_BLOCK)
-                np.matmul(coords[start - _ORBIT_BLOCK:stop - _ORBIT_BLOCK], power.T,
-                          out=coords[start:stop])
-        return coords.view(np.complex128)
-    raise InvalidInputError(f"unknown operator kind {type(op).__name__}")
+    return op.orbit(x.components, n)
 
 
 def _running_averages(rows: np.ndarray) -> None:
@@ -141,6 +118,7 @@ def ergodic_averages(op: Operator, x: Vector, n: int) -> AverageTrajectory:
     """All averages A_1 x .. A_n x in one blocked running-sum pass over the orbit."""
     sums = orbit(op, x, n)
     _running_averages(sums)
+    sums.flags.writeable = False  # handed over, not copied
     return AverageTrajectory(sums, x.p, op, x)
 
 

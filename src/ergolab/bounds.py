@@ -8,12 +8,13 @@ accumulated rounding is treated as that integer.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._scan import PointsView, first_violation
+from ._scan import PointsView, greedy_chain
 from .averages import AverageTrajectory
 from .errors import HorizonExhaustedError, InvalidInputError, PreconditionError
 from .spaces import SpaceDescriptor, batch_norm_p
@@ -192,21 +193,9 @@ def stability_window_check(
     hi = u // 2
     if lo > hi:
         return StabilityWindowReport((lo, hi), (), False)
-    view = PointsView(traj.points, traj.p)
-    violations: list[tuple[int, int]] = []
-    anchor = lo - 1
-    truncated = False
-    while anchor < hi - 1:
-        hit = first_violation(view, params.eps, anchor, hi - 1)
-        if hit is None:
-            break
-        i_first, _, j = hit
-        violations.append((i_first + 1, j + 1))
-        if len(violations) >= _MAX_VIOLATIONS:
-            truncated = first_violation(view, params.eps, j, hi - 1) is not None
-            break
-        anchor = j
-    return StabilityWindowReport((lo, hi), tuple(violations), truncated)
+    chain = greedy_chain(PointsView(traj.points, traj.p), params.eps, lo - 1, hi - 1)
+    violations = tuple((i + 1, j + 1) for i, j in itertools.islice(chain, _MAX_VIOLATIONS))
+    return StabilityWindowReport((lo, hi), violations, next(chain, None) is not None)
 
 
 def earliest_stable_start(traj: AverageTrajectory, gamma: float, u: int) -> int:

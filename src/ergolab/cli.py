@@ -7,7 +7,8 @@
 Output directory precedence: --out, then the config's "out" key, then the
 ERGOLAB_OUT environment variable, then the current directory. Exit status:
 0 all rows passed, 1 some row failed (including horizon exhaustion inside
-an experiment), 2 config parse/validation error.
+an experiment), 2 config parse/validation error. Cases run one after another
+in declared order; --jobs is still parsed and must be >= 1, but it is ignored.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ def _summarize(report: Report, path: str, verbose_rows: bool) -> None:
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
         scenario = load_scenario(args.config, seed_override=args.seed)
-        report = run_scenario(scenario, jobs=args.jobs)
+        report = run_scenario(scenario)
         out_dir = _resolve_out(args.out, scenario.out)
         path = write_report(report, out_dir, args.format)
     except ConfigError as exc:
@@ -80,7 +81,7 @@ def _cmd_verify_all(args: argparse.Namespace) -> int:
         return 2
     ok = True
     for scenario in scenarios:
-        report = run_scenario(scenario, jobs=args.jobs)
+        report = run_scenario(scenario)
         out_dir = _resolve_out(args.out, scenario.out)
         path = write_report(report, out_dir, args.format)
         _summarize(report, path, verbose_rows=True)
@@ -97,7 +98,7 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None,
                         help="override the scenario seed")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker threads for independent cases (default: 1)")
+                        help="ignored: cases run serially in declared order (must be >= 1)")
 
 
 def main(argv: list[str] | None = None) -> int:

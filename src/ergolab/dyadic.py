@@ -22,9 +22,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidInputError, PreconditionError
-from .operators import Operator, ZShift
+from .operators import Operator
 from .averages import orbit
-from .spaces import Vector
+from .spaces import Vector, norm_p
 from .variation import IndexSequence
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "shift_averages",
     "shift_average_at",
     "seq_shift",
-    "apply_seq",
     "transfer_embed",
     "verify_decomposition_inequalities",
 ]
@@ -134,11 +133,7 @@ class SeqFunction:
 def lpb_norm(f: SeqFunction) -> float:
     """(sum_x ||f(x)||^p)^(1/p); inner and outer exponents agree, so this is
     the flat p-norm over every complex entry."""
-    moduli = np.abs(f.values).ravel()
-    peak = float(moduli.max())
-    if peak == 0.0:
-        return 0.0
-    return peak * float(np.sum((moduli / peak) ** f.p)) ** (1.0 / f.p)
+    return norm_p(Vector(f.values.ravel(), f.p))
 
 
 def conditional_expectation(f: SeqFunction, level) -> SeqFunction:
@@ -200,13 +195,6 @@ def shift_averages(f: SeqFunction, n_max: int) -> list[SeqFunction]:
 def seq_shift(f: SeqFunction, steps: int = 1) -> SeqFunction:
     """(T^k f)(x) = f(x + k): the window slides left, values unchanged."""
     return SeqFunction(f.lo - int(steps), f.values, f.p)
-
-
-def apply_seq(op: Operator, f: SeqFunction) -> SeqFunction:
-    """Action of ZShift on sequence functions (the only kind with one)."""
-    if isinstance(op, ZShift):
-        return seq_shift(f, 1)
-    raise InvalidInputError(f"{type(op).__name__} does not act on sequence functions")
 
 
 def transfer_embed(op: Operator, x: Vector, n: int) -> SeqFunction:

@@ -1,24 +1,29 @@
 """Linear operators on l^p_u(C) with power-bound certificates.
 
-Four kinds are provided. Three are isometries by construction and carry the
-exact certificate (B1, B2, n_max) = (1, 1, inf):
+Every operator kind owns its arithmetic: `power` (T^n on a component
+array), `orbit` (the rows z, Tz, ..., T^(n-1) z) and `estimate_power_bounds`.
+The module functions below only validate and delegate.
 
 - RotationProduct(angles): componentwise scalar rotation z_j -> e^(i*theta_j) z_j;
   the n-th power multiplies by e^(i*n*theta_j) in closed form.
 - CyclicShift(dim): wrap-around right shift (z_1, ..., z_u) -> (z_u, z_1, ..., z_(u-1)).
-- ZShift(): the step-one shift on integer-indexed functions; it has no action
-  on finite vectors (the dyadic module consumes it).
+
+Both are isometries by construction and carry the exact certificate
+(B1, B2, n_max) = (1, 1, inf).
 
 DenseMatrix wraps an arbitrary real matrix over the 2u real coordinates
-(interleaved Re/Im), powered by iterated multiplication. Its power bounds are
-not known a priori; `estimate_power_bounds` samples them.
+(Re z_1, Im z_1, ..., Re z_u, Im z_u), the float64 view of a contiguous
+complex array, powered by iterated multiplication. Its orbit is built 64
+rows at a time: single steps for the first block, then each block is T^64
+(formed by iterated multiplication) times the one before it. Its power
+bounds are not known a priori; `estimate_power_bounds` samples them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import dataclass
+from typing import Protocol
 
 import numpy as np
 
@@ -30,12 +35,13 @@ __all__ = [
     "RotationProduct",
     "CyclicShift",
     "DenseMatrix",
-    "ZShift",
     "Operator",
     "apply",
     "apply_power",
     "estimate_power_bounds",
 ]
+
+_ORBIT_BLOCK = 64  # rows per block of a DenseMatrix orbit
 
 
 @dataclass(frozen=True)
@@ -56,8 +62,30 @@ class PowerBoundCertificate:
 _ISOMETRY_CERT = PowerBoundCertificate(1.0, 1.0, math.inf)
 
 
+class Operator(Protocol):
+    """What every operator kind provides; z is a contiguous (u,) complex array."""
+
+    certificate: PowerBoundCertificate | None
+
+    @property
+    def dim(self) -> int: ...
+
+    def power(self, z: np.ndarray, n: int) -> np.ndarray: ...
+
+    def orbit(self, z: np.ndarray, n: int) -> np.ndarray: ...
+
+    def estimate_power_bounds(self, n_max: int, trials: int, seed: int,
+                              p: float) -> PowerBoundCertificate: ...
+
+
+class _Isometry:
+    def estimate_power_bounds(self, n_max, trials, seed, p) -> PowerBoundCertificate:
+        """The exact certificate; nothing is sampled."""
+        return self.certificate
+
+
 @dataclass(frozen=True)
-class RotationProduct:
+class RotationProduct(_Isometry):
     """Product of scalar rotations, one angle per complex slot."""
 
     angles: np.ndarray
@@ -75,9 +103,15 @@ class RotationProduct:
     def dim(self) -> int:
         return self.angles.shape[0]
 
+    def power(self, z: np.ndarray, n: int) -> np.ndarray:
+        return z * np.exp(1j * (n * self.angles))
+
+    def orbit(self, z: np.ndarray, n: int) -> np.ndarray:
+        return np.exp(1j * np.outer(np.arange(n, dtype=np.float64), self.angles)) * z[None, :]
+
 
 @dataclass(frozen=True)
-class CyclicShift:
+class CyclicShift(_Isometry):
     """Coordinate permutation shifting every slot one place right, wrapping."""
 
     dim: int
@@ -87,6 +121,18 @@ class CyclicShift:
         if int(self.dim) < 1:
             raise InvalidInputError(f"dimension must be >= 1, got {self.dim}")
         object.__setattr__(self, "dim", int(self.dim))
+
+    def power(self, z: np.ndarray, n: int) -> np.ndarray:
+        return np.roll(z, n % self.dim)
+
+    def orbit(self, z: np.ndarray, n: int) -> np.ndarray:
+        u = self.dim
+        period = z[(np.arange(u)[None, :] - np.arange(u)[:, None]) % u]  # z, Tz, ..., T^(u-1) z
+        out = np.empty((n, u), dtype=np.complex128)
+        whole = n - n % u
+        out[:whole].reshape(-1, u, u)[:] = period  # rows repeat with period u
+        out[whole:] = period[:n % u]
+        return out
 
 
 @dataclass(frozen=True)
@@ -110,74 +156,68 @@ class DenseMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0] // 2
 
+    def power(self, z: np.ndarray, n: int) -> np.ndarray:
+        """Iterated multiplication: cost grows linearly with n by design
+        (no eigendecomposition shortcuts)."""
+        coords = z.view(np.float64)
+        for _ in range(n):
+            coords = self.matrix @ coords
+        return coords.view(np.complex128)
 
-@dataclass(frozen=True)
-class ZShift:
-    """Step-one shift on integer-indexed functions: (Tf)(x) = f(x + 1)."""
+    def orbit(self, z: np.ndarray, n: int) -> np.ndarray:
+        out = np.empty((n, self.dim), dtype=np.complex128)
+        coords = out.view(np.float64)
+        coords[0] = z.view(np.float64)
+        for i in range(1, min(n, _ORBIT_BLOCK)):
+            coords[i] = self.matrix @ coords[i - 1]
+        if n > _ORBIT_BLOCK:
+            power = self.matrix
+            for _ in range(_ORBIT_BLOCK - 1):
+                power = self.matrix @ power
+            for start in range(_ORBIT_BLOCK, n, _ORBIT_BLOCK):
+                stop = min(n, start + _ORBIT_BLOCK)
+                np.matmul(coords[start - _ORBIT_BLOCK:stop - _ORBIT_BLOCK], power.T,
+                          out=coords[start:stop])
+        return out
 
-    certificate: PowerBoundCertificate = _ISOMETRY_CERT
+    def estimate_power_bounds(self, n_max, trials, seed, p) -> PowerBoundCertificate:
+        n_max = int(n_max)
+        if n_max < 1:
+            raise InvalidInputError(f"need n_max >= 1, got {n_max}")
+        if trials < 1:
+            raise InvalidInputError(f"need trials >= 1, got {trials}")
 
+        rng = np.random.default_rng(seed)
+        u = self.dim
+        z = rng.standard_normal((trials, u)) + 1j * rng.standard_normal((trials, u))
+        norms = batch_norm_p(z, p)
+        norms[norms == 0.0] = 1.0
+        coords = (z / norms[:, None]).view(np.float64)
 
-Operator = Union[RotationProduct, CyclicShift, DenseMatrix, ZShift]
-
-
-def _check_dim(op, v: Vector) -> None:
-    if v.dim != op.dim:
-        raise DimensionMismatchError(f"operator dimension {op.dim} != vector dimension {v.dim}")
-
-
-def interleave_real(components: np.ndarray) -> np.ndarray:
-    """(z_1, ..., z_u) -> (Re z_1, Im z_1, ..., Re z_u, Im z_u)."""
-    out = np.empty(2 * components.shape[0], dtype=np.float64)
-    out[0::2] = components.real
-    out[1::2] = components.imag
-    return out
-
-
-def deinterleave_real(coords: np.ndarray) -> np.ndarray:
-    return coords[0::2] + 1j * coords[1::2]
+        lo, hi = math.inf, 0.0
+        for _ in range(n_max):
+            coords = coords @ self.matrix.T
+            norms = batch_norm_p(coords.view(np.complex128), p)
+            lo = min(lo, float(norms.min()))
+            hi = max(hi, float(norms.max()))
+        if lo <= 0.0:
+            raise InvalidInputError("sampled a vector annihilated by the matrix; bounds are degenerate")
+        return PowerBoundCertificate(lo, hi, float(n_max))
 
 
 def apply(op: Operator, v: Vector) -> Vector:
-    """One application of the operator. ZShift has no finite-vector action."""
-    if isinstance(op, RotationProduct):
-        _check_dim(op, v)
-        return Vector(v.components * np.exp(1j * op.angles), v.p)
-    if isinstance(op, CyclicShift):
-        _check_dim(op, v)
-        return Vector(np.roll(v.components, 1), v.p)
-    if isinstance(op, DenseMatrix):
-        _check_dim(op, v)
-        return Vector(deinterleave_real(op.matrix @ interleave_real(v.components)), v.p)
-    if isinstance(op, ZShift):
-        raise InvalidInputError("ZShift acts on integer-indexed functions; use the dyadic module")
-    raise InvalidInputError(f"unknown operator kind {type(op).__name__}")
+    """One application of the operator."""
+    return apply_power(op, 1, v)
 
 
 def apply_power(op: Operator, n: int, v: Vector) -> Vector:
-    """T^n applied to v; closed form where the kind admits one.
-
-    DenseMatrix powers are iterated multiplications, so cost grows linearly
-    with n by design (no eigendecomposition shortcuts).
-    """
+    """T^n applied to v; closed form where the kind admits one."""
     n = int(n)
     if n < 0:
         raise InvalidInputError(f"power must be >= 0, got {n}")
-    if isinstance(op, RotationProduct):
-        _check_dim(op, v)
-        return Vector(v.components * np.exp(1j * (n * op.angles)), v.p)
-    if isinstance(op, CyclicShift):
-        _check_dim(op, v)
-        return Vector(np.roll(v.components, n % op.dim), v.p)
-    if isinstance(op, DenseMatrix):
-        _check_dim(op, v)
-        coords = interleave_real(v.components)
-        for _ in range(n):
-            coords = op.matrix @ coords
-        return Vector(deinterleave_real(coords), v.p)
-    if isinstance(op, ZShift):
-        raise InvalidInputError("ZShift acts on integer-indexed functions; use the dyadic module")
-    raise InvalidInputError(f"unknown operator kind {type(op).__name__}")
+    if v.dim != op.dim:
+        raise DimensionMismatchError(f"operator dimension {op.dim} != vector dimension {v.dim}")
+    return Vector(op.power(v.components, n), v.p)
 
 
 def estimate_power_bounds(
@@ -193,33 +233,4 @@ def estimate_power_bounds(
     certificate without sampling. The result is a measurement, not a proof:
     it is never attached to the operator automatically.
     """
-    if isinstance(op, (RotationProduct, CyclicShift, ZShift)):
-        return op.certificate
-    if not isinstance(op, DenseMatrix):
-        raise InvalidInputError(f"unknown operator kind {type(op).__name__}")
-    n_max = int(n_max)
-    if n_max < 1:
-        raise InvalidInputError(f"need n_max >= 1, got {n_max}")
-    if trials < 1:
-        raise InvalidInputError(f"need trials >= 1, got {trials}")
-
-    rng = np.random.default_rng(seed)
-    u = op.dim
-    z = rng.standard_normal((trials, u)) + 1j * rng.standard_normal((trials, u))
-    norms = batch_norm_p(z, p)
-    norms[norms == 0.0] = 1.0
-    z = z / norms[:, None]
-
-    lo, hi = math.inf, 0.0
-    coords = np.empty((trials, 2 * u), dtype=np.float64)
-    coords[:, 0::2] = z.real
-    coords[:, 1::2] = z.imag
-    for _ in range(n_max):
-        coords = coords @ op.matrix.T
-        powered = coords[:, 0::2] + 1j * coords[:, 1::2]
-        norms = batch_norm_p(powered, p)
-        lo = min(lo, float(norms.min()))
-        hi = max(hi, float(norms.max()))
-    if lo <= 0.0:
-        raise InvalidInputError("sampled a vector annihilated by the matrix; bounds are degenerate")
-    return PowerBoundCertificate(lo, hi, float(n_max))
+    return op.estimate_power_bounds(n_max, trials, seed, p)

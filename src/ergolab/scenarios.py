@@ -5,7 +5,7 @@ and kind-specific parameters. Unknown keys are errors, not warnings, so a
 config file stays a faithful record of what ran. Execution is deterministic
 given (config, seed): randomness comes from numpy's PCG64, seeded per case
 by spawning one SeedSequence child per declared case, so report rows are
-identical across runs and across any --jobs setting.
+identical across runs.
 
 Reports carry one row per case with the measured values, the theoretical
 or configured bounds, and a pass flag recomputable from the row's own
@@ -21,7 +21,6 @@ import json
 import math
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Any, Callable, Mapping
@@ -550,25 +549,14 @@ def _scenario_echo(scenario: Scenario) -> dict[str, Any]:
             "seed": scenario.seed, "params": params}
 
 
-def run_scenario(scenario: Scenario, jobs: int = 1) -> Report:
-    """Execute every case of the scenario; rows appear in declared order
-    regardless of how many worker threads run them."""
-    if jobs < 1:
-        raise InvalidInputError(f"need jobs >= 1, got {jobs}")
+def run_scenario(scenario: Scenario) -> Report:
+    """Execute every case of the scenario in declared order."""
     runner = _RUNNERS[scenario.kind]
     count = _case_count(scenario)
     rngs = _case_rngs(scenario.seed, count)
     keys = _KEYS[scenario.kind]
-
-    def one(idx: int) -> list[dict[str, Any]]:
-        return _run_case_guard(lambda: runner(idx, rngs[idx], scenario), keys)
-
-    if jobs == 1 or count == 1:
-        chunks = [one(i) for i in range(count)]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(one, range(count)))
-    rows = [row for chunk in chunks for row in chunk]
+    rows = [row for idx in range(count)
+            for row in _run_case_guard(lambda: runner(idx, rngs[idx], scenario), keys)]
     environment = {
         "version": __version__,
         "numpy": np.__version__,

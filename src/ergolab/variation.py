@@ -19,7 +19,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from ._scan import PointsView, first_violation
+from ._scan import PointsView, first_violation, greedy_chain
 from .averages import AverageTrajectory
 from .errors import CountOverflowError, HorizonExhaustedError, InvalidInputError
 from .spaces import Vector, batch_norm_p
@@ -206,16 +206,8 @@ def count_fluctuations(points: PointsLike, eps: float, *,
     the greedy endpoint, so swapping it in never shortens the rest.
     """
     view = _points_view(points, p_norm)
-    witnesses: list[tuple[int, int]] = []
-    anchor = 0
-    while anchor < view.n - 1:
-        hit = first_violation(view, eps, anchor, view.n - 1)
-        if hit is None:
-            break
-        i_first, _, j = hit
-        witnesses.append((i_first + 1, j + 1))
-        anchor = j
-    return FluctuationReport(len(witnesses), tuple(witnesses), float(eps))
+    witnesses = tuple((i + 1, j + 1) for i, j in greedy_chain(view, eps, 0, view.n - 1))
+    return FluctuationReport(len(witnesses), witnesses, float(eps))
 
 
 def metastability_rate(points: PointsLike, query: MetastabilityQuery, *,

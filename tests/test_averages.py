@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ergolab import (
+    AverageTrajectory,
     CyclicShift,
     DenseMatrix,
     RotationProduct,
@@ -63,6 +64,21 @@ def test_trajectory_accessors():
     short = traj.truncated(3)
     assert short.horizon == 3
     assert np.allclose(short.points, traj.points[:3])
+
+
+def test_trajectory_copies_arrays_the_caller_can_write():
+    pts = np.ones((4, 2), dtype=complex)
+    frozen_view = pts[:3]
+    frozen_view.flags.writeable = False  # read-only, but pts still writes it
+    trajs = [AverageTrajectory(a, 2.0, CyclicShift(2), vector([1, 1], p=2))
+             for a in (pts, frozen_view)]
+    pts[0, 0] = 9.0
+    for traj in trajs:
+        assert traj.points[0, 0] == 1.0
+        assert not traj.points.flags.writeable
+    # a read-only prefix of a trajectory's own points is shared, not copied
+    full = ergodic_averages(CyclicShift(2), vector([1, 0], p=2), 8)
+    assert np.shares_memory(full.truncated(3).points, full.points)
 
 
 def test_alternating_average_frozen():

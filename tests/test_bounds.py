@@ -23,6 +23,7 @@ from ergolab import (
     PreconditionError,
     RotationProduct,
     ceil12,
+    count_fluctuations,
     descriptor_preset,
     drift_bound_check,
     earliest_stable_start,
@@ -217,6 +218,20 @@ class TestStabilityWindowCheck:
             assert 2 <= i < j <= 128
             d = traj.point(j) - traj.point(i)
             assert d.norm() >= par.eps
+
+    def test_truncation_after_sixteen_violations(self):
+        traj = _rotation_traj(horizon=256)
+        par = StabilityParametersFactory(traj.x.norm())
+        rep = stability_window_check(traj, par, 1, 256)
+        lo, hi = rep.window
+        chain = count_fluctuations(traj.points[lo - 1:hi], par.eps).witnesses
+        assert len(chain) > 16 and rep.truncated
+        assert rep.violations == tuple((i + lo - 1, j + lo - 1) for i, j in chain[:16])
+        # a window ending at the 16th pair's endpoint holds exactly 16 violations
+        end = rep.violations[-1][1]
+        exact = stability_window_check(traj, par, 1, 2 * end)
+        assert exact.window == (lo, end)
+        assert exact.violations == rep.violations and not exact.truncated
 
 
 def StabilityParametersFactory(norm_x):

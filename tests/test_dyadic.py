@@ -12,9 +12,7 @@ from ergolab import (
     PreconditionError,
     RotationProduct,
     SeqFunction,
-    ZShift,
     apply_power,
-    apply_seq,
     conditional_expectation,
     lpb_norm,
     martingale_differences,
@@ -223,13 +221,6 @@ class TestShiftAndTransfer:
         assert (g.lo, g.hi) == (-1, 1)
         np.testing.assert_allclose(g.values, f.values)
         assert complex(g.at(-1).components[0]) == 1.0
-
-    def test_apply_seq_is_shift_only(self):
-        f = _delta()
-        g = apply_seq(ZShift(), f)
-        assert g.lo == -1
-        with pytest.raises(InvalidInputError):
-            apply_seq(RotationProduct(np.array([0.3])), f)
 
     def test_transfer_embed_lays_out_orbit(self):
         op = RotationProduct(np.array([math.pi / 3]))

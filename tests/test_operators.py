@@ -12,7 +12,6 @@ from ergolab import (
     PowerBoundCertificate,
     RotationProduct,
     Vector,
-    ZShift,
     apply,
     apply_power,
     estimate_power_bounds,
@@ -64,7 +63,6 @@ def test_isometry_certificates():
     assert rot.certificate.B1 == 1.0 and rot.certificate.B2 == 1.0
     assert math.isinf(rot.certificate.n_max)
     assert CyclicShift(3).certificate.B1 == 1.0
-    assert ZShift().certificate.B2 == 1.0
 
 
 def test_certificate_validation():
@@ -110,11 +108,6 @@ class TestDenseMatrix:
         m = DenseMatrix(np.zeros((2, 2)))
         with pytest.raises(InvalidInputError):
             estimate_power_bounds(m, n_max=2, trials=4, seed=0)
-
-
-def test_zshift_needs_seq_functions():
-    with pytest.raises(InvalidInputError):
-        apply(ZShift(), vector([1.0], p=2))
 
 
 def test_dimension_checks():

@@ -160,9 +160,14 @@ class TestDeterminism:
         b = run_scenario(sc)
         assert a.rows == b.rows
 
-    def test_jobs_do_not_change_rows(self):
-        sc = scenario_from_mapping(_sweep_doc(cases=4))
-        assert run_scenario(sc, jobs=1).rows == run_scenario(sc, jobs=4).rows
+    def test_jobs_do_not_change_rows(self, tmp_path):
+        # --jobs is accepted and ignored: two runs give the same rows
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(_sweep_doc(cases=4)))
+        for jobs in ("1", "4"):
+            assert main(["run", str(cfg), "--out", str(tmp_path / jobs), "--jobs", jobs]) == 0
+        rows = [json.loads((tmp_path / jobs / "sweep.json").read_text())["rows"] for jobs in "14"]
+        assert rows[0] == rows[1]
 
     def test_different_seed_different_rows(self):
         a = run_scenario(scenario_from_mapping(_sweep_doc(seed=1)))

@@ -97,6 +97,22 @@ class TestBatchNorm:
             out = batch_norm_p(pts, 2.0)
         assert out == pytest.approx([2**0.5 * 1e200, 2**0.5 * 1e-200, 5.0, 0.0], rel=1e-15, abs=0.0)
 
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+    def test_extreme_rows_match_scalar_path(self, p):
+        # moduli from 2^-600 to 2^600: rows of one scale, and rows mixing tiny and huge
+        rng = np.random.default_rng(3)
+        exps = rng.integers(-600, 601, size=(60, 3))
+        phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (60, 3)))
+        pts = rng.uniform(0.5, 1.0, (60, 3)) * np.exp2(exps) * phases
+        pts[:20] = pts[:20, :1] * phases[:20]  # one scale per row
+        pts[20:25] = np.exp2([[600, -600, 0], [-600, -600, -599], [600, 600, 599],
+                              [250, -250, 0], [-300, 300, -300]]) * phases[20:25]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = batch_norm_p(pts, p)
+        for k in range(len(pts)):
+            assert rows[k] == pytest.approx(norm_p(vector(pts[k], p=p)), rel=1e-12, abs=0.0)
+
 
 class TestDescriptor:
     def test_presets(self):

@@ -177,12 +177,18 @@ class TestCountFluctuations:
         with pytest.raises(InvalidInputError):
             count_fluctuations([vector([0.0], p=1), vector([0.0], p=2)], 1.0)
 
-    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0])
     @pytest.mark.parametrize("scale", [1e-120, 1e-170, 1e200])
     def test_extreme_scales_keep_the_fluctuation(self, p, scale):
         # neither the box bounds nor the exact distances may underflow or overflow
-        rep = count_fluctuations([[0.0], [scale]], scale / 2, p_norm=p)
-        assert rep.witnesses == ((1, 2),)
+        for pts in ([[0.0], [scale]], [[0.0, 0.0], [scale, 0.5 * scale]]):
+            rep = count_fluctuations(pts, scale / 2, p_norm=p)
+            assert rep.witnesses == ((1, 2),)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0])
+    def test_scalar_tie_at_eps_is_a_fluctuation(self, p):
+        # |4 - 0| = 4 = eps in every p-norm, though (4^3)^(1/3) rounds to 3.9999999999999996
+        assert count_fluctuations([0.0, 4.0], 4.0, p_norm=p).witnesses == ((1, 2),)
 
     def test_ball_skip_radius_is_capped_at_half_eps(self):
         # Rows 1-8 sit at -0.3 e_k, row 9 at 0.06 (1, ..., 1): its box bound
