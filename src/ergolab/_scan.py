@@ -6,9 +6,8 @@ i >= c (the anchor) has ||a_j - a_i|| >= eps. The scan below is exact; the
 pruning never changes the answer, only skips work:
 
 - a running per-real-coordinate bounding box of the candidate prefix gives a
-  certified upper bound on the best distance at each j: the box's
-  per-coordinate gaps, paired into complex slots, go through the same row
-  norm as the exact distances. The chunk of rows bounded at once doubles
+  certified upper bound on the best distance at each j (`box_reach`, with
+  the row a degenerate box). The chunk of rows bounded at once doubles
   after every chunk the box prunes whole, up to a fixed number of floats,
   and drops back to its base size at the first row the box cannot prune;
 - when an exact check at an ambiguous j comes back clean, with largest
@@ -32,6 +31,7 @@ from .spaces import batch_norm_p
 _CHUNK = 256
 _CHUNK_FLOATS = 2**15  # cap on rows x real coordinates of one chunk
 _BALL_STEP = 16  # first slice of the ball-run search; later slices double
+_NEAR = 1.0 - 2.0**-48  # (sum |z|^p)^(1/p) rounds at most a few ulps below max |z|
 
 
 class PointsView:
@@ -61,6 +61,19 @@ class PointsView:
     def distances_to(self, j: int, lo: int, hi: int) -> np.ndarray:
         """||a_i - a_j|| for i in [lo, hi)."""
         return batch_norm_p(self.pts[lo:hi] - self.pts[j], self.p)
+
+
+def box_reach(lo_a, hi_a, lo_b, hi_b, p: float, eps) -> np.ndarray:
+    """Row-wise bound on ||b - a|| for a, b in boxes [lo, hi] of (n, 2u) real rows.
+
+    A point is the box lo = hi. Bounds a few ulps below eps are lifted to max |gap|.
+    """
+    gap = np.maximum(hi_b - lo_a, hi_a - lo_b).view(np.complex128)
+    out = batch_norm_p(gap, p)
+    if p not in (1.0, 2.0):  # for p = 1 and 2 the rounded norm never undercuts max |gap|
+        near = (out < eps) & (out >= eps * _NEAR)
+        out[near] = np.maximum(out[near], np.abs(gap[near]).max(axis=1))
+    return out
 
 
 def _ball_end(view: PointsView, centre: int, rho: float, hi: int) -> int:
@@ -105,8 +118,7 @@ def first_violation(
         bmin[0], bmax[0] = cmin, cmax
         bmin[1:], bmax[1:] = pmin[:-1], pmax[:-1]
 
-        gap = np.maximum(block - bmin, bmax - block)
-        alive = batch_norm_p(gap.view(np.complex128), p) >= eps
+        alive = box_reach(bmin, bmax, block, block, p, eps) >= eps
         if not alive.any():
             cmin, cmax = pmin[-1], pmax[-1]
             j = stop
@@ -116,6 +128,8 @@ def first_violation(
         t = int(np.argmax(alive))
         jj = j + t
         dist = view.distances_to(jj, anchor, jj)
+        if p not in (1.0, 2.0) and np.any((dist < eps) & (dist >= eps * _NEAR)):  # point = box
+            dist = box_reach(coords[anchor:jj], coords[anchor:jj], coords[jj], coords[jj], p, eps)
         valid = dist >= eps
         if valid.any():
             where = np.flatnonzero(valid)

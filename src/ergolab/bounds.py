@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._scan import PointsView, greedy_chain
+from ._scan import _CHUNK, _CHUNK_FLOATS, PointsView, box_reach, greedy_chain
 from .averages import AverageTrajectory
 from .errors import HorizonExhaustedError, InvalidInputError, PreconditionError
 from .spaces import SpaceDescriptor, batch_norm_p
@@ -129,24 +129,48 @@ def drift_bound_check(traj: AverageTrajectory) -> DriftReport:
     """Verify the two-index drift inequality on every pair of the trajectory.
 
     Valid for nonexpansive operators; a certificate with B2 > 1 is rejected
-    up front, an absent certificate is trusted to the caller.
+    up front, an absent certificate is trusted to the caller. Ties go to the
+    smallest m - n, then n. Exact branch and bound from the best adjacent pair,
+    the incumbent: tiles I x J of index blocks, halved from one block to 4 rows,
+    are bounded by `box_reach` of their boxes less 2||x||(j0 - i1)/j0 (1-based
+    first row of J, last of I). A tile goes, unless diagonal, when its bound is
+    2^-30 (|incumbent| + |penalty|) below: far beyond rounding, so no tie is lost.
     """
     cert = getattr(traj.operator, "certificate", None)
     if cert is not None and cert.B2 > 1.0:
         raise PreconditionError(f"operator certifies B2 = {cert.B2} > 1: not nonexpansive")
     norm_x = traj.x.norm()
-    pts = traj.points
-    n_pts = pts.shape[0]
-    worst, worst_pair = -math.inf, (1, 1)
-    ns = np.arange(1, n_pts + 1, dtype=np.float64)
-    for k in range(1, n_pts):
-        dist = batch_norm_p(pts[k:] - pts[:-k], traj.p)
-        excess = dist - (2.0 * k * norm_x) / ns[k:]
-        i = int(np.argmax(excess))
-        if excess[i] > worst:
-            worst = float(excess[i])
-            worst_pair = (i + 1, i + 1 + k)
-    return DriftReport(worst, worst_pair)
+    pts, p = np.ascontiguousarray(traj.points), traj.p
+    n, step = pts.shape[0], max(_CHUNK, _CHUNK_FLOATS // (2 * pts.shape[1]))
+    steps = batch_norm_p(pts[1:] - pts[:-1], p)
+    incumbent = float(np.max(steps - (2.0 * norm_x) / np.arange(2.0, n + 1), initial=-math.inf))
+    depth = max(0, (n - 1).bit_length() - 2)  # the first block, 4 << depth rows, holds them all
+    rows = np.pad(pts.view(np.float64), ((0, (4 << depth) - n), (0, 0)), mode="edge")
+    a = b = np.zeros(1, dtype=np.int64)
+    for size in 4 << np.arange(depth, -1, -1):
+        lo, hi = (f(rows.reshape(-1, size, rows.shape[1]), axis=1) for f in (np.min, np.max))
+        j0 = b * size + 1.0
+        penalty = 2.0 * norm_x * (j0 - np.minimum((a + 1) * size, n)) / j0
+        floor = incumbent + penalty - 2.0**-30 * (abs(incumbent) + np.abs(penalty))
+        keep = a == b
+        for s in range(0, a.size, step):
+            t, cut = slice(s, s + step), floor[s : s + step]
+            keep[t] |= box_reach(lo[a[t]], hi[a[t]], lo[b[t]], hi[b[t]], p, cut) >= cut
+        keep &= (a <= b) & (b * size < n)
+        a, b = a[keep], b[keep]
+        if size > 4:  # the four halves of each tile
+            a, b = (2 * a[:, None] + [0, 0, 1, 1]).ravel(), (2 * b[:, None] + [0, 1, 0, 1]).ravel()
+    ri, rj = np.divmod(np.arange(size * size), size)
+    i, j = (size * a[:, None] + ri).ravel(), (size * b[:, None] + rj).ravel()
+    i, k = i[(i < j) & (j < n)], (j - i)[(i < j) & (j < n)]
+    best = (math.inf, 0, 0)  # (-excess, k, i) over the pairs of the last tiles: the least wins
+    for s in range(0, i.size, step):
+        ii, kk = i[s : s + step], k[s : s + step]
+        dist = batch_norm_p(pts[ii + kk] - pts[ii], p)
+        excess = dist - (2.0 * kk * norm_x) / (ii + kk + 1.0)
+        w = np.lexsort((ii, kk, -excess))[0]
+        best = min(best, (-float(excess[w]), int(kk[w]), int(ii[w])))
+    return DriftReport(-best[0], (best[2] + 1, best[2] + 1 + best[1]))
 
 
 @dataclass(frozen=True)

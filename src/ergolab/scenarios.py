@@ -257,6 +257,8 @@ def scenario_from_mapping(doc: Mapping[str, Any], seed_override: int | None = No
         params["p"] = p
         params["support"] = _positive_int(doc, "support", 64)
         params["levels"] = _positive_int(doc, "levels", 6)
+        if params["support"] + 2 ** min(params["levels"] + 1, 25) > MAX_TRAJECTORY_SLOTS:
+            raise ConfigError(f"key 'levels': support + 2^(levels + 1) > {MAX_TRAJECTORY_SLOTS} slots")
         params["cases"] = _positive_int(doc, "cases", 16)
         cap = float(_want(doc, "ratio_cap", _NUM_KINDS, 64.0))
         if cap <= 0:

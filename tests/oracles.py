@@ -3,7 +3,9 @@
 Everything here is deliberately naive: plain Python loops over explicitly
 enumerated candidates, with its own norm arithmetic. Nothing imports the
 package under test, so agreement between these and the library is a real
-two-route check, not a tautology.
+two-route check, not a tautology. The exception is `ref_drift`, which pins
+bits rather than values: it is the plain all-pairs loop over m - n, and the
+caller hands it the package's row norm.
 """
 
 from __future__ import annotations
@@ -11,12 +13,18 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
+import numpy as np
+
 
 def ref_norm(point, p):
-    """p-norm of a scalar or a sequence of complex scalars."""
+    """p-norm of a scalar or a sequence of complex scalars.
+
+    Never below the largest modulus, which the true norm is not either:
+    (sum |z|^p)^(1/p) can round below it, e.g. (4^3)^(1/3) = 3.9999999999999996.
+    """
     if isinstance(point, (int, float, complex)):
         return abs(point)
-    return sum(abs(z) ** p for z in point) ** (1.0 / p)
+    return max(sum(abs(z) ** p for z in point) ** (1.0 / p), max(abs(z) for z in point))
 
 
 def _dist(points, i, j, p):
@@ -154,3 +162,19 @@ def orthogonality_defect(values, lo, n_max):
         prev = cur
     tail_sq = sum(abs(v) ** 2 for v in prev)
     return abs(diff_sq + tail_sq - total_sq)
+
+
+def ref_drift(points, norm_x, p, row_norm):
+    """(max excess, worst 1-based pair) of ||a_m - a_n|| - 2(m - n)||x||/m
+    over n < m, by one vectorised pass per k = m - n. Ties go to the
+    smallest k, then the smallest n. `row_norm(rows, p)` is the norm kernel
+    under test, so the result is comparable bit for bit."""
+    n_pts = points.shape[0]
+    worst, worst_pair = -float("inf"), (1, 1)
+    ns = np.arange(1, n_pts + 1, dtype=np.float64)
+    for k in range(1, n_pts):
+        excess = row_norm(points[k:] - points[:-k], p) - (2.0 * k * norm_x) / ns[k:]
+        i = int(np.argmax(excess))
+        if excess[i] > worst:
+            worst, worst_pair = float(excess[i]), (i + 1, i + 1 + k)
+    return worst, worst_pair

@@ -14,10 +14,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ergolab import bounds as bounds_module
 from ergolab import (
     CyclicShift,
     DenseMatrix,
+    DriftReport,
     HorizonExhaustedError,
     InvalidInputError,
     PreconditionError,
@@ -36,6 +39,9 @@ from ergolab import (
     vector,
     window_fluctuation_bound,
 )
+from ergolab.averages import AverageTrajectory
+from ergolab.spaces import batch_norm_p
+from oracles import ref_drift
 
 HILBERT = descriptor_preset("hilbert")
 
@@ -157,6 +163,75 @@ class TestDriftBoundCheck:
         traj = ergodic_averages(op, vector([1.0], p=2), 32)
         rep = drift_bound_check(traj)
         assert rep.max_excess <= 1e-10
+
+
+def _same_as_loop(traj):
+    rep = drift_bound_check(traj)
+    ref = ref_drift(traj.points, traj.x.norm(), traj.p, batch_norm_p)
+    assert (rep.max_excess, rep.worst_pair) == ref
+    return rep
+
+
+def _drift_operator(kind, u, rng):
+    if kind == "rotation":
+        return RotationProduct(rng.uniform(-math.pi, math.pi, u))
+    if kind == "shift":
+        return CyclicShift(u)
+    if kind == "half":
+        return DenseMatrix(0.5 * np.eye(2 * u))
+    # uncertified and non-normal; its norm can exceed 1, so excesses can be positive
+    return DenseMatrix(0.6 * rng.standard_normal((2 * u, 2 * u)) / math.sqrt(2 * u))
+
+
+class TestDriftSearchIsExact:
+    """The pruned search against the all-pairs loop: same excess bits, same pair."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["rotation", "shift", "half", "non-normal"]), st.integers(1, 4),
+           st.one_of(st.sampled_from([1, 2, 3, 4, 5, 127, 128, 129, 131, 256, 389]),
+                     st.integers(1, 700)),
+           st.sampled_from([1.0, 1.5, 2.0, 3.0]), st.sampled_from([-600, 0, 600]),
+           st.integers(0, 2**32 - 1))
+    def test_matches_all_pairs_loop(self, kind, u, horizon, p, scale, seed):
+        rng = np.random.default_rng(seed)
+        x = 2.0**scale * (rng.standard_normal(u) + 1j * rng.standard_normal(u))
+        _same_as_loop(ergodic_averages(_drift_operator(kind, u, rng), vector(x, p=p), horizon))
+
+    @pytest.mark.parametrize("horizon", [2, 7, 130])
+    def test_zero_vector_ties_everywhere(self, horizon):
+        # every excess is 0.0: the first adjacent pair wins
+        traj = ergodic_averages(RotationProduct(np.array([0.7, 1.9])), vector([0.0, 0.0], p=2),
+                                horizon)
+        assert _same_as_loop(traj) == DriftReport(0.0, (1, 2))
+
+    @pytest.mark.parametrize("scale", [0.0, 1.0])
+    @pytest.mark.parametrize("horizon", [2, 130, 259])
+    def test_constant_operators(self, scale, horizon):
+        # T = I keeps A_n x = x, T = 0 gives A_n x = x/n
+        op = DenseMatrix(scale * np.eye(4))
+        rep = _same_as_loop(ergodic_averages(op, vector([1.0, 0.5j], p=2), horizon))
+        if scale:
+            assert rep.worst_pair == (horizon - 1, horizon)
+
+    def test_ties_go_to_the_smaller_gap_then_the_earlier_start(self):
+        # ||x|| = 0, so excess = distance: (2, 3) and (1, 3) both reach 1
+        traj = AverageTrajectory(np.array([[0.0], [0.0], [1.0]]), 2.0, None, vector([0.0], p=2))
+        assert _same_as_loop(traj).worst_pair == (2, 3)
+
+    def test_rotation_needs_few_exact_pairs(self, monkeypatch):
+        n = 2048
+        rows = []
+
+        def counted(points, p):
+            rows.append(len(points))
+            return batch_norm_p(points, p)
+
+        traj = _rotation_traj(horizon=n)
+        monkeypatch.setattr(bounds_module, "batch_norm_p", counted)
+        rep = drift_bound_check(traj)
+        assert sum(rows) <= 0.1 * n * (n - 1) / 2
+        assert (rep.max_excess, rep.worst_pair) == ref_drift(traj.points, traj.x.norm(), 2.0,
+                                                             batch_norm_p)
 
 
 class TestStabilityWindowCheck:

@@ -288,6 +288,17 @@ class TestCLI:
         assert "exceeds the cap" in capsys.readouterr().err
         assert not (tmp_path / "sweep.json").exists()
 
+    def test_run_unbounded_dyadic_levels_exit_two(self, tmp_path, capsys):
+        # level 40 would allocate 2^40 rows: rejected before anything runs
+        doc = {"name": "dy", "kind": "dyadic-constants", "support": 48, "levels": 40, "cases": 1}
+        with pytest.raises(ConfigError, match="levels"):
+            scenario_from_mapping(doc)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "levels" in capsys.readouterr().err
+        assert not (tmp_path / "dy.json").exists()
+
     def test_run_failing_rows_exit_one(self, tmp_path, capsys):
         # horizon 4 cannot resolve eps = 1e-6 metastability for rotations
         # with angle magnitudes >= 1/4: exhaustion flags every row

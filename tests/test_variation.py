@@ -190,6 +190,15 @@ class TestCountFluctuations:
         # |4 - 0| = 4 = eps in every p-norm, though (4^3)^(1/3) rounds to 3.9999999999999996
         assert count_fluctuations([0.0, 4.0], 4.0, p_norm=p).witnesses == ((1, 2),)
 
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+    def test_two_slot_tie_at_eps_is_a_fluctuation(self, p):
+        # the box bound and the exact distance both round (4^p)^(1/p) below 4
+        pts = np.array([[0, 0], [4, 0], [4, 0]], dtype=np.complex128)
+        assert count_fluctuations(pts[:2], 4.0, p_norm=p).witnesses == ((1, 2),)
+        assert brute_force_fluctuations([tuple(r) for r in pts[:2]], 4.0, p) == 1
+        assert empirical_convergence_rate(pts, 4.0, p_norm=p).n == 2
+        assert brute_force_convergence_rate([tuple(r) for r in pts], 4.0, p) == 2
+
     def test_ball_skip_radius_is_capped_at_half_eps(self):
         # Rows 1-8 sit at -0.3 e_k, row 9 at 0.06 (1, ..., 1): its box bound
         # reaches eps = 1 but its largest true distance is D = 0.393. Rows 10
