@@ -7,23 +7,30 @@ given (config, seed): randomness comes from numpy's PCG64, seeded per case
 by spawning one SeedSequence child per declared case, so report rows are
 identical across runs.
 
+Each kind is one entry of `_KINDS`: its config keys (parser, default,
+checks), report columns, case runner, case count and `verify-all` member.
+
 Reports carry one row per case with the measured values, the theoretical
 or configured bounds, and a pass flag recomputable from the row's own
 columns. A horizon exhaustion inside an experiment flags the row as failed
 (exit status 1) rather than aborting the run; the one exception is the
 counterexample suite, where running out of horizon is the expected outcome
-and the verified lower bound is the measurement itself.
+and the verified lower bound is the measurement itself. A library error in
+a case, or a non-finite value in any of its rows, turns the case into one
+failed row that carries the case index and names the cause in `note`.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import os
 import tempfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -66,15 +73,6 @@ class ConfigError(ErgolabError):
     """A scenario config failed to parse or validate."""
 
 
-SCENARIO_KINDS = (
-    "variation-sweep",
-    "fluctuation-vs-bound",
-    "metastability",
-    "dyadic-constants",
-    "counterexample-suite",
-    "convexity-audit",
-)
-
 G_SELECTORS: dict[str, Callable[[int], int]] = {
     "successor": g_successor,
     "double": g_double,
@@ -84,6 +82,13 @@ G_SELECTORS: dict[str, Callable[[int], int]] = {
 _RATIO_SLACK = 1e-9  # slack on the p=2 martingale ratio bound
 _WITNESS_TOL = 1e-9  # witness must reproduce the DP value this closely
 _MONOTONE_TOL = 1e-12  # sub-sequence variation vs maximum
+
+# Cap on horizon * max(dims): a trajectory of 2^24 complex slots is 256 MiB,
+# and building one holds about three arrays of that size. The same cap bounds
+# the dyadic levels, the counterexample exponents and the audit samples.
+MAX_TRAJECTORY_SLOTS = 1 << 24
+# verify_metastability_lower_bound(p) builds u = 2^p slots over 2^u rows
+_MAX_SUITE_P = max(p for p in range(2, 6) if 2**p << 2**p <= MAX_TRAJECTORY_SLOTS)
 
 
 @dataclass(frozen=True)
@@ -111,191 +116,386 @@ class Report:
 
 
 # ---------------------------------------------------------------------------
-# config validation
+# config values: a parser takes (key, raw value) and returns the value; a
+# check takes (key, value, params validated so far) and returns the value
+# to store. Both raise ConfigError.
 
 
-def _want(doc: Mapping[str, Any], key: str, kinds: tuple[type, ...], default: Any) -> Any:
-    if key not in doc:
-        if default is _REQUIRED:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    val = doc[key]
-    if kinds == _INT_KINDS and isinstance(val, bool):
-        raise ConfigError(f"key {key!r}: expected an integer, got a boolean")
-    if not isinstance(val, kinds):
-        raise ConfigError(f"key {key!r}: expected {'/'.join(k.__name__ for k in kinds)}, "
-                          f"got {type(val).__name__}")
+def _of(*types: type) -> Callable[[str, Any], Any]:
+    """Parser for a value of one of `types`; a boolean is not an integer."""
+    def parse(key: str, val: Any) -> Any:
+        if types == (int,) and isinstance(val, bool):
+            raise ConfigError(f"key {key!r}: expected an integer, got a boolean")
+        if not isinstance(val, types):
+            raise ConfigError(f"key {key!r}: expected {'/'.join(t.__name__ for t in types)}, "
+                              f"got {type(val).__name__}")
+        return val
+    return parse
+
+
+def _num(key: str, val: Any) -> float:
+    """A finite float from an int or a float: NaN, infinities and integers
+    past the float range are errors."""
+    val = _of(int, float)(key, val)
     if isinstance(val, float) and not math.isfinite(val):
         raise ConfigError(f"key {key!r}: non-finite number {val}")
+    try:
+        return float(val)
+    except OverflowError:
+        raise ConfigError(f"key {key!r}: integer too large for a float "
+                          f"({val.bit_length()} bits)") from None
+
+
+def _count(key: str, val: Any) -> int:
+    val = int(_of(int)(key, val))
+    if val < 1:
+        raise ConfigError(f"key {key!r}: must be >= 1, got {val}")
     return val
 
 
-_REQUIRED = object()
-_INT_KINDS = (int,)
-_NUM_KINDS = (int, float)
-# Cap on horizon * max(dims): a trajectory of 2^24 complex slots is 256 MiB,
-# and building one holds about three arrays of that size.
-MAX_TRAJECTORY_SLOTS = 1 << 24
-
-
-def _positive_int(doc: Mapping[str, Any], key: str, default: Any) -> int:
-    val = _want(doc, key, _INT_KINDS, default)
-    if val < 1:
-        raise ConfigError(f"key {key!r}: must be >= 1, got {val}")
-    return int(val)
-
-
-def _num_list(doc: Mapping[str, Any], key: str, default: list, positive: bool = True) -> list[float]:
-    val = _want(doc, key, (list,), default)
-    if not val:
+def _list(key: str, val: Any) -> list:
+    if not _of(list)(key, val):
         raise ConfigError(f"key {key!r}: must be a nonempty list")
+    return val
+
+
+def _nums(key: str, val: Any) -> list[float]:
     out = []
-    for item in val:
-        if isinstance(item, bool) or not isinstance(item, _NUM_KINDS):
+    for item in _list(key, val):
+        if isinstance(item, bool) or not isinstance(item, (int, float)):
             raise ConfigError(f"key {key!r}: entries must be numbers, got {item!r}")
-        if not math.isfinite(item):
-            raise ConfigError(f"key {key!r}: non-finite number {item}")
-        if positive and item <= 0:
+        out.append(_num(key, item))
+        if out[-1] <= 0:
             raise ConfigError(f"key {key!r}: entries must be > 0, got {item}")
-        out.append(float(item))
     return out
 
 
-def _int_list(doc: Mapping[str, Any], key: str, default: list) -> list[int]:
-    val = _want(doc, key, (list,), default)
-    if not val:
-        raise ConfigError(f"key {key!r}: must be a nonempty list")
-    out = []
-    for item in val:
+def _counts(key: str, val: Any) -> list[int]:
+    for item in _list(key, val):
         if isinstance(item, bool) or not isinstance(item, int):
             raise ConfigError(f"key {key!r}: entries must be integers, got {item!r}")
         if item < 1:
             raise ConfigError(f"key {key!r}: entries must be >= 1, got {item}")
-        out.append(int(item))
+    return [int(item) for item in val]
+
+
+def _audits(key: str, val: Any) -> list[dict[str, Any]]:
+    out = []
+    for idx, entry in enumerate(_list(key, val)):
+        where = f"{key}[{idx}]"
+        if not isinstance(entry, Mapping):
+            raise ConfigError(f"{where}: expected an object")
+        audit = _fields(entry, _AUDIT_KEYS, where)
+        try:
+            out.append({"descriptor": SpaceDescriptor(audit.pop("p"), audit.pop("K")), **audit})
+        except InvalidInputError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
     return out
 
 
-def _trajectory_shape(doc: Mapping[str, Any], default_dims: list,
-                      default_horizon: int) -> tuple[list[int], int]:
-    """The 'dims' and 'horizon' keys, with horizon * max(dims) capped."""
-    dims = _int_list(doc, "dims", default_dims)
-    horizon = _positive_int(doc, "horizon", default_horizon)
-    if horizon * max(dims) > MAX_TRAJECTORY_SLOTS:
-        raise ConfigError(f"key 'horizon': horizon * max(dims) = {horizon * max(dims)} "
+def _rule(ok: Callable[[Any, Mapping[str, Any]], bool], message: str) -> Callable:
+    """A check that raises "key 'k': <message>" (with {val} filled in) unless ok(value, params)."""
+    def check(key: str, val: Any, par: Mapping[str, Any]) -> Any:
+        if not ok(val, par):
+            raise ConfigError(f"key {key!r}: " + message.format(val=val))
+        return val
+    return check
+
+
+def _known_kind(key: str, kind: str, par: Mapping[str, Any]) -> str:
+    if kind not in _KINDS:
+        raise ConfigError(f"unknown kind {kind!r}; known: {', '.join(_KINDS)}")
+    return kind
+
+
+def _preset_descriptor(key: str, p: float | None, par: Mapping[str, Any]) -> SpaceDescriptor:
+    try:
+        return descriptor_preset(par["preset"], p)
+    except InvalidInputError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _slot_cap(key: str, horizon: int, par: Mapping[str, Any]) -> int:
+    slots = horizon * max(par["dims"])
+    if slots > MAX_TRAJECTORY_SLOTS:
+        raise ConfigError(f"key 'horizon': horizon * max(dims) = {slots} "
                           f"exceeds the cap of {MAX_TRAJECTORY_SLOTS} trajectory slots")
-    return dims, horizon
+    return horizon
 
 
-def _check_keys(doc: Mapping[str, Any], allowed: set[str], where: str) -> None:
-    unknown = sorted(set(doc) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}; "
-                          f"allowed: {', '.join(sorted(allowed))}")
+class _Key(NamedTuple):
+    """A config key: parser, default, checks, and the params name if not the key."""
+
+    parse: Callable[[str, Any], Any]
+    default: Any = ...  # required
+    checks: tuple[Callable, ...] = ()
+    store: str | None = None
 
 
-_COMMON_KEYS = {"name", "kind", "seed", "out"}
+def _fields(doc: Mapping[str, Any], keys: Mapping[str, _Key], where: str | None = None,
+            also: Iterable[str] = ()) -> dict[str, Any]:
+    """Validate doc's keys in table order. With `where`, keys outside `keys`
+    and `also` are rejected first, naming `where` in the message."""
+    if where is not None:
+        unknown = sorted(set(doc) - set(keys) - set(also))
+        if unknown:
+            raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}; "
+                              f"allowed: {', '.join(sorted({*keys, *also}))}")
+    params: dict[str, Any] = {}
+    for key, spec in keys.items():
+        if key not in doc and spec.default is ...:
+            raise ConfigError(f"missing required key {key!r}")
+        val = doc.get(key, spec.default)
+        if key in doc or val is not None:
+            val = spec.parse(key, val)
+        for check in spec.checks:
+            val = check(key, val, params)
+        params[spec.store or key] = val
+    return params
+
+
+# ---------------------------------------------------------------------------
+# case runners: (case index, case rng, params) -> rows
+
+
+def _random_rotation(rng: np.random.Generator, dim: int, p: float) -> tuple[RotationProduct, Vector]:
+    """A random rotation product with angles bounded away from 0, and a
+    random p-normalized start point. The angle floor keeps every average
+    trajectory settling well inside desk-scale horizons."""
+    magnitudes = rng.uniform(0.25, math.pi, dim)
+    signs = np.where(rng.uniform(size=dim) < 0.5, -1.0, 1.0)
+    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    x = Vector(z, p=p)
+    x = Vector(z / x.norm(), p=p)
+    return RotationProduct(magnitudes * signs), x
+
+
+def _variation_case(idx: int, rng: np.random.Generator, par: Mapping[str, Any]) -> list[dict[str, Any]]:
+    dim = par["dims"][idx % len(par["dims"])]
+    horizon = par["horizon"]
+    op, x = _random_rotation(rng, dim, 2.0)
+    traj = ergodic_averages(op, x, horizon)
+    sub = [2**k for k in range(horizon.bit_length())]  # dyadic times 1, 2, 4, ... <= horizon
+    rows = []
+    for q in par["q_grid"]:
+        value, witness = max_p_variation(traj, q)
+        realized = p_variation_along(traj, list(witness), q)
+        along_dyadic = p_variation_along(traj, sub, q)
+        passed = (abs(realized - value) <= _WITNESS_TOL * max(1.0, value)
+                  and along_dyadic <= value + _MONOTONE_TOL)
+        rows.append({
+            "case": idx, "dim": dim, "horizon": horizon, "q": q,
+            "variation_max": float(value), "witness_value": float(realized),
+            "variation_dyadic": float(along_dyadic), "passed": bool(passed),
+        })
+    return rows
+
+
+def _fluctuation_case(idx: int, rng: np.random.Generator, par: Mapping[str, Any]) -> list[dict[str, Any]]:
+    desc: SpaceDescriptor = par["descriptor"]
+    dim = par["dims"][idx % len(par["dims"])]
+    horizon = par["horizon"]
+    if par["include_constant"] and idx == 0:
+        op = RotationProduct(np.zeros(dim))
+        x = Vector(np.full(dim, dim ** (-1.0 / desc.p), dtype=np.complex128), p=desc.p)
+    else:
+        op, x = _random_rotation(rng, dim, desc.p)
+    traj = ergodic_averages(op, x, horizon)
+    norm_x = x.norm()
+    rows = []
+    for eps in par["eps_grid"]:
+        measured = count_fluctuations(traj, eps).count
+        bound = fluctuation_bound_nonexpansive(norm_x, eps, desc)
+        rows.append({
+            "case": idx, "dim": dim, "p": desc.p, "K": desc.K, "horizon": horizon,
+            "eps": float(eps), "norm_x": float(norm_x),
+            "measured_count": int(measured), "bound": int(bound),
+            "passed": bool(measured <= bound),
+        })
+    return rows
+
+
+def _metastability_case(idx: int, rng: np.random.Generator, par: Mapping[str, Any]) -> list[dict[str, Any]]:
+    dim = par["dims"][idx % len(par["dims"])]
+    horizon = par["horizon"]
+    g = G_SELECTORS[par["g"]]
+    op, x = _random_rotation(rng, dim, 2.0)
+    traj = ergodic_averages(op, x, horizon)
+    rows = []
+    for eps in par["eps_grid"]:
+        count = count_fluctuations(traj, eps).count
+        conversion = metastability_from_fluctuations(count, g)
+        note = ""
+        try:
+            rate = metastability_rate(traj, MetastabilityQuery(eps, g))
+            exhausted = False
+        except HorizonExhaustedError as exc:
+            rate = exc.verified_lower_bound
+            exhausted = True
+            note = "horizon-exhausted"
+        passed = (not exhausted) and rate <= conversion
+        rows.append({
+            "case": idx, "dim": dim, "horizon": horizon, "eps": float(eps),
+            "g": par["g"], "rate": int(rate), "exhausted": bool(exhausted),
+            "fluctuation_count": int(count), "conversion_bound": int(conversion),
+            "passed": bool(passed), "note": note,
+        })
+    return rows
+
+
+def _dyadic_case(idx: int, rng: np.random.Generator, par: Mapping[str, Any]) -> list[dict[str, Any]]:
+    p, support, levels = par["p"], par["support"], par["levels"]
+    lo = int(rng.integers(-16, 17))
+    values = rng.standard_normal(support) + 1j * rng.standard_normal(support)
+    f = SeqFunction(lo, values, p=p)
+    ts = [2**k - 1 for k in range(1, levels + 1)]
+    rows = []
+    for kind_name, kwargs in (
+        ("martingale", {"levels": list(range(levels + 1))}),
+        ("average_vs_expectation", {"ts": ts}),
+        ("short_increments", {"ts": ts}),
+    ):
+        rep = verify_decomposition_inequalities(f, kind_name, **kwargs)
+        bound = 1.0 + _RATIO_SLACK if kind_name == "martingale" and p == 2.0 else par["ratio_cap"]
+        rows.append({
+            "case": idx, "p": p, "support": support, "levels": levels,
+            "kind": kind_name, "ratio": float(rep.ratio), "bound": float(bound),
+            "passed": bool(rep.ratio <= bound),
+        })
+    return rows
+
+
+def _counterexample_case(idx: int, rng: np.random.Generator, par: Mapping[str, Any]) -> list[dict[str, Any]]:
+    res = verify_metastability_lower_bound(par["p_grid"][idx])
+    passed = res.rate_lower_bound >= res.required and res.fluctuation_count >= res.required
+    return [{
+        "p": res.p, "u": res.u, "horizon": res.horizon, "eps": res.eps,
+        "rate_lower_bound": int(res.rate_lower_bound),
+        "rate_exhausted": bool(res.rate_exhausted),
+        "fluctuation_count": int(res.fluctuation_count),
+        "required": int(res.required), "passed": bool(passed),
+    }]
+
+
+def _convexity_case(idx: int, rng: np.random.Generator, par: Mapping[str, Any]) -> list[dict[str, Any]]:
+    audit = par["audits"][idx]
+    desc: SpaceDescriptor = audit["descriptor"]
+    seed = int(rng.integers(0, 2**31 - 1))
+    violations = check_uniform_convexity(desc, audit["dim"], trials=audit["trials"], seed=seed)
+    admissible = desc.admissible
+    passed = violations == 0 if admissible else violations > 0
+    return [{
+        "case": idx, "p": desc.p, "K": desc.K, "dim": audit["dim"],
+        "trials": audit["trials"], "admissible": bool(admissible),
+        "violations": int(violations), "passed": bool(passed),
+    }]
+
+
+# ---------------------------------------------------------------------------
+# the kinds, and config validation against them
+
+
+class _Kind(NamedTuple):
+    keys: dict[str, _Key]  # in validation (and echo) order; a check sees the keys before it
+    columns: list[str]  # of every report row
+    run: Callable[[int, np.random.Generator, Mapping[str, Any]], list[dict[str, Any]]]
+    count: Callable[[Mapping[str, Any]], int]  # cases, from the validated params
+    builtin: dict[str, Any]  # the kind's `verify-all` member, over the defaults
+
+
+_COMMON = {
+    "name": _Key(_of(str)),
+    "kind": _Key(_of(str), checks=(_known_kind,)),
+    "seed": _Key(_of(int), 0, (_rule(lambda seed, par: seed >= 0, "must be >= 0, got {val}"),)),
+    "out": _Key(_of(str), None),
+}
+
+_AUDIT_KEYS = {
+    "p": _Key(_num),
+    "K": _Key(_num),
+    "dim": _Key(_count, 2),
+    "trials": _Key(_count, 2000, (_rule(
+        lambda trials, par: trials * par["dim"] <= MAX_TRAJECTORY_SLOTS,
+        f"dim * trials exceeds the cap of {MAX_TRAJECTORY_SLOTS} sample slots"),)),
+}
+
+_KINDS: dict[str, _Kind] = {
+    "variation-sweep": _Kind(
+        {"dims": _Key(_counts, [4]),
+         "horizon": _Key(_count, 256, (_slot_cap,)),
+         "q_grid": _Key(_nums, [2.0], (_rule(lambda qs, par: min(qs) >= 1.0,
+                                             "variation exponents must be >= 1"),)),
+         "cases": _Key(_count, 8)},
+        "case dim horizon q variation_max witness_value variation_dyadic passed note".split(),
+        _variation_case, lambda par: par["cases"],
+        {"dims": [2, 4], "horizon": 128, "q_grid": [2.0, 3.0], "cases": 4}),
+    "fluctuation-vs-bound": _Kind(
+        {"preset": _Key(_of(str), "hilbert"),
+         "p": _Key(_num, None, (_preset_descriptor,), store="descriptor"),
+         "dims": _Key(_counts, [4]),
+         "horizon": _Key(_count, 512, (_slot_cap,)),
+         "eps_grid": _Key(_nums, [0.5, 0.25], (_rule(
+             lambda grid, par: max(grid) < 2.0,
+             "points are normalized to ||x|| = 1, so the bound needs eps < 2"),)),
+         "cases": _Key(_count, 8),
+         "include_constant": _Key(_of(bool), False)},
+        "case dim p K horizon eps norm_x measured_count bound passed note".split(),
+        _fluctuation_case, lambda par: par["cases"],
+        {"preset": "hilbert", "dims": [3], "horizon": 256, "eps_grid": [0.75, 0.5], "cases": 6,
+         "include_constant": True}),
+    "metastability": _Kind(
+        {"dims": _Key(_counts, [3]),
+         "horizon": _Key(_count, 512, (_slot_cap,)),
+         "eps_grid": _Key(_nums, [0.25]),
+         "g": _Key(_of(str), "double", (_rule(lambda g, par: g in G_SELECTORS, "unknown selector "
+                                              "{val!r}; known: " + ", ".join(G_SELECTORS)),)),
+         "cases": _Key(_count, 4)},
+        "case dim horizon eps g rate exhausted fluctuation_count conversion_bound passed note".split(),
+        _metastability_case, lambda par: par["cases"],
+        {"dims": [3], "horizon": 512, "eps_grid": [0.5], "g": "double", "cases": 4}),
+    "dyadic-constants": _Kind(
+        {"p": _Key(_num, 2.0, (_rule(lambda p, par: p >= 1, "must be >= 1, got {val}"),)),
+         "support": _Key(_count, 64),
+         # the conditional expectation at level L spans at least 2^L rows
+         "levels": _Key(_count, 6, (_rule(
+             lambda levels, par: par["support"] + 2 ** min(levels + 1, 25) <= MAX_TRAJECTORY_SLOTS,
+             f"support + 2^(levels + 1) > {MAX_TRAJECTORY_SLOTS} slots"),)),
+         "cases": _Key(_count, 16),
+         "ratio_cap": _Key(_num, 64.0, (_rule(lambda cap, par: cap > 0, "must be > 0, got {val}"),))},
+        "case p support levels kind ratio bound passed note".split(),
+        _dyadic_case, lambda par: par["cases"],
+        {"p": 2.0, "support": 48, "levels": 5, "cases": 6, "ratio_cap": 64.0}),
+    "counterexample-suite": _Kind(
+        {"p_grid": _Key(_counts, [2, 3], (
+            _rule(lambda grid, par: min(grid) >= 2, "entries must be integers >= 2"),
+            _rule(lambda grid, par: max(grid) <= _MAX_SUITE_P,
+                  f"entries must be <= {_MAX_SUITE_P}: p = {_MAX_SUITE_P + 1} needs u = 2^p slots "
+                  f"over 2^u rows, above the cap of {MAX_TRAJECTORY_SLOTS} trajectory slots")))},
+        "p u horizon eps rate_lower_bound rate_exhausted fluctuation_count required passed note".split(),
+        _counterexample_case, lambda par: len(par["p_grid"]),
+        {"p_grid": [2, 3]}),
+    "convexity-audit": _Kind(
+        {"audits": _Key(_audits, [{"p": 2.0, "K": 0.125, "dim": 2},
+                                  {"p": 3.0, "K": 1.0 / 24.0, "dim": 2},
+                                  {"p": 2.0, "K": 1.0, "dim": 2}])},
+        "case p K dim trials admissible violations passed note".split(),
+        _convexity_case, lambda par: len(par["audits"]),
+        {"audits": [{"p": 2.0, "K": 0.125, "dim": 2, "trials": 1500},
+                    {"p": 3.0, "K": 1.0 / 24.0, "dim": 2, "trials": 1500},
+                    {"p": 2.0, "K": 1.0, "dim": 2, "trials": 1500}]}),
+}
+
+SCENARIO_KINDS = tuple(_KINDS)
 
 
 def scenario_from_mapping(doc: Mapping[str, Any], seed_override: int | None = None) -> Scenario:
     """Validate a parsed config document into a Scenario."""
     if not isinstance(doc, Mapping):
         raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
-    name = _want(doc, "name", (str,), _REQUIRED)
-    kind = _want(doc, "kind", (str,), _REQUIRED)
-    if kind not in SCENARIO_KINDS:
-        raise ConfigError(f"unknown kind {kind!r}; known: {', '.join(SCENARIO_KINDS)}")
-    seed = _want(doc, "seed", _INT_KINDS, 0)
-    if seed < 0:
-        raise ConfigError(f"key 'seed': must be >= 0, got {seed}")
-    if seed_override is not None:
-        seed = int(seed_override)
-    out = _want(doc, "out", (str,), None)
-
-    params: dict[str, Any] = {}
-    if kind == "variation-sweep":
-        _check_keys(doc, _COMMON_KEYS | {"dims", "horizon", "q_grid", "cases"}, "variation-sweep config")
-        params["dims"], params["horizon"] = _trajectory_shape(doc, [4], 256)
-        params["q_grid"] = _num_list(doc, "q_grid", [2.0])
-        if any(q < 1.0 for q in params["q_grid"]):
-            raise ConfigError("key 'q_grid': variation exponents must be >= 1")
-        params["cases"] = _positive_int(doc, "cases", 8)
-    elif kind == "fluctuation-vs-bound":
-        _check_keys(doc, _COMMON_KEYS | {"preset", "p", "dims", "horizon", "eps_grid",
-                                         "cases", "include_constant"}, "fluctuation-vs-bound config")
-        preset = _want(doc, "preset", (str,), "hilbert")
-        p = _want(doc, "p", _NUM_KINDS, None)
-        try:
-            desc = descriptor_preset(preset, None if p is None else float(p))
-        except InvalidInputError as exc:
-            raise ConfigError(str(exc)) from exc
-        params["preset"] = preset
-        params["descriptor"] = desc
-        params["dims"], params["horizon"] = _trajectory_shape(doc, [4], 512)
-        params["eps_grid"] = _num_list(doc, "eps_grid", [0.5, 0.25])
-        if any(not e < 2.0 for e in params["eps_grid"]):
-            raise ConfigError("key 'eps_grid': points are normalized to ||x|| = 1, "
-                              "so the bound needs eps < 2")
-        params["cases"] = _positive_int(doc, "cases", 8)
-        params["include_constant"] = bool(_want(doc, "include_constant", (bool,), False))
-    elif kind == "metastability":
-        _check_keys(doc, _COMMON_KEYS | {"dims", "horizon", "eps_grid", "g", "cases"},
-                    "metastability config")
-        params["dims"], params["horizon"] = _trajectory_shape(doc, [3], 512)
-        params["eps_grid"] = _num_list(doc, "eps_grid", [0.25])
-        gname = _want(doc, "g", (str,), "double")
-        if gname not in G_SELECTORS:
-            raise ConfigError(f"key 'g': unknown selector {gname!r}; "
-                              f"known: {', '.join(G_SELECTORS)}")
-        params["g"] = gname
-        params["cases"] = _positive_int(doc, "cases", 4)
-    elif kind == "dyadic-constants":
-        _check_keys(doc, _COMMON_KEYS | {"p", "support", "levels", "cases", "ratio_cap"},
-                    "dyadic-constants config")
-        p = float(_want(doc, "p", _NUM_KINDS, 2.0))
-        if p < 1.0:
-            raise ConfigError(f"key 'p': must be >= 1, got {p}")
-        params["p"] = p
-        params["support"] = _positive_int(doc, "support", 64)
-        params["levels"] = _positive_int(doc, "levels", 6)
-        if params["support"] + 2 ** min(params["levels"] + 1, 25) > MAX_TRAJECTORY_SLOTS:
-            raise ConfigError(f"key 'levels': support + 2^(levels + 1) > {MAX_TRAJECTORY_SLOTS} slots")
-        params["cases"] = _positive_int(doc, "cases", 16)
-        cap = float(_want(doc, "ratio_cap", _NUM_KINDS, 64.0))
-        if cap <= 0:
-            raise ConfigError(f"key 'ratio_cap': must be > 0, got {cap}")
-        params["ratio_cap"] = cap
-    elif kind == "counterexample-suite":
-        _check_keys(doc, _COMMON_KEYS | {"p_grid"}, "counterexample-suite config")
-        p_grid = _int_list(doc, "p_grid", [2, 3])
-        if any(p < 2 for p in p_grid):
-            raise ConfigError("key 'p_grid': entries must be integers >= 2")
-        params["p_grid"] = p_grid
-    elif kind == "convexity-audit":
-        _check_keys(doc, _COMMON_KEYS | {"audits"}, "convexity-audit config")
-        default_audits = [
-            {"p": 2.0, "K": 0.125, "dim": 2},
-            {"p": 3.0, "K": 1.0 / 24.0, "dim": 2},
-            {"p": 2.0, "K": 1.0, "dim": 2},
-        ]
-        raw = _want(doc, "audits", (list,), default_audits)
-        if not raw:
-            raise ConfigError("key 'audits': must be a nonempty list")
-        audits = []
-        for idx, entry in enumerate(raw):
-            if not isinstance(entry, Mapping):
-                raise ConfigError(f"audits[{idx}]: expected an object")
-            _check_keys(entry, {"p", "K", "dim", "trials"}, f"audits[{idx}]")
-            p = float(_want(entry, "p", _NUM_KINDS, _REQUIRED))
-            k_val = float(_want(entry, "K", _NUM_KINDS, _REQUIRED))
-            dim = _positive_int(entry, "dim", 2)
-            trials = _positive_int(entry, "trials", 2000)
-            try:
-                desc = SpaceDescriptor(p, k_val)
-            except InvalidInputError as exc:
-                raise ConfigError(f"audits[{idx}]: {exc}") from exc
-            audits.append({"descriptor": desc, "dim": dim, "trials": trials})
-        params["audits"] = audits
-    return Scenario(name=name, kind=kind, seed=int(seed), params=params, out=out)
+    head = _fields(doc, _COMMON)
+    params = _fields(doc, _KINDS[head["kind"]].keys, f"{head['kind']} config", also=_COMMON)
+    seed = head["seed"] if seed_override is None else int(seed_override)
+    return Scenario(name=head["name"], kind=head["kind"], seed=seed, params=params, out=head["out"])
 
 
 def _finite_number(text: str) -> float:
@@ -313,252 +513,55 @@ def load_scenario(path: str, seed_override: int | None = None) -> Scenario:
             doc = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal past int's digit limit
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
     return scenario_from_mapping(doc, seed_override)
 
 
 # ---------------------------------------------------------------------------
-# case construction and execution
+# execution
 
 
-def _case_rngs(seed: int, count: int) -> list[np.random.Generator]:
-    children = np.random.SeedSequence(seed).spawn(count)
-    return [np.random.Generator(np.random.PCG64(child)) for child in children]
-
-
-def _random_rotation(rng: np.random.Generator, dim: int, p: float) -> tuple[RotationProduct, Vector]:
-    """A random rotation product with angles bounded away from 0, and a
-    random p-normalized start point. The angle floor keeps every average
-    trajectory settling well inside desk-scale horizons."""
-    magnitudes = rng.uniform(0.25, math.pi, dim)
-    signs = np.where(rng.uniform(size=dim) < 0.5, -1.0, 1.0)
-    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    x = Vector(z, p=p)
-    x = Vector(z / x.norm(), p=p)
-    return RotationProduct(magnitudes * signs), x
-
-
-def _dyadic_indices(horizon: int) -> list[int]:
-    out, t = [], 1
-    while t <= horizon:
-        out.append(t)
-        t *= 2
-    return out
-
-
-def _run_case_guard(fn: Callable[[], list[dict[str, Any]]],
-                    keys: tuple[str, ...]) -> list[dict[str, Any]]:
-    """Run one case; on a library error, emit a single flagged row."""
+def _case_rows(kind: _Kind, idx: int, rng: np.random.Generator,
+               par: Mapping[str, Any]) -> list[dict[str, Any]]:
+    """Run one case and order its rows by the kind's columns. A library
+    error, or a non-finite value in any row, turns the case into one flagged
+    row that carries the case index and the cause."""
     try:
-        return fn()
+        rows = [{"note": "", **row} for row in kind.run(idx, rng, par)]
+        for row in rows:
+            missing = [col for col in kind.columns if col not in row]
+            if missing:
+                raise RuntimeError(f"row missing columns {missing}")
+            for col, val in row.items():
+                if isinstance(val, float) and not math.isfinite(val):
+                    raise InvalidInputError(f"non-finite {col} = {val}")
+        return [{col: row[col] for col in kind.columns} for row in rows]
     except ErgolabError as exc:
-        row = {key: 0 for key in keys}
-        row["passed"] = False
-        row["note"] = f"{type(exc).__name__}: {exc}"
-        return [row]
+        flagged = {"case": idx, "passed": False, "note": f"{type(exc).__name__}: {exc}"}
+        return [{col: flagged.get(col, 0) for col in kind.columns}]
 
 
-_KEYS: dict[str, tuple[str, ...]] = {
-    "variation-sweep": ("case", "dim", "horizon", "q", "variation_max",
-                        "witness_value", "variation_dyadic", "passed", "note"),
-    "fluctuation-vs-bound": ("case", "dim", "p", "K", "horizon", "eps", "norm_x",
-                             "measured_count", "bound", "passed", "note"),
-    "metastability": ("case", "dim", "horizon", "eps", "g", "rate", "exhausted",
-                      "fluctuation_count", "conversion_bound", "passed", "note"),
-    "dyadic-constants": ("case", "p", "support", "levels", "kind", "ratio",
-                         "bound", "passed", "note"),
-    "counterexample-suite": ("p", "u", "horizon", "eps", "rate_lower_bound",
-                             "rate_exhausted", "fluctuation_count", "required",
-                             "passed", "note"),
-    "convexity-audit": ("case", "p", "K", "dim", "trials", "admissible",
-                        "violations", "passed", "note"),
-}
-
-
-def _finish_row(kind: str, row: dict[str, Any]) -> dict[str, Any]:
-    keys = _KEYS[kind]
-    row.setdefault("note", "")
-    missing = [k for k in keys if k not in row]
-    if missing:
-        raise RuntimeError(f"row for {kind} missing columns {missing}")
-    return {key: row[key] for key in keys}
-
-
-def _variation_case(idx: int, rng: np.random.Generator, scenario: Scenario) -> list[dict[str, Any]]:
-    par = scenario.params
-    dim = par["dims"][idx % len(par["dims"])]
-    horizon = par["horizon"]
-    op, x = _random_rotation(rng, dim, 2.0)
-    traj = ergodic_averages(op, x, horizon)
-    sub = _dyadic_indices(horizon)
-    rows = []
-    for q in par["q_grid"]:
-        value, witness = max_p_variation(traj, q)
-        realized = p_variation_along(traj, list(witness), q)
-        along_dyadic = p_variation_along(traj, sub, q)
-        passed = (abs(realized - value) <= _WITNESS_TOL * max(1.0, value)
-                  and along_dyadic <= value + _MONOTONE_TOL)
-        rows.append(_finish_row("variation-sweep", {
-            "case": idx, "dim": dim, "horizon": horizon, "q": q,
-            "variation_max": float(value), "witness_value": float(realized),
-            "variation_dyadic": float(along_dyadic), "passed": bool(passed),
-        }))
-    return rows
-
-
-def _fluctuation_case(idx: int, rng: np.random.Generator, scenario: Scenario) -> list[dict[str, Any]]:
-    par = scenario.params
-    desc: SpaceDescriptor = par["descriptor"]
-    dim = par["dims"][idx % len(par["dims"])]
-    horizon = par["horizon"]
-    if par["include_constant"] and idx == 0:
-        op = RotationProduct(np.zeros(dim))
-        x = Vector(np.full(dim, dim ** (-1.0 / desc.p), dtype=np.complex128), p=desc.p)
-    else:
-        op, x = _random_rotation(rng, dim, desc.p)
-    traj = ergodic_averages(op, x, horizon)
-    norm_x = x.norm()
-    rows = []
-    for eps in par["eps_grid"]:
-        measured = count_fluctuations(traj, eps).count
-        bound = fluctuation_bound_nonexpansive(norm_x, eps, desc)
-        rows.append(_finish_row("fluctuation-vs-bound", {
-            "case": idx, "dim": dim, "p": desc.p, "K": desc.K, "horizon": horizon,
-            "eps": float(eps), "norm_x": float(norm_x),
-            "measured_count": int(measured), "bound": int(bound),
-            "passed": bool(measured <= bound),
-        }))
-    return rows
-
-
-def _metastability_case(idx: int, rng: np.random.Generator, scenario: Scenario) -> list[dict[str, Any]]:
-    par = scenario.params
-    dim = par["dims"][idx % len(par["dims"])]
-    horizon = par["horizon"]
-    gname = par["g"]
-    g = G_SELECTORS[gname]
-    op, x = _random_rotation(rng, dim, 2.0)
-    traj = ergodic_averages(op, x, horizon)
-    rows = []
-    for eps in par["eps_grid"]:
-        count = count_fluctuations(traj, eps).count
-        conversion = metastability_from_fluctuations(count, g)
-        note = ""
-        try:
-            rate = metastability_rate(traj, MetastabilityQuery(eps, g))
-            exhausted = False
-        except HorizonExhaustedError as exc:
-            rate = exc.verified_lower_bound
-            exhausted = True
-            note = "horizon-exhausted"
-        passed = (not exhausted) and rate <= conversion
-        rows.append(_finish_row("metastability", {
-            "case": idx, "dim": dim, "horizon": horizon, "eps": float(eps),
-            "g": gname, "rate": int(rate), "exhausted": bool(exhausted),
-            "fluctuation_count": int(count), "conversion_bound": int(conversion),
-            "passed": bool(passed), "note": note,
-        }))
-    return rows
-
-
-def _dyadic_case(idx: int, rng: np.random.Generator, scenario: Scenario) -> list[dict[str, Any]]:
-    par = scenario.params
-    p, support, levels = par["p"], par["support"], par["levels"]
-    lo = int(rng.integers(-16, 17))
-    values = rng.standard_normal(support) + 1j * rng.standard_normal(support)
-    f = SeqFunction(lo, values, p=p)
-    level_list = list(range(0, levels + 1))
-    ts = [2**k - 1 for k in range(1, levels + 1)]
-    rows = []
-    for kind_name, kwargs in (
-        ("martingale", {"levels": level_list}),
-        ("average_vs_expectation", {"ts": ts}),
-        ("short_increments", {"ts": ts}),
-    ):
-        rep = verify_decomposition_inequalities(f, kind_name, **kwargs)
-        if kind_name == "martingale" and p == 2.0:
-            bound = 1.0 + _RATIO_SLACK
+def _echo(params: Mapping[str, Any]) -> dict[str, Any]:
+    """Params as a report shows them: a SpaceDescriptor becomes its p and K."""
+    out: dict[str, Any] = {}
+    for key, val in params.items():
+        if isinstance(val, SpaceDescriptor):
+            out["p"], out["K"] = val.p, val.K
+        elif isinstance(val, list):
+            out[key] = [_echo(item) if isinstance(item, Mapping) else item for item in val]
         else:
-            bound = par["ratio_cap"]
-        rows.append(_finish_row("dyadic-constants", {
-            "case": idx, "p": p, "support": support, "levels": levels,
-            "kind": kind_name, "ratio": float(rep.ratio), "bound": float(bound),
-            "passed": bool(rep.ratio <= bound),
-        }))
-    return rows
-
-
-def _counterexample_case(idx: int, rng: np.random.Generator, scenario: Scenario) -> list[dict[str, Any]]:
-    p = scenario.params["p_grid"][idx]
-    res = verify_metastability_lower_bound(p)
-    passed = res.rate_lower_bound >= res.required and res.fluctuation_count >= res.required
-    return [_finish_row("counterexample-suite", {
-        "p": res.p, "u": res.u, "horizon": res.horizon, "eps": res.eps,
-        "rate_lower_bound": int(res.rate_lower_bound),
-        "rate_exhausted": bool(res.rate_exhausted),
-        "fluctuation_count": int(res.fluctuation_count),
-        "required": int(res.required), "passed": bool(passed),
-    })]
-
-
-def _convexity_case(idx: int, rng: np.random.Generator, scenario: Scenario) -> list[dict[str, Any]]:
-    audit = scenario.params["audits"][idx]
-    desc: SpaceDescriptor = audit["descriptor"]
-    seed = int(rng.integers(0, 2**31 - 1))
-    violations = check_uniform_convexity(desc, audit["dim"], trials=audit["trials"], seed=seed)
-    admissible = desc.admissible
-    passed = violations == 0 if admissible else violations > 0
-    return [_finish_row("convexity-audit", {
-        "case": idx, "p": desc.p, "K": desc.K, "dim": audit["dim"],
-        "trials": audit["trials"], "admissible": bool(admissible),
-        "violations": int(violations), "passed": bool(passed),
-    })]
-
-
-_RUNNERS: dict[str, Callable[[int, np.random.Generator, Scenario], list[dict[str, Any]]]] = {
-    "variation-sweep": _variation_case,
-    "fluctuation-vs-bound": _fluctuation_case,
-    "metastability": _metastability_case,
-    "dyadic-constants": _dyadic_case,
-    "counterexample-suite": _counterexample_case,
-    "convexity-audit": _convexity_case,
-}
-
-
-def _case_count(scenario: Scenario) -> int:
-    if scenario.kind == "counterexample-suite":
-        return len(scenario.params["p_grid"])
-    if scenario.kind == "convexity-audit":
-        return len(scenario.params["audits"])
-    return scenario.params["cases"]
-
-
-def _scenario_echo(scenario: Scenario) -> dict[str, Any]:
-    params: dict[str, Any] = {}
-    for key, val in scenario.params.items():
-        if key == "descriptor":
-            params["p"], params["K"] = val.p, val.K
-        elif key == "audits":
-            params["audits"] = [
-                {"p": a["descriptor"].p, "K": a["descriptor"].K,
-                 "dim": a["dim"], "trials": a["trials"]}
-                for a in val
-            ]
-        else:
-            params[key] = val
-    return {"name": scenario.name, "kind": scenario.kind,
-            "seed": scenario.seed, "params": params}
+            out[key] = val
+    return out
 
 
 def run_scenario(scenario: Scenario) -> Report:
     """Execute every case of the scenario in declared order."""
-    runner = _RUNNERS[scenario.kind]
-    count = _case_count(scenario)
-    rngs = _case_rngs(scenario.seed, count)
-    keys = _KEYS[scenario.kind]
-    rows = [row for idx in range(count)
-            for row in _run_case_guard(lambda: runner(idx, rngs[idx], scenario), keys)]
+    kind = _KINDS[scenario.kind]
+    children = np.random.SeedSequence(scenario.seed).spawn(kind.count(scenario.params))
+    rngs = [np.random.Generator(np.random.PCG64(child)) for child in children]
+    rows = [row for idx, rng in enumerate(rngs)
+            for row in _case_rows(kind, idx, rng, scenario.params)]
     environment = {
         "version": __version__,
         "numpy": np.__version__,
@@ -572,7 +575,9 @@ def run_scenario(scenario: Scenario) -> Report:
         },
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    return Report(scenario=_scenario_echo(scenario), rows=rows, environment=environment)
+    echo = {"name": scenario.name, "kind": scenario.kind, "seed": scenario.seed,
+            "params": _echo(scenario.params)}
+    return Report(scenario=echo, rows=rows, environment=environment)
 
 
 # ---------------------------------------------------------------------------
@@ -626,14 +631,11 @@ def emit_report(report: Report, fmt: str) -> str:
                "environment": report.environment}
         return _json_value(doc, 0) + "\n"
     if fmt == "csv":
-        import csv
-        import io
-
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\r\n")
         kind = report.scenario.get("kind")
-        if kind in _KEYS:
-            header = list(_KEYS[kind])
+        if kind in _KINDS:
+            header = list(_KINDS[kind].columns)
         elif report.rows:
             header = list(report.rows[0].keys())
         else:
@@ -643,17 +645,9 @@ def emit_report(report: Report, fmt: str) -> str:
         for row in report.rows:
             if list(row.keys()) != header:
                 raise InvalidInputError("rows disagree on columns; cannot emit CSV")
-            cells = []
-            for val in row.values():
-                if isinstance(val, bool):
-                    cells.append("true" if val else "false")
-                elif isinstance(val, (int, np.integer)):
-                    cells.append(str(int(val)))
-                elif isinstance(val, (float, np.floating)):
-                    cells.append(f"{float(val):.17g}")
-                else:
-                    cells.append(str(val))
-            writer.writerow(cells)
+            # strings go in bare: quoting them is the CSV writer's job
+            writer.writerow([val if isinstance(val, str) else _json_scalar(val)
+                             for val in row.values()])
         return buf.getvalue()
     raise InvalidInputError(f"unknown report format {fmt!r}; known: json, csv")
 
@@ -687,23 +681,5 @@ def write_report(report: Report, out_dir: str, fmt: str) -> str:
 
 def builtin_corpus(seed: int | None = None) -> list[Scenario]:
     """One small deterministic scenario per kind, used by `verify-all`."""
-    docs: list[dict[str, Any]] = [
-        {"name": "builtin-variation-sweep", "kind": "variation-sweep",
-         "dims": [2, 4], "horizon": 128, "q_grid": [2.0, 3.0], "cases": 4},
-        {"name": "builtin-fluctuation-vs-bound", "kind": "fluctuation-vs-bound",
-         "preset": "hilbert", "dims": [3], "horizon": 256,
-         "eps_grid": [0.75, 0.5], "cases": 6, "include_constant": True},
-        {"name": "builtin-metastability", "kind": "metastability",
-         "dims": [3], "horizon": 512, "eps_grid": [0.5], "g": "double", "cases": 4},
-        {"name": "builtin-dyadic-constants", "kind": "dyadic-constants",
-         "p": 2.0, "support": 48, "levels": 5, "cases": 6, "ratio_cap": 64.0},
-        {"name": "builtin-counterexample-suite", "kind": "counterexample-suite",
-         "p_grid": [2, 3]},
-        {"name": "builtin-convexity-audit", "kind": "convexity-audit",
-         "audits": [
-             {"p": 2.0, "K": 0.125, "dim": 2, "trials": 1500},
-             {"p": 3.0, "K": 1.0 / 24.0, "dim": 2, "trials": 1500},
-             {"p": 2.0, "K": 1.0, "dim": 2, "trials": 1500},
-         ]},
-    ]
-    return [scenario_from_mapping(doc, seed) for doc in docs]
+    return [scenario_from_mapping({"name": f"builtin-{name}", "kind": name, **kind.builtin}, seed)
+            for name, kind in _KINDS.items()]

@@ -196,21 +196,24 @@ class TestEmission:
                     assert parsed[key] == val
 
     def test_csv_matches_json_rows(self):
-        rep = run_scenario(scenario_from_mapping(_sweep_doc()))
-        text = emit_report(rep, "csv")
-        assert "\r\n" in text
-        rows = list(csv.reader(io.StringIO(text)))
-        header, body = rows[0], rows[1:]
-        assert header == list(rep.rows[0].keys())
-        for cells, row in zip(body, rep.rows):
-            for key, cell in zip(header, cells):
-                val = row[key]
-                if isinstance(val, bool):
-                    assert cell == ("true" if val else "false")
-                elif isinstance(val, float):
-                    assert float(cell) == val
-                else:
-                    assert cell == str(val)
+        # one scenario of every kind: each has its own columns and cell types
+        for sc in builtin_corpus(0):
+            rep = run_scenario(sc)
+            text = emit_report(rep, "csv")
+            assert "\r\n" in text
+            rows = list(csv.reader(io.StringIO(text)))
+            header, body = rows[0], rows[1:]
+            assert header == list(rep.rows[0].keys())
+            assert len(body) == len(rep.rows)
+            for cells, row in zip(body, rep.rows):
+                for key, cell in zip(header, cells):
+                    val = row[key]
+                    if isinstance(val, bool):
+                        assert cell == ("true" if val else "false")
+                    elif isinstance(val, float):
+                        assert float(cell) == val
+                    else:
+                        assert cell == str(val)
 
     def test_empty_rows_keep_header(self):
         rep = run_scenario(scenario_from_mapping(_sweep_doc(cases=1)))
@@ -368,3 +371,87 @@ class TestCLI:
             doc2 = json.loads((tmp_path / "r2" / name).read_text())
             assert doc1["rows"] == doc2["rows"]
             assert doc1["scenario"] == doc2["scenario"]
+
+
+BIG = 10**400  # a 401-digit integer: valid JSON, past the float range
+
+
+class TestHostileConfigs:
+    @pytest.mark.parametrize("doc, key", [
+        (_sweep_doc(q_grid=[2.0, BIG]), "q_grid"),
+        ({"name": "dy", "kind": "dyadic-constants", "ratio_cap": BIG}, "ratio_cap"),
+        ({"name": "fb", "kind": "fluctuation-vs-bound", "preset": "clarkson", "p": BIG}, "p"),
+        ({"name": "cv", "kind": "convexity-audit", "audits": [{"p": BIG, "K": 0.125}]}, "p"),
+    ])
+    def test_integer_past_float_range(self, tmp_path, capsys, doc, key):
+        with pytest.raises(ConfigError) as info:
+            scenario_from_mapping(doc)
+        msg = str(info.value)
+        assert msg.startswith(f"key '{key}': integer too large for a float")
+        assert "0000" not in msg  # the digits are not echoed
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "integer too large for a float" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_integer_literal_past_digit_limit(self, tmp_path):
+        # int() refuses literals over 4300 digits; that is a config error too
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(_sweep_doc()).replace('"horizon": 64', '"horizon": ' + "9" * 5000))
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            load_scenario(str(path))
+
+    # Validation only: none of these configs is ever run.
+    @pytest.mark.parametrize("grid", [[5], [2, 64], [BIG]])
+    def test_counterexample_exponent_capped(self, grid):
+        doc = {"name": "n", "kind": "counterexample-suite", "p_grid": grid}
+        with pytest.raises(ConfigError, match=r"key 'p_grid': entries must be <= 4"):
+            scenario_from_mapping(doc)
+
+    def test_counterexample_exponent_four_accepted(self):
+        doc = {"name": "n", "kind": "counterexample-suite", "p_grid": [2, 3, 4]}
+        assert scenario_from_mapping(doc).params["p_grid"] == [2, 3, 4]
+
+    def test_audit_samples_capped(self):
+        audit = {"p": 2.0, "K": 0.125, "dim": 4096, "trials": MAX_TRAJECTORY_SLOTS // 4096}
+        doc = {"name": "n", "kind": "convexity-audit", "audits": [audit]}
+        assert scenario_from_mapping(doc).params["audits"][0]["trials"] == 4096
+        with pytest.raises(ConfigError, match=r"key 'trials': dim \* trials exceeds the cap"):
+            scenario_from_mapping(dict(doc, audits=[audit, dict(audit, trials=4097)]))
+        with pytest.raises(ConfigError, match="exceeds the cap"):
+            scenario_from_mapping(dict(doc, audits=[{"p": 2.0, "K": 0.125, "trials": BIG}]))
+
+
+class TestFlaggedRows:
+    # q = 1e308 overflows every variation above 1 to inf (numpy warns)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_value_flags_the_case(self):
+        rep = run_scenario(scenario_from_mapping(_sweep_doc(q_grid=[2.0, 1e308], cases=2)))
+        assert [row["case"] for row in rep.rows] == [0, 1]
+        for row in rep.rows:
+            assert row["passed"] is False
+            assert row["note"] == "InvalidInputError: non-finite variation_max = inf"
+        assert json.loads(emit_report(rep, "json"))["rows"] == rep.rows
+        cells = [cell for row in csv.reader(io.StringIO(emit_report(rep, "csv"))) for cell in row]
+        assert "inf" not in cells
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_value_through_cli(self, tmp_path, capsys, fmt):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(_sweep_doc(q_grid=[1e308], cases=1)))
+        assert main(["run", str(cfg), "--out", str(tmp_path), "--format", fmt]) == 1
+        assert "non-finite variation_max" in capsys.readouterr().out
+        assert (tmp_path / f"sweep.{fmt}").exists()
+
+    def test_flagged_rows_carry_their_case(self):
+        # eps a hair below 2 fails the bound's precondition for the cases whose
+        # normalized start vector rounds to a norm below 1
+        doc = {"name": "fb", "kind": "fluctuation-vs-bound", "dims": [3, 5, 6, 7], "horizon": 64,
+               "eps_grid": [1.9999999999999998], "cases": 8, "include_constant": True}
+        rows = run_scenario(scenario_from_mapping(doc)).rows
+        assert [row["case"] for row in rows] == list(range(8))
+        flagged = [row for row in rows if row["note"]]
+        assert flagged and all(not row["passed"] for row in flagged)
+        assert all(row["note"].startswith("PreconditionError") for row in flagged)
