@@ -5,162 +5,26 @@ operators with power-bound certificates, ergodic averages, fluctuation
 counting and p-variation, metastability rates, dyadic martingale
 decompositions, explicit fluctuation bounds, and the counterexample
 families that show those bounds are not vacuous.
+
+Each module's `__all__` is its public API; the package re-exports all of them.
 """
 
-from .averages import (
-    AverageTrajectory,
-    ergodic_averages,
-    orbit,
-    rotation_average_closed_form,
-)
-from .bounds import (
-    DriftReport,
-    StabilityParameters,
-    StabilityWindowReport,
-    ceil12,
-    drift_bound_check,
-    earliest_stable_start,
-    floor12,
-    fluctuation_bound_nonexpansive,
-    stability_parameters,
-    stability_window_check,
-    window_fluctuation_bound,
-)
-from .counterexamples import (
-    LowerBoundResult,
-    RotationCounterexample,
-    build_cyclic_shift_counterexample,
-    build_rotation_counterexample,
-    fluctuation_in_dyadic_interval,
-    verify_metastability_lower_bound,
-)
-from .dyadic import (
-    DecompositionReport,
-    DyadicLevel,
-    SeqFunction,
-    conditional_expectation,
-    lpb_norm,
-    martingale_differences,
-    seq_shift,
-    shift_average_at,
-    shift_averages,
-    transfer_embed,
-    verify_decomposition_inequalities,
-)
-from .errors import (
-    CountOverflowError,
-    DimensionMismatchError,
-    ErgolabError,
-    HorizonExhaustedError,
-    InvalidInputError,
-    PreconditionError,
-)
-from .operators import (
-    CyclicShift,
-    DenseMatrix,
-    PowerBoundCertificate,
-    RotationProduct,
-    apply,
-    apply_power,
-    estimate_power_bounds,
-)
-from .spaces import (
-    PRESETS,
-    SpaceDescriptor,
-    Vector,
-    batch_norm_p,
-    check_uniform_convexity,
-    clarkson_lower_bound,
-    clarkson_modulus,
-    descriptor_preset,
-    norm_p,
-    vector,
-)
-from .variation import (
-    ConvergenceRateResult,
-    FluctuationReport,
-    IndexSequence,
-    MetastabilityQuery,
-    count_fluctuations,
-    empirical_convergence_rate,
-    g_double,
-    g_next_power_of_two,
-    g_successor,
-    max_p_variation,
-    metastability_from_fluctuations,
-    metastability_rate,
-    p_variation_along,
-)
-
 __version__ = "0.1.0"
+__all__: list[str] = []
 
-__all__ = [
-    "AverageTrajectory",
-    "ConvergenceRateResult",
-    "CountOverflowError",
-    "CyclicShift",
-    "DecompositionReport",
-    "DenseMatrix",
-    "DimensionMismatchError",
-    "DriftReport",
-    "DyadicLevel",
-    "ErgolabError",
-    "FluctuationReport",
-    "HorizonExhaustedError",
-    "IndexSequence",
-    "InvalidInputError",
-    "LowerBoundResult",
-    "MetastabilityQuery",
-    "PRESETS",
-    "PowerBoundCertificate",
-    "PreconditionError",
-    "RotationCounterexample",
-    "RotationProduct",
-    "SeqFunction",
-    "SpaceDescriptor",
-    "StabilityParameters",
-    "StabilityWindowReport",
-    "Vector",
-    "apply",
-    "apply_power",
-    "batch_norm_p",
-    "build_cyclic_shift_counterexample",
-    "build_rotation_counterexample",
-    "ceil12",
-    "check_uniform_convexity",
-    "clarkson_lower_bound",
-    "clarkson_modulus",
-    "conditional_expectation",
-    "count_fluctuations",
-    "descriptor_preset",
-    "drift_bound_check",
-    "earliest_stable_start",
-    "empirical_convergence_rate",
-    "ergodic_averages",
-    "estimate_power_bounds",
-    "floor12",
-    "fluctuation_bound_nonexpansive",
-    "fluctuation_in_dyadic_interval",
-    "g_double",
-    "g_next_power_of_two",
-    "g_successor",
-    "lpb_norm",
-    "martingale_differences",
-    "max_p_variation",
-    "metastability_from_fluctuations",
-    "metastability_rate",
-    "norm_p",
-    "orbit",
-    "p_variation_along",
-    "rotation_average_closed_form",
-    "seq_shift",
-    "shift_average_at",
-    "shift_averages",
-    "stability_parameters",
-    "stability_window_check",
-    "transfer_embed",
-    "vector",
-    "verify_decomposition_inequalities",
-    "verify_metastability_lower_bound",
-    "window_fluctuation_bound",
-]
+from .averages import *
+__all__ += averages.__all__
+from .bounds import *
+__all__ += bounds.__all__
+from .counterexamples import *
+__all__ += counterexamples.__all__
+from .dyadic import *
+__all__ += dyadic.__all__
+from .errors import *
+__all__ += errors.__all__
+from .operators import *
+__all__ += operators.__all__
+from .spaces import *
+__all__ += spaces.__all__
+from .variation import *
+__all__ += variation.__all__

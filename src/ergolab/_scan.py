@@ -142,13 +142,6 @@ def first_violation(
     return None
 
 
-def has_separated_pair(view: PointsView, eps: float, lo: int, hi: int) -> bool:
-    """True when some pair inside [lo, hi] is at distance >= eps."""
-    if lo >= hi:
-        return False
-    return first_violation(view, eps, lo, hi) is not None
-
-
 def greedy_chain(view: PointsView, eps: float, anchor: int, hi: int):
     """Yield the greedy chain of eps-separated pairs (i, j) inside [anchor, hi].
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import DimensionMismatchError, InvalidInputError
 from .operators import Operator
 from .spaces import Vector, batch_norm_p
 
@@ -94,7 +94,7 @@ def orbit(op: Operator, x: Vector, n: int) -> np.ndarray:
     if n < 1:
         raise InvalidInputError(f"horizon must be >= 1, got {n}")
     if x.dim != op.dim:
-        raise InvalidInputError(f"operator dimension {op.dim} != vector dimension {x.dim}")
+        raise DimensionMismatchError(f"operator dimension {op.dim} != vector dimension {x.dim}")
     return op.orbit(x.components, n)
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._scan import PointsView, has_separated_pair
+from ._scan import PointsView, first_violation
 from .averages import AverageTrajectory, ergodic_averages
 from .errors import HorizonExhaustedError, InvalidInputError
 from .operators import CyclicShift, RotationProduct
@@ -92,8 +92,7 @@ def fluctuation_in_dyadic_interval(traj: AverageTrajectory, eps: float, k: int) 
             f"interval [{lo}, {hi}] exceeds horizon {traj.horizon}",
             checked_up_to=traj.horizon,
         )
-    view = PointsView(traj.points, traj.p)
-    return has_separated_pair(view, eps, lo - 1, hi - 1)
+    return first_violation(PointsView(traj.points, traj.p), eps, lo - 1, hi - 1) is not None
 
 
 @dataclass(frozen=True)

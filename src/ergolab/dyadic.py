@@ -252,7 +252,7 @@ def verify_decomposition_inequalities(
     if which == "average_vs_expectation":
         if ts is None:
             raise InvalidInputError("'average_vs_expectation' needs `ts`")
-        seq = ts if isinstance(ts, IndexSequence) else IndexSequence(tuple(ts))
+        seq = IndexSequence(ts)
         for k, t in enumerate(seq, start=1):
             if not (1 << (k - 1)) <= t < (1 << k):
                 raise PreconditionError(
@@ -267,8 +267,7 @@ def verify_decomposition_inequalities(
     if which == "short_increments":
         if ts is None:
             raise InvalidInputError("'short_increments' needs `ts`")
-        seq = ts if isinstance(ts, IndexSequence) else IndexSequence(tuple(ts))
-        idx = list(seq)
+        idx = list(IndexSequence(ts))
         terms = []
         for a, b in zip(idx, idx[1:]):
             k = max(b - 1, 1).bit_length()  # smallest k with b <= 2^k

@@ -9,6 +9,9 @@ lower bound instead of failing.
 
 from __future__ import annotations
 
+__all__ = ["ErgolabError", "InvalidInputError", "DimensionMismatchError", "PreconditionError",
+           "HorizonExhaustedError", "CountOverflowError"]
+
 
 class ErgolabError(Exception):
     """Base class for every error raised by this package."""

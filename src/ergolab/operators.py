@@ -28,7 +28,7 @@ from typing import Protocol
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidInputError
-from .spaces import Vector, batch_norm_p
+from .spaces import Vector, _unit_sphere_sample, batch_norm_p
 
 __all__ = [
     "PowerBoundCertificate",
@@ -188,11 +188,7 @@ class DenseMatrix:
             raise InvalidInputError(f"need trials >= 1, got {trials}")
 
         rng = np.random.default_rng(seed)
-        u = self.dim
-        z = rng.standard_normal((trials, u)) + 1j * rng.standard_normal((trials, u))
-        norms = batch_norm_p(z, p)
-        norms[norms == 0.0] = 1.0
-        coords = (z / norms[:, None]).view(np.float64)
+        coords = _unit_sphere_sample(rng, trials, self.dim, p).view(np.float64)
 
         lo, hi = math.inf, 0.0
         for _ in range(n_max):

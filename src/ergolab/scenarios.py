@@ -134,8 +134,10 @@ def _of(*types: type) -> Callable[[str, Any], Any]:
 
 
 def _num(key: str, val: Any) -> float:
-    """A finite float from an int or a float: NaN, infinities and integers
-    past the float range are errors."""
+    """A finite float from an int or a float: booleans, NaN, infinities and
+    integers past the float range are errors."""
+    if isinstance(val, bool):
+        raise ConfigError(f"key {key!r}: expected a number, got a boolean")
     val = _of(int, float)(key, val)
     if isinstance(val, float) and not math.isfinite(val):
         raise ConfigError(f"key {key!r}: non-finite number {val}")
@@ -558,10 +560,11 @@ def _echo(params: Mapping[str, Any]) -> dict[str, Any]:
 def run_scenario(scenario: Scenario) -> Report:
     """Execute every case of the scenario in declared order."""
     kind = _KINDS[scenario.kind]
-    children = np.random.SeedSequence(scenario.seed).spawn(kind.count(scenario.params))
-    rngs = [np.random.Generator(np.random.PCG64(child)) for child in children]
-    rows = [row for idx, rng in enumerate(rngs)
-            for row in _case_rows(kind, idx, rng, scenario.params)]
+    seeds = np.random.SeedSequence(scenario.seed)
+    rows = []
+    for idx in range(kind.count(scenario.params)):
+        rng = np.random.Generator(np.random.PCG64(seeds.spawn(1)[0]))  # spawned as the case runs
+        rows += _case_rows(kind, idx, rng, scenario.params)
     environment = {
         "version": __version__,
         "numpy": np.__version__,

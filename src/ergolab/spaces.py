@@ -21,6 +21,7 @@ __all__ = [
     "SpaceDescriptor",
     "vector",
     "norm_p",
+    "batch_norm_p",
     "clarkson_modulus",
     "clarkson_lower_bound",
     "check_uniform_convexity",
@@ -194,7 +195,7 @@ def descriptor_preset(name: str, p: float | None = None) -> SpaceDescriptor:
     """Build one of the shipped descriptors by name.
 
     "hilbert" ignores p and returns (2, 1/8); "clarkson" requires p >= 2 and
-    returns (p, 1/(p*2^p)).
+    returns (p, 1/(p*2^p)), which needs p up to about 1014 for K > 0.
     """
     if name == "hilbert":
         return SpaceDescriptor(2.0, 0.125)
@@ -202,7 +203,11 @@ def descriptor_preset(name: str, p: float | None = None) -> SpaceDescriptor:
         if p is None:
             raise InvalidInputError("preset 'clarkson' needs an exponent p")
         p = float(p)
-        return SpaceDescriptor(p, 1.0 / (p * 2.0**p))
+        try:
+            K = 1.0 / (p * 2.0**p)
+        except (OverflowError, ZeroDivisionError):  # 2^p overflows, or p * 2^p is 0
+            K = 0.0  # SpaceDescriptor rejects p or K, as when p * 2^p is inf
+        return SpaceDescriptor(p, K)
     raise InvalidInputError(f"unknown preset {name!r}; known: {sorted(PRESETS)}")
 
 

@@ -91,13 +91,18 @@ class MetastabilityQuery:
             raise InvalidInputError(f"epsilon must be positive and finite, got {self.epsilon}")
 
     def window_end(self, n: int) -> int:
-        gn = self.g(n)
-        if not isinstance(gn, (int, np.integer)):
-            raise InvalidInputError(f"g({n}) = {gn!r} is not an integer")
-        gn = int(gn)
-        if gn < n:
-            raise InvalidInputError(f"g({n}) = {gn} < {n}; g must satisfy g(n) >= n")
-        return gn
+        return _checked_g(self.g, n)
+
+
+def _checked_g(g: Callable[[int], int], n: int) -> int:
+    """g(n), checked to be an integer >= n."""
+    gn = g(n)
+    if not isinstance(gn, (int, np.integer)):
+        raise InvalidInputError(f"g({n}) = {gn!r} is not an integer")
+    gn = int(gn)
+    if gn < n:
+        raise InvalidInputError(f"g({n}) = {gn} < {n}; g must satisfy g(n) >= n")
+    return gn
 
 
 @dataclass(frozen=True)
@@ -153,8 +158,7 @@ def p_variation_along(points: PointsLike, ts: IndexSequence, q: float, *,
                       p_norm: float | None = None) -> float:
     """sum_k ||a_(t_(k+1)) - a_(t_k)||^q along the given index sequence."""
     view = _points_view(points, p_norm)
-    if not isinstance(ts, IndexSequence):
-        ts = IndexSequence(tuple(ts))
+    ts = IndexSequence(ts)
     if q < 1.0 or not math.isfinite(q):
         raise InvalidInputError(f"variation exponent must satisfy q >= 1, got {q}")
     idx = np.asarray(ts.indices, dtype=np.int64)
@@ -259,12 +263,7 @@ def metastability_from_fluctuations(count: int, g: Callable[[int], int]) -> int:
         raise InvalidInputError(f"fluctuation count must be >= 0, got {count}")
     t = 1
     for _ in range(count):
-        nxt = g(t)
-        if not isinstance(nxt, (int, np.integer)):
-            raise InvalidInputError(f"g({t}) = {nxt!r} is not an integer")
-        nxt = int(nxt)
-        if nxt < t:
-            raise InvalidInputError(f"g({t}) = {nxt} < {t}; g must satisfy g(n) >= n")
+        nxt = _checked_g(g, t)
         if nxt > _COUNT_CAP:
             raise CountOverflowError(f"g-iteration left the 64-bit range at {nxt}")
         t = nxt

@@ -10,6 +10,7 @@ from ergolab import (
     AverageTrajectory,
     CyclicShift,
     DenseMatrix,
+    DimensionMismatchError,
     RotationProduct,
     apply_power,
     ergodic_averages,
@@ -34,6 +35,14 @@ def test_orbit_starts_at_x():
     tr = orbit(op, x, 5)
     assert np.allclose(tr[0], [2.0])
     assert np.allclose(tr[1], [2.0 * cmath.exp(0.7j)])
+
+
+def test_orbit_dimension_mismatch_is_a_dimension_error():
+    op = RotationProduct(np.array([0.7, 0.1]))
+    x = vector([2.0], p=2)
+    for build in (orbit, ergodic_averages):
+        with pytest.raises(DimensionMismatchError, match="operator dimension 2 != vector dimension 1"):
+            build(op, x, 5)
 
 
 def test_averages_match_naive_sum():

@@ -5,8 +5,10 @@ import io
 import json
 import os
 
+import numpy as np
 import pytest
 
+import ergolab.cli
 from ergolab.cli import main
 from ergolab.scenarios import (
     MAX_TRAJECTORY_SLOTS,
@@ -168,6 +170,21 @@ class TestDeterminism:
             assert main(["run", str(cfg), "--out", str(tmp_path / jobs), "--jobs", jobs]) == 0
         rows = [json.loads((tmp_path / jobs / "sweep.json").read_text())["rows"] for jobs in "14"]
         assert rows[0] == rows[1]
+
+    def test_seeds_spawned_one_per_case(self, monkeypatch):
+        # each case spawns its own child as it runs: no call asks for more than one
+        sc = scenario_from_mapping(_sweep_doc(cases=8))
+        rows = run_scenario(sc).rows
+        asked = []
+
+        class SpySeedSequence(np.random.SeedSequence):
+            def spawn(self, n_children):
+                asked.append(n_children)
+                return super().spawn(n_children)
+
+        monkeypatch.setattr(np.random, "SeedSequence", SpySeedSequence)
+        assert run_scenario(sc).rows == rows
+        assert asked == [1] * 8
 
     def test_different_seed_different_rows(self):
         a = run_scenario(scenario_from_mapping(_sweep_doc(seed=1)))
@@ -393,6 +410,19 @@ class TestHostileConfigs:
         cfg.write_text(json.dumps(doc))
         assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
         assert "integer too large for a float" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize("p", [1100, 10.0**300, -2000, 0])
+    def test_clarkson_exponent_outside_float_range(self, tmp_path, capsys, monkeypatch, p):
+        # 2^p overflows (or p * 2^p vanishes): a config error, and nothing runs
+        doc = {"name": "fb", "kind": "fluctuation-vs-bound", "preset": "clarkson", "p": p}
+        with pytest.raises(ConfigError):
+            scenario_from_mapping(doc)
+        monkeypatch.setattr(ergolab.cli, "run_scenario", lambda sc: pytest.fail("a case ran"))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_integer_literal_past_digit_limit(self, tmp_path):
