@@ -54,7 +54,7 @@ class StabilityParameters:
 
     M = ceil(16*||x||/eps) and gamma = (eps/8) * K * (eps/(8*||x||))^(p-1),
     i.e. gamma = (eps/8) * eta_tilde(eps/(8*||x||)) for the power-type modulus
-    eta_tilde(t) = K * t^(p-1). rho = ||x||/eps is kept for reporting.
+    eta_tilde(t) = K * t^(p-1).
     """
 
     norm_x: float
@@ -63,7 +63,6 @@ class StabilityParameters:
     K: float
     M: int
     gamma: float
-    rho: float
 
 
 def stability_parameters(norm_x: float, eps: float, desc: SpaceDescriptor) -> StabilityParameters:
@@ -73,6 +72,8 @@ def stability_parameters(norm_x: float, eps: float, desc: SpaceDescriptor) -> St
         raise InvalidInputError(f"need eps > 0, got {eps}")
     m = ceil12(16.0 * norm_x / eps)
     gamma = (eps / 8.0) * desc.K * (eps / (8.0 * norm_x)) ** (desc.p - 1.0)
+    if gamma == 0.0 or math.isinf(norm_x / gamma):
+        raise InvalidInputError(f"gamma = {gamma} underflows: ||x||/gamma is not finite")
     return StabilityParameters(
         norm_x=float(norm_x),
         eps=float(eps),
@@ -80,7 +81,6 @@ def stability_parameters(norm_x: float, eps: float, desc: SpaceDescriptor) -> St
         K=desc.K,
         M=m,
         gamma=gamma,
-        rho=norm_x / eps,
     )
 
 
@@ -112,9 +112,8 @@ def fluctuation_bound_nonexpansive(norm_x: float, eps: float, desc: SpaceDescrip
         raise PreconditionError(f"need 0 < eps < 2*||x||, got eps={eps}, ||x||={norm_x}")
     par = stability_parameters(norm_x, eps, desc)
     drops = floor12(norm_x / par.gamma)
-    head = floor12(4.0 * math.log(par.M) * norm_x / eps)
-    per_window = floor12(4.0 * math.log(2.0 * par.M) * norm_x / eps)
-    return head + drops * per_window + drops
+    per_window = window_fluctuation_bound(norm_x, eps, 2 * par.M)
+    return window_fluctuation_bound(norm_x, eps, par.M) + drops * per_window + drops
 
 
 @dataclass(frozen=True)

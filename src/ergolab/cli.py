@@ -76,7 +76,7 @@ def _cmd_presets_list(args: argparse.Namespace) -> int:
 def _cmd_verify_all(args: argparse.Namespace) -> int:
     try:
         scenarios = builtin_corpus(args.seed)
-    except ConfigError as exc:  # unreachable for the shipped corpus
+    except ConfigError as exc:  # an invalid --seed
         print(f"error: {exc}", file=sys.stderr)
         return 2
     ok = True

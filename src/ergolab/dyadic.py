@@ -29,37 +29,15 @@ from .variation import IndexSequence
 
 __all__ = [
     "SeqFunction",
-    "DyadicLevel",
     "DecompositionReport",
     "lpb_norm",
     "conditional_expectation",
     "martingale_differences",
-    "shift_averages",
     "shift_average_at",
     "seq_shift",
     "transfer_embed",
     "verify_decomposition_inequalities",
 ]
-
-
-@dataclass(frozen=True)
-class DyadicLevel:
-    """Filtration level n >= 0; blocks have length 2^n."""
-
-    n: int
-
-    def __post_init__(self):
-        if int(self.n) < 0:
-            raise InvalidInputError(f"level must be >= 0, got {self.n}")
-        object.__setattr__(self, "n", int(self.n))
-
-    @property
-    def block(self) -> int:
-        return 1 << self.n
-
-
-def _as_level(level) -> DyadicLevel:
-    return level if isinstance(level, DyadicLevel) else DyadicLevel(level)
 
 
 @dataclass(frozen=True)
@@ -136,11 +114,12 @@ def lpb_norm(f: SeqFunction) -> float:
     return norm_p(Vector(f.values.ravel(), f.p))
 
 
-def conditional_expectation(f: SeqFunction, level) -> SeqFunction:
-    """Block averages of f over the level's dyadic blocks, window widened to
-    block boundaries (partially covered blocks average in the implicit zeros)."""
-    lv = _as_level(level)
-    b = lv.block
+def conditional_expectation(f: SeqFunction, level: int) -> SeqFunction:
+    """Block averages of f over the blocks of length 2^level (level >= 0), window
+    widened to block boundaries (partially covered blocks average in the implicit zeros)."""
+    if level < 0:
+        raise InvalidInputError(f"level must be >= 0, got {level}")
+    b = 1 << int(level)
     if b == 1:
         return SeqFunction(f.lo, f.values, f.p)
     lo = (f.lo // b) * b
@@ -182,14 +161,6 @@ def shift_average_at(f: SeqFunction, n: int) -> SeqFunction:
     a = np.clip(xs - f.lo, 0, length)
     b = np.clip(xs + n - f.lo, 0, length)
     return SeqFunction(f.lo - n + 1, (prefix[b] - prefix[a]) / n, f.p)
-
-
-def shift_averages(f: SeqFunction, n_max: int) -> list[SeqFunction]:
-    """[A_1 f, ..., A_n_max f]."""
-    n_max = int(n_max)
-    if n_max < 1:
-        raise InvalidInputError(f"need n_max >= 1, got {n_max}")
-    return [shift_average_at(f, n) for n in range(1, n_max + 1)]
 
 
 def seq_shift(f: SeqFunction, steps: int = 1) -> SeqFunction:

@@ -491,13 +491,15 @@ SCENARIO_KINDS = tuple(_KINDS)
 
 
 def scenario_from_mapping(doc: Mapping[str, Any], seed_override: int | None = None) -> Scenario:
-    """Validate a parsed config document into a Scenario."""
+    """Validate a parsed config document into a Scenario. A seed override
+    obeys the rules of the config's own `seed`, which must also be valid."""
     if not isinstance(doc, Mapping):
         raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
     head = _fields(doc, _COMMON)
+    if seed_override is not None:
+        head.update(_fields({"seed": seed_override}, {"seed": _COMMON["seed"]}))
     params = _fields(doc, _KINDS[head["kind"]].keys, f"{head['kind']} config", also=_COMMON)
-    seed = head["seed"] if seed_override is None else int(seed_override)
-    return Scenario(name=head["name"], kind=head["kind"], seed=seed, params=params, out=head["out"])
+    return Scenario(name=head["name"], kind=head["kind"], seed=head["seed"], params=params, out=head["out"])
 
 
 def _finite_number(text: str) -> float:

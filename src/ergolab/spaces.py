@@ -93,15 +93,9 @@ def vector(components, p: float) -> Vector:
 
 
 def norm_p(v: Vector) -> float:
-    """(sum_i |z_i|^p)^(1/p) over the complex slots of v."""
-    moduli = np.abs(v.components)
-    # Scale by the largest modulus so large p cannot overflow. This stays apart
-    # from batch_norm_p: scenarios normalise their start vectors with it, so
-    # its last bits fix every report.
-    peak = float(moduli.max())
-    if peak == 0.0:
-        return 0.0
-    return peak * float(np.sum((moduli / peak) ** v.p)) ** (1.0 / v.p)
+    """(sum_i |z_i|^p)^(1/p) over the complex slots of v: the kernel's scaled
+    path on one row, so no p-th power overflows at any scale."""
+    return float(_scaled_norms(np.abs(v.components)[None, :], v.p)[0])
 
 
 def batch_norm_p(points: np.ndarray, p: float) -> np.ndarray:
@@ -126,16 +120,18 @@ def batch_norm_p(points: np.ndarray, p: float) -> np.ndarray:
 
 
 def _scaled_norms(moduli: np.ndarray, p: float) -> np.ndarray:
-    """Row-wise p-norm of nonnegative moduli, scaled by each row's peak."""
+    """Row-wise p-norm of nonnegative moduli, scaled by each row's peak (a zero
+    row's peak is 1, so it sums to 0). Each root is a scalar pow: numpy's array
+    power rounds some last bits differently."""
     peak = moduli.max(axis=1)
-    safe = np.where(peak == 0.0, 1.0, peak)
-    out = safe * np.sum((moduli / safe[:, None]) ** p, axis=1) ** (1.0 / p)
-    return np.where(peak == 0.0, 0.0, out)
+    peak[peak == 0.0] = 1.0
+    sums = np.sum((moduli / peak[:, None]) ** p, axis=1)
+    return peak * np.array([s ** (1.0 / p) for s in sums.tolist()])
 
 
 @dataclass(frozen=True)
 class SpaceDescriptor:
-    """Exponent p >= 2 plus a claimed modulus coefficient K.
+    """Exponent 2 <= p < 1024 plus a claimed modulus coefficient K.
 
     The claim eta(eps) = K*eps^p is only consistent with a unit-ball geometry
     when K*eps^p <= 1 on (0, 2]; `admissible` reports that. An inadmissible
@@ -152,6 +148,9 @@ class SpaceDescriptor:
             raise InvalidInputError(f"descriptor exponent must satisfy p >= 2, got {self.p}")
         if not (math.isfinite(K) and K > 0.0):
             raise InvalidInputError(f"modulus coefficient must be positive, got {self.K}")
+        if p >= 1024.0:
+            raise InvalidInputError(f"descriptor exponent must satisfy p < 1024, where 2^p is finite, "
+                                    f"got {self.p}")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "K", K)
 
@@ -218,12 +217,14 @@ def _unit_sphere_sample(rng: np.random.Generator, n: int, dim: int, p: float) ->
     return z / norms[:, None]
 
 
+_AUDIT_TOL = 1e-9  # rounding slack on the midpoint claim
+
+
 def check_uniform_convexity(
     desc: SpaceDescriptor,
     dim: int,
     trials: int = 10_000,
     seed: int = 0,
-    tol: float = 1e-9,
 ) -> int:
     """Sample unit-ball pairs and count violations of the claimed modulus.
 
@@ -231,7 +232,7 @@ def check_uniform_convexity(
     trials pin both to the unit sphere, where the midpoint-shrinkage claim is
     tightest) and tests, at the realized separation eps = ||x - y||,
 
-        ||(x + y) / 2|| <= 1 - K * eps^p + tol.
+        ||(x + y) / 2|| <= 1 - K * eps^p + 1e-9.
 
     Returns the number of violating pairs: 0 is expected whenever (p, K) is a
     valid modulus for the space, and positive counts expose an inflated K.
@@ -257,5 +258,5 @@ def check_uniform_convexity(
     eps = batch_norm_p(x - y, p)
     mid = batch_norm_p((x + y) / 2.0, p)
     live = (eps > 0.0) & (eps <= 2.0)
-    bound = 1.0 - desc.K * eps[live] ** p + tol
+    bound = 1.0 - desc.K * eps[live] ** p + _AUDIT_TOL
     return int(np.count_nonzero(mid[live] > bound))

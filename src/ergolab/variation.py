@@ -1,8 +1,9 @@
 """p-variation, fluctuation counting, and metastability scans.
 
-All of these consume either an AverageTrajectory or a raw sequence of points
-(scalars, Vectors, or an (N, u) complex array). Indices in every report are
-1-based, matching the averages' natural numbering A_1, A_2, ...
+All of these consume either an AverageTrajectory or an array-like of points
+(N scalars, or an (N, u) complex array measured in the p_norm norm, 2 by
+default). Indices in every report are 1-based, matching the averages'
+natural numbering A_1, A_2, ...
 
 Conventions fixed here once:
 
@@ -22,7 +23,7 @@ import numpy as np
 from ._scan import PointsView, first_violation, greedy_chain
 from .averages import AverageTrajectory
 from .errors import CountOverflowError, HorizonExhaustedError, InvalidInputError
-from .spaces import Vector, batch_norm_p
+from .spaces import batch_norm_p
 
 __all__ = [
     "IndexSequence",
@@ -111,13 +112,12 @@ class ConvergenceRateResult:
 
     found=False means even the final adjacent pair exceeds eps, so no
     nontrivial stable tail exists inside the horizon. The measurement is
-    always window-limited: a longer horizon can only increase n.
+    window-limited: a longer horizon can only increase n.
     """
 
     found: bool
     n: int | None
     horizon: int
-    window_limited: bool = True
 
 
 def g_successor(n: int) -> int:
@@ -134,20 +134,10 @@ def g_next_power_of_two(n: int) -> int:
 
 
 def _points_view(points: PointsLike, p_norm: float | None = None) -> PointsView:
-    if isinstance(points, PointsView):
-        return points
     if isinstance(points, AverageTrajectory):
         if p_norm is not None and p_norm != points.p:
             raise InvalidInputError(f"p_norm {p_norm} conflicts with trajectory exponent {points.p}")
         return PointsView(points.points, points.p)
-    if isinstance(points, Sequence) and len(points) > 0 and isinstance(points[0], Vector):
-        ps = {v.p for v in points}
-        dims = {v.dim for v in points}
-        if len(ps) != 1 or len(dims) != 1:
-            raise InvalidInputError("all vectors must share one exponent and one dimension")
-        if p_norm is not None and p_norm != next(iter(ps)):
-            raise InvalidInputError("p_norm conflicts with the vectors' exponent")
-        return PointsView(np.stack([v.components for v in points]), next(iter(ps)))
     arr = np.asarray(points, dtype=np.complex128)
     if arr.ndim == 1:
         arr = arr[:, None]

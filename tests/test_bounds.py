@@ -71,7 +71,6 @@ class TestStabilityParameters:
         assert par.M == 64
         assert par.gamma == pytest.approx(1.0 / 8192.0, rel=1e-15)
         assert par.gamma == 0.0001220703125
-        assert par.rho == 4.0
         assert (par.p, par.K) == (2.0, 0.125)
 
     def test_clarkson_preset_scaling(self):
@@ -88,6 +87,14 @@ class TestStabilityParameters:
             stability_parameters(1.0, 0.0, HILBERT)
         with pytest.raises(InvalidInputError):
             stability_parameters(math.inf, 0.25, HILBERT)
+
+    @pytest.mark.parametrize("p", [204.0, 250.0])
+    def test_gamma_underflow_rejected(self, p):
+        # p = 204: gamma is subnormal and ||x||/gamma overflows; p = 250: gamma is 0.0
+        with pytest.raises(InvalidInputError, match="gamma"):
+            stability_parameters(1.0, 0.5, descriptor_preset("clarkson", p))
+        with pytest.raises(InvalidInputError, match="gamma"):
+            fluctuation_bound_nonexpansive(1.0, 0.5, descriptor_preset("clarkson", p))
 
 
 class TestWindowFluctuationBound:
@@ -314,7 +321,7 @@ def StabilityParametersFactory(norm_x):
     from ergolab import StabilityParameters
 
     return StabilityParameters(
-        norm_x=norm_x, eps=0.05, p=2.0, K=0.125, M=2, gamma=2.0 * norm_x, rho=norm_x / 0.05
+        norm_x=norm_x, eps=0.05, p=2.0, K=0.125, M=2, gamma=2.0 * norm_x
     )
 
 

@@ -7,7 +7,6 @@ import pytest
 
 from ergolab import (
     CyclicShift,
-    DyadicLevel,
     InvalidInputError,
     PreconditionError,
     RotationProduct,
@@ -18,7 +17,6 @@ from ergolab import (
     martingale_differences,
     seq_shift,
     shift_average_at,
-    shift_averages,
     transfer_embed,
     vector,
     verify_decomposition_inequalities,
@@ -103,9 +101,13 @@ class TestConditionalExpectation:
         assert _gap(conditional_expectation(f, 0), f) == 0.0
 
     def test_indicator_block(self):
-        e1 = conditional_expectation(_delta(), DyadicLevel(1))
+        e1 = conditional_expectation(_delta(), 1)
         assert (e1.lo, e1.hi) == (0, 2)
         np.testing.assert_allclose(e1.values[:, 0], [0.5, 0.5])
+
+    def test_negative_level_rejected(self):
+        with pytest.raises(InvalidInputError, match=r"^level must be >= 0, got -1$"):
+            conditional_expectation(_delta(), -1)
 
     def test_blocks_anchor_at_zero_for_negative_windows(self):
         f = SeqFunction(-1, np.array([1.0]), 2.0)
@@ -204,14 +206,6 @@ class TestShiftAverages:
                     start=np.zeros(f.dim, dtype=np.complex128),
                 ) / n
                 np.testing.assert_allclose(an.at(x).components, want, atol=1e-12)
-
-    def test_list_helper(self):
-        f = _delta()
-        avgs = shift_averages(f, 4)
-        assert len(avgs) == 4
-        assert _gap(avgs[2], shift_average_at(f, 3)) == 0.0
-        with pytest.raises(InvalidInputError):
-            shift_averages(f, 0)
 
 
 class TestShiftAndTransfer:

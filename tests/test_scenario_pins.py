@@ -3,10 +3,15 @@ branch (including which fault wins when a document has two) and the exact
 scenario echo of valid documents. None of these depends on the platform."""
 
 import json
+import pathlib
+import re
 
 import pytest
 
 from ergolab.scenarios import (
+    _AUDIT_KEYS,
+    _COMMON,
+    _KINDS,
     SCENARIO_KINDS,
     ConfigError,
     builtin_corpus,
@@ -246,6 +251,9 @@ MESSAGES = [
     pytest.param({"name": "n", "kind": "convexity-audit", "audits": [{"p": 2.0, "K": -0.5}]},
                  'audits[0]: modulus coefficient must be positive, got -0.5',
                  id='audit-k-negative'),
+    pytest.param({"name": "n", "kind": "convexity-audit", "audits": [{"p": 1100, "K": 1e-300}]},
+                 'audits[0]: descriptor exponent must satisfy p < 1024, where 2^p is finite, got 1100.0',
+                 id='audit-p-overflows'),
     pytest.param({"name": "n", "kind": "convexity-audit", "audits": [{"p": 0.5, "K": 0.5}]},
                  'audits[0]: descriptor exponent must satisfy p >= 2, got 0.5',
                  id='audit-p-below-one'),
@@ -410,3 +418,17 @@ def test_builtin_corpus_echo():
 ])
 def test_echo_of_valid_documents(doc, echo):
     assert _echo(scenario_from_mapping(doc)) == echo
+
+
+def test_readme_key_table_mirrors_the_kinds():
+    # README.md's config key table lists each kind's keys, and an audit's, in table order
+    table: dict[str, list[str]] = {}
+    section = None
+    for line in (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) == 5 and re.fullmatch(r"`\w+`", cells[1]):
+            section = cells[0].strip("`") or section
+            table.setdefault(section, []).append(cells[1].strip("`"))
+    want = {"every kind": list(_COMMON), **{name: list(kind.keys) for name, kind in _KINDS.items()},
+            "one audit": list(_AUDIT_KEYS)}
+    assert list(table.items()) == list(want.items())

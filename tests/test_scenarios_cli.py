@@ -65,6 +65,19 @@ class TestConfigValidation:
         sc = scenario_from_mapping(_sweep_doc(seed=7), seed_override=99)
         assert sc.seed == 99
 
+    @pytest.mark.parametrize("override, message", [
+        (-1, "key 'seed': must be >= 0, got -1"),
+        (True, "key 'seed': expected an integer, got a boolean"),
+    ])
+    def test_seed_override_obeys_the_seed_rule(self, override, message):
+        with pytest.raises(ConfigError) as info:
+            scenario_from_mapping(_sweep_doc(), seed_override=override)
+        assert str(info.value) == message
+
+    def test_invalid_config_seed_survives_a_valid_override(self):
+        with pytest.raises(ConfigError, match=r"^key 'seed': must be >= 0, got -2$"):
+            scenario_from_mapping(_sweep_doc(seed=-2), seed_override=3)
+
     def test_q_grid_below_one(self):
         with pytest.raises(ConfigError, match="q_grid"):
             scenario_from_mapping(_sweep_doc(q_grid=[0.5]))
@@ -368,6 +381,15 @@ class TestCLI:
         rows_b = json.loads((tmp_path / "b" / "sweep.json").read_text())["rows"]
         assert rows_a != rows_b
 
+    @pytest.mark.parametrize("command", ["run", "verify-all"])
+    def test_invalid_seed_override_exit_two(self, tmp_path, capsys, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(_sweep_doc()))
+        argv = [command] + ([str(cfg)] if command == "run" else [])
+        assert main(argv + ["--out", str(tmp_path / "r"), "--seed", "-3"]) == 2
+        assert capsys.readouterr().err == "error: key 'seed': must be >= 0, got -3\n"
+        assert not (tmp_path / "r").exists()
+
     def test_jobs_guard(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(_sweep_doc()))
@@ -423,6 +445,38 @@ class TestHostileConfigs:
         cfg.write_text(json.dumps(doc))
         assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize("p", [204, 250])
+    def test_clarkson_gamma_underflow_flags_the_rows(self, tmp_path, capsys, p):
+        # gamma = (eps/8) K (eps/8)^(p-1) at eps 0.5: ||x||/gamma overflows at p = 204,
+        # gamma is 0.0 at p = 250; each case becomes one flagged row, and the report is written
+        doc = {"name": "fb", "kind": "fluctuation-vs-bound", "preset": "clarkson", "p": p,
+               "dims": [2], "horizon": 16, "eps_grid": [0.5], "cases": 2}
+        rows = run_scenario(scenario_from_mapping(doc)).rows
+        assert [row["case"] for row in rows] == [0, 1]
+        for row in rows:
+            assert not row["passed"] and row["note"].startswith("InvalidInputError: gamma = ")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", str(cfg), "--out", str(tmp_path)]) == 1
+        assert "underflows" in capsys.readouterr().out
+        assert (tmp_path / "fb.json").exists()
+
+    def test_clarkson_p_200_keeps_a_finite_bound(self):
+        doc = {"name": "fb", "kind": "fluctuation-vs-bound", "preset": "clarkson", "p": 200,
+               "dims": [2], "horizon": 16, "eps_grid": [0.5], "cases": 2}
+        rows = run_scenario(scenario_from_mapping(doc)).rows
+        assert all(row["passed"] and 10**300 < row["bound"] for row in rows)
+
+    def test_audit_exponent_past_float_range_exit_two(self, tmp_path, capsys):
+        # 2^p is not finite at p >= 1024: a config error before any case runs
+        doc = {"name": "cv", "kind": "convexity-audit",
+               "audits": [{"p": 1100, "K": 1e-300, "dim": 2, "trials": 10}]}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "p < 1024" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_integer_literal_past_digit_limit(self, tmp_path):

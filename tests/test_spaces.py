@@ -68,6 +68,40 @@ class TestVector:
         with pytest.raises(ValueError):
             v.components[0] = 9
 
+    # (components, p, norm_p bits): scenarios normalise their start vectors with norm_p,
+    # so every report rests on these bits
+    NORM_PINS = [
+        ([3, 4], 2.0, "0x1.4000000000000p+2"),
+        ([1, 1, 1], 3.0, "0x1.7137449123ef6p+0"),
+        ([1, -2, 2], 1.0, "0x1.4000000000000p+2"),
+        ([1, 1j], 2.0, "0x1.6a09e667f3bcdp+0"),
+        ([0, 0, 0], 2.5, "0x0.0p+0"),
+        ([5], 7.5, "0x1.4000000000000p+2"),
+        ([-2j], 1.0, "0x1.0000000000000p+1"),
+        ([1, 1], 1.5, "0x1.965fea53d6e3cp+0"),
+        ([0.1, 0.2, 0.3, 0.4], 4.0, "0x1.bc2bed01a4f15p-2"),
+        ([1 + 1j, 2 - 1j, -0.5j], 3.0, "0x1.357a46bc48196p+1"),
+        ([2.0**1000, 2.0**1000], 4.0, "0x1.306fe0a31b715p+1000"),
+        ([2.0**-1000, 3 * 2.0**-1000], 1.5, "0x1.afcf05702fc2cp-999"),
+        ([1e300, 1e-300, 1.0], 2.0, "0x1.7e43c8800759cp+996"),
+        ([1e-320, 2e-320], 3.0, "0x0.0000000001072p-1022"),
+        ([1.0, 2.0**-60], 2.0, "0x1.0000000000000p+0"),
+        ([0.7] * 5, 7.5, "0x1.bc2f63bdd12b2p-1"),
+        ([1e200j, -1e200, 1e199], 3.5, "0x1.97b5ae2fe9e2cp+664"),
+        ([0.25, 0.5, 1.0, 2.0], 12.0, "0x1.00015560e40e9p+1"),
+        (list(range(1, 11)), 1.0, "0x1.b800000000000p+5"),
+        ([1e-5 + 2e-5j, 3e-5], 100.0, "0x1.f75104d551d79p-16"),
+        # a root taken by numpy's array power ends in another last bit on these
+        ([3 + 3j, 2], 1.5, "0x1.47575e62d2f66p+2"),
+        ([1 + 4j, 5], 3.0, "0x1.73301506ff2f6p+2"),
+        ([2, 7], 4.0, "0x1.c0be97683ccf9p+2"),
+        ([1 + 1j, 3], 7.5, "0x1.802e7baf89448p+1"),
+    ]
+
+    @pytest.mark.parametrize("components, p, bits", NORM_PINS)
+    def test_norm_bits_pinned(self, components, p, bits):
+        assert norm_p(vector(components, p=p)).hex() == bits
+
     def test_extreme_scale_no_overflow(self):
         # peak scaling keeps |z|^p out of the overflow range
         big = vector([1e200, 1e200], p=4)
@@ -99,7 +133,8 @@ class TestBatchNorm:
 
     @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
     def test_extreme_rows_match_scalar_path(self, p):
-        # moduli from 2^-600 to 2^600: rows of one scale, and rows mixing tiny and huge
+        # moduli from 2^-600 to 2^600: rows of one scale, and rows mixing tiny and huge;
+        # then 400 rows of one scale 2^-700 or 2^700, outside the unscaled range at each p
         rng = np.random.default_rng(3)
         exps = rng.integers(-600, 601, size=(60, 3))
         phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (60, 3)))
@@ -107,11 +142,18 @@ class TestBatchNorm:
         pts[:20] = pts[:20, :1] * phases[:20]  # one scale per row
         pts[20:25] = np.exp2([[600, -600, 0], [-600, -600, -599], [600, 600, 599],
                               [250, -250, 0], [-300, 300, -300]]) * phases[20:25]
+        far = rng.uniform(0.5, 1.0, (400, 3)) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (400, 3)))
+        pts = np.vstack([pts, far * np.exp2(rng.choice([-700.0, 700.0], (400, 1)))])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rows = batch_norm_p(pts, p)
+        limit = 2.0 ** (1000.0 / p)
         for k in range(len(pts)):
-            assert rows[k] == pytest.approx(norm_p(vector(pts[k], p=p)), rel=1e-12, abs=0.0)
+            scalar = norm_p(vector(pts[k], p=p))
+            if 1.0 / limit <= rows[k] <= limit:  # summed unscaled: the last bits may differ
+                assert rows[k] == pytest.approx(scalar, rel=1e-12, abs=0.0)
+            else:  # the scaled path is norm_p's, bit for bit
+                assert rows[k] == scalar
 
 
 class TestDescriptor:
@@ -145,6 +187,13 @@ class TestDescriptor:
     def test_p_below_two_rejected(self):
         with pytest.raises(InvalidInputError):
             SpaceDescriptor(1.5, 0.1)
+
+    def test_p_where_two_to_the_p_overflows_rejected(self):
+        assert SpaceDescriptor(1023.5, 2.0**-1024).admissible  # 2^p is finite below 1024
+        with pytest.raises(InvalidInputError, match="p < 1024"):
+            SpaceDescriptor(1024.0, 1e-300)
+        with pytest.raises(InvalidInputError, match="modulus coefficient"):  # K is checked first
+            SpaceDescriptor(1100.0, 0.0)
 
 
 class TestClarkson:

@@ -171,12 +171,6 @@ class TestCountFluctuations:
         rep = count_fluctuations(traj, 1.0 / 3.0)
         assert rep.count == brute_force_fluctuations(list(traj.points[:, 0]), 1.0 / 3.0)
 
-    def test_vector_list_input(self):
-        pts = [vector([0.0, 0.0], p=1), vector([1.0, 1.0], p=1)]
-        assert count_fluctuations(pts, 1.5).count == 1
-        with pytest.raises(InvalidInputError):
-            count_fluctuations([vector([0.0], p=1), vector([0.0], p=2)], 1.0)
-
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0])
     @pytest.mark.parametrize("scale", [1e-120, 1e-170, 1e200])
     def test_extreme_scales_keep_the_fluctuation(self, p, scale):
@@ -330,7 +324,6 @@ class TestEmpiricalConvergenceRate:
     def test_frozen_examples(self):
         res = empirical_convergence_rate(np.array([1.0, 0.0, 0.0, 0.0]), 0.5)
         assert (res.found, res.n) == (True, 2)
-        assert res.window_limited
         res = empirical_convergence_rate(np.zeros(6), 0.1)
         assert (res.found, res.n) == (True, 1)
 
