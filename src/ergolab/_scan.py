@@ -35,16 +35,13 @@ _NEAR = 1.0 - 2.0**-48  # (sum |z|^p)^(1/p) rounds at most a few ulps below max 
 
 
 class PointsView:
-    """Shared precomputation over an (N, u) complex point array."""
+    """Shared precomputation over an (N, u) complex point array, checked by the caller."""
 
     def __init__(self, pts: np.ndarray, p: float):
-        pts = np.asarray(pts, dtype=np.complex128)
-        if pts.ndim != 2 or pts.shape[0] == 0:
-            raise InvalidInputError("points must form a nonempty (N, u) array")
         if pts.shape[1] > 1 and pts.strides[1] != pts.itemsize:
             pts = np.ascontiguousarray(pts)
         self.pts = pts
-        self.p = float(p)
+        self.p = p
         self.n = pts.shape[0]
         self.coords = pts.view(np.float64)  # (Re z_1, Im z_1, ..., Re z_u, Im z_u) per row
         self._cumdrift: np.ndarray | None = None
@@ -96,7 +93,7 @@ def first_violation(
     Returns (i_first, i_last, j): the smallest and largest admissible i for
     that j. Returns None when the whole segment [anchor, hi] is eps-tight.
     """
-    if eps <= 0.0:
+    if not eps > 0.0:  # NaN included
         raise InvalidInputError(f"separation threshold must be > 0, got {eps}")
     if not 0 <= anchor <= hi < view.n:
         raise InvalidInputError(f"segment [{anchor}, {hi}] outside [0, {view.n - 1}]")

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidInputError
 from .operators import Operator
-from .spaces import Vector, batch_norm_p
+from .spaces import Vector, _exponent, _frozen, batch_norm_p
 
 __all__ = ["AverageTrajectory", "ergodic_averages", "orbit", "rotation_average_closed_form"]
 
@@ -47,13 +47,8 @@ class AverageTrajectory:
     x: Vector
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.complex128)
-        if pts.ndim != 2 or pts.shape[0] == 0:
-            raise InvalidInputError("trajectory needs at least one point")
-        if _writable(pts):
-            pts = pts.copy()
-            pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", _frozen(self.points, "points", 2))
+        object.__setattr__(self, "p", _exponent(self.p))
 
     @property
     def horizon(self) -> int:
@@ -77,15 +72,6 @@ class AverageTrajectory:
         if not 1 <= m <= self.horizon:
             raise InvalidInputError(f"prefix length {m} outside [1, {self.horizon}]")
         return AverageTrajectory(self.points[:m], self.p, self.operator, self.x)
-
-
-def _writable(arr: np.ndarray) -> bool:
-    """True when arr, or an array or buffer it views, can still be written."""
-    while isinstance(arr, np.ndarray):
-        if arr.flags.writeable:
-            return True
-        arr = arr.base
-    return arr is not None
 
 
 def orbit(op: Operator, x: Vector, n: int) -> np.ndarray:
@@ -118,7 +104,7 @@ def ergodic_averages(op: Operator, x: Vector, n: int) -> AverageTrajectory:
     """All averages A_1 x .. A_n x in one blocked running-sum pass over the orbit."""
     sums = orbit(op, x, n)
     _running_averages(sums)
-    sums.flags.writeable = False  # handed over, not copied
+    sums.flags.writeable = False  # handed over, checked but not copied
     return AverageTrajectory(sums, x.p, op, x)
 
 

@@ -93,7 +93,7 @@ def window_fluctuation_bound(norm_x: float, eps: float, alpha: float) -> int:
     """
     if not (0.0 < eps < 2.0 * norm_x):
         raise PreconditionError(f"need 0 < eps < 2*||x||, got eps={eps}, ||x||={norm_x}")
-    if alpha < 1.0:
+    if not (math.isfinite(alpha) and alpha >= 1.0):
         raise InvalidInputError(f"need alpha >= 1, got {alpha}")
     return floor12(4.0 * math.log(alpha) * norm_x / eps)
 
@@ -229,6 +229,8 @@ def earliest_stable_start(traj: AverageTrajectory, gamma: float, u: int) -> int:
     """
     if not 1 <= u <= traj.horizon:
         raise InvalidInputError(f"need 1 <= u <= horizon, got u={u}")
+    if not (math.isfinite(gamma) and gamma >= 0.0):
+        raise InvalidInputError(f"need gamma >= 0, got {gamma}")
     norms = traj.norms()[:u]
     floor_level = float(norms.min()) + gamma
     hits = np.flatnonzero(norms <= floor_level)

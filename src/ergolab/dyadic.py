@@ -15,7 +15,6 @@ in-band increments), returning the observed ratio against lpb_norm(f)^p.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,7 +23,7 @@ import numpy as np
 from .errors import DimensionMismatchError, InvalidInputError, PreconditionError
 from .operators import Operator
 from .averages import orbit
-from .spaces import Vector, norm_p
+from .spaces import Vector, _exponent, _frozen, norm_p
 from .variation import IndexSequence
 
 __all__ = [
@@ -49,21 +48,9 @@ class SeqFunction:
     p: float
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.complex128)
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        if vals.ndim != 2 or vals.shape[0] == 0 or vals.shape[1] == 0:
-            raise InvalidInputError("values must form a nonempty (len, d) array")
-        if not np.all(np.isfinite(vals.view(np.float64))):
-            raise InvalidInputError("values must be finite")
-        p = float(self.p)
-        if not (math.isfinite(p) and p >= 1.0):
-            raise InvalidInputError(f"exponent must satisfy p >= 1, got {self.p}")
-        vals = vals.copy()
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _frozen(self.values, "values", 2))
         object.__setattr__(self, "lo", int(self.lo))
-        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "p", _exponent(self.p))
 
     @property
     def hi(self) -> int:

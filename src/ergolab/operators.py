@@ -28,7 +28,7 @@ from typing import Protocol
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidInputError
-from .spaces import Vector, _unit_sphere_sample, batch_norm_p
+from .spaces import Vector, _frozen, _unit_sphere_sample, batch_norm_p
 
 __all__ = [
     "PowerBoundCertificate",
@@ -92,12 +92,7 @@ class RotationProduct(_Isometry):
     certificate: PowerBoundCertificate = _ISOMETRY_CERT
 
     def __post_init__(self):
-        arr = np.asarray(self.angles, dtype=np.float64)
-        if arr.ndim != 1 or arr.size == 0 or not np.all(np.isfinite(arr)):
-            raise InvalidInputError("angles must be a nonempty finite 1-D array")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "angles", arr)
+        object.__setattr__(self, "angles", _frozen(self.angles, "angles", 1, np.float64))
 
     @property
     def dim(self) -> int:
@@ -143,13 +138,9 @@ class DenseMatrix:
     certificate: PowerBoundCertificate | None = None
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0 or m.shape[0] % 2:
+        m = _frozen(self.matrix, "matrix", 2, np.float64)
+        if m.shape[0] != m.shape[1] or m.shape[0] % 2:
             raise InvalidInputError("matrix must be square with even size 2u")
-        if not np.all(np.isfinite(m)):
-            raise InvalidInputError("matrix entries must be finite")
-        m = m.copy()
-        m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
     @property

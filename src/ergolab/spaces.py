@@ -10,7 +10,7 @@ claim by sampling, and `clarkson_modulus` supplies the classical valid choice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,15 +30,37 @@ __all__ = [
 ]
 
 
-def _validated_components(components) -> np.ndarray:
-    arr = np.asarray(components, dtype=np.complex128)
-    if arr.ndim != 1 or arr.size == 0:
-        raise InvalidInputError("components must be a nonempty 1-D array")
-    if not np.all(np.isfinite(arr.view(np.float64))):
-        raise InvalidInputError("components must be finite")
-    arr = arr.copy()
+def _checked(values, name: str, rank: int, dtype=np.complex128) -> np.ndarray:
+    """values as a nonempty, finite array of the given rank, not copied; a 1-D
+    input becomes a column when the rank is 2. The package's one array gate."""
+    arr = np.asarray(values, dtype=dtype)
+    if rank == 2 and arr.ndim == 1:
+        arr = arr[:, None]
+    if arr.ndim != rank or arr.size == 0:
+        raise InvalidInputError(f"{name} must be a nonempty {rank}-D array")
+    if not np.isfinite(arr).all():
+        raise InvalidInputError(f"{name} must be finite")
+    return arr
+
+
+def _frozen(values, name: str, rank: int, dtype=np.complex128) -> np.ndarray:
+    """`_checked`, then read-only and C-contiguous: copied unless it is contiguous
+    and it and every array it views are read-only, so nothing can write it later."""
+    arr = base = _checked(values, name, rank, dtype)
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    if base is not None or not arr.flags.c_contiguous:
+        arr = arr.copy()
     arr.flags.writeable = False
     return arr
+
+
+def _exponent(p) -> float:
+    """A norm exponent: finite and >= 1."""
+    out = float(p)
+    if not (math.isfinite(out) and out >= 1.0):
+        raise InvalidInputError(f"norm exponent must satisfy p >= 1, got {p}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -49,11 +71,8 @@ class Vector:
     p: float
 
     def __post_init__(self):
-        object.__setattr__(self, "components", _validated_components(self.components))
-        p = float(self.p)
-        if not (math.isfinite(p) and p >= 1.0):
-            raise InvalidInputError(f"norm exponent must satisfy p >= 1, got {self.p}")
-        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "components", _frozen(self.components, "components", 1))
+        object.__setattr__(self, "p", _exponent(self.p))
 
     @property
     def dim(self) -> int:
@@ -89,7 +108,7 @@ class Vector:
 
 def vector(components, p: float) -> Vector:
     """Convenience constructor accepting any array-like of numbers."""
-    return Vector(np.asarray(components, dtype=np.complex128), p)
+    return Vector(components, p)
 
 
 def norm_p(v: Vector) -> float:
@@ -120,13 +139,15 @@ def batch_norm_p(points: np.ndarray, p: float) -> np.ndarray:
 
 
 def _scaled_norms(moduli: np.ndarray, p: float) -> np.ndarray:
-    """Row-wise p-norm of nonnegative moduli, scaled by each row's peak (a zero
-    row's peak is 1, so it sums to 0). Each root is a scalar pow: numpy's array
-    power rounds some last bits differently."""
+    """Row-wise p-norm of nonnegative moduli, scaled by each row's peak. A zero
+    row's peak is 1 and its sum 0, which is its root; other rows sum to >= 1. Each
+    root is a scalar pow: numpy's array power rounds some last bits differently."""
     peak = moduli.max(axis=1)
     peak[peak == 0.0] = 1.0
     sums = np.sum((moduli / peak[:, None]) ** p, axis=1)
-    return peak * np.array([s ** (1.0 / p) for s in sums.tolist()])
+    live = sums > 0.0
+    sums[live] = [s ** (1.0 / p) for s in sums[live].tolist()]
+    return peak * sums
 
 
 @dataclass(frozen=True)

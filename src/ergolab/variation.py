@@ -15,7 +15,7 @@ Conventions fixed here once:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -23,7 +23,7 @@ import numpy as np
 from ._scan import PointsView, first_violation, greedy_chain
 from .averages import AverageTrajectory
 from .errors import CountOverflowError, HorizonExhaustedError, InvalidInputError
-from .spaces import batch_norm_p
+from .spaces import _checked, _exponent, batch_norm_p
 
 __all__ = [
     "IndexSequence",
@@ -138,10 +138,7 @@ def _points_view(points: PointsLike, p_norm: float | None = None) -> PointsView:
         if p_norm is not None and p_norm != points.p:
             raise InvalidInputError(f"p_norm {p_norm} conflicts with trajectory exponent {points.p}")
         return PointsView(points.points, points.p)
-    arr = np.asarray(points, dtype=np.complex128)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    return PointsView(arr, 2.0 if p_norm is None else float(p_norm))
+    return PointsView(_checked(points, "points", 2), 2.0 if p_norm is None else _exponent(p_norm))
 
 
 def p_variation_along(points: PointsLike, ts: IndexSequence, q: float, *,
@@ -270,8 +267,6 @@ def empirical_convergence_rate(points: PointsLike, eps: float, *,
     """
     view = _points_view(points, p_norm)
     n = view.n
-    if n == 1:
-        return ConvergenceRateResult(True, 1, n)
     reversed_view = PointsView(view.pts[::-1], view.p)
     hit = first_violation(reversed_view, eps, 0, n - 1)
     if hit is None:

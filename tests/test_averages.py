@@ -11,6 +11,7 @@ from ergolab import (
     CyclicShift,
     DenseMatrix,
     DimensionMismatchError,
+    InvalidInputError,
     RotationProduct,
     apply_power,
     ergodic_averages,
@@ -73,6 +74,12 @@ def test_trajectory_accessors():
     short = traj.truncated(3)
     assert short.horizon == 3
     assert np.allclose(short.points, traj.points[:3])
+
+
+def test_overflowing_dense_orbit_is_rejected():
+    # 2^1024 overflows: the orbit and its averages hold inf and NaN from about row 1,024
+    with np.errstate(all="ignore"), pytest.raises(InvalidInputError, match="points must be finite"):
+        ergodic_averages(DenseMatrix(2.0 * np.eye(2)), vector([1], p=2), 1100)
 
 
 def test_trajectory_copies_arrays_the_caller_can_write():

@@ -112,6 +112,9 @@ class TestWindowFluctuationBound:
             window_fluctuation_bound(1.0, 0.0, 2.0)
         with pytest.raises(InvalidInputError):
             window_fluctuation_bound(1.0, 0.5, 0.99)
+        for alpha in (math.nan, math.inf):  # once a ValueError and an OverflowError
+            with pytest.raises(InvalidInputError, match="need alpha >= 1"):
+                window_fluctuation_bound(1.0, 0.5, alpha)
 
     def test_monotone_in_alpha(self):
         vals = [window_fluctuation_bound(1.0, 0.5, a) for a in (1.0, 2.0, 4.0, 16.0)]
@@ -345,3 +348,6 @@ class TestEarliestStableStart:
             earliest_stable_start(traj, 0.1, 0)
         with pytest.raises(InvalidInputError):
             earliest_stable_start(traj, 0.1, 17)
+        for gamma in (math.nan, math.inf, -0.1):  # NaN and -0.1 once raised IndexError
+            with pytest.raises(InvalidInputError, match="need gamma >= 0"):
+                earliest_stable_start(traj, gamma, 16)

@@ -66,6 +66,8 @@ class TestDyadicIntervalFluctuation:
         traj = ergodic_averages(built.operator, built.x, 8)
         with pytest.raises(InvalidInputError):
             fluctuation_in_dyadic_interval(traj, 0.25, 0)
+        with pytest.raises(InvalidInputError, match="separation threshold"):
+            fluctuation_in_dyadic_interval(traj, math.nan, 3)
         with pytest.raises(HorizonExhaustedError) as info:
             fluctuation_in_dyadic_interval(traj, 0.25, 4)  # [8, 16] > horizon 8
         assert info.value.checked_up_to == 8

@@ -1,21 +1,36 @@
 """Vector arithmetic, p-norms, descriptors, and the convexity audit."""
 
 import math
+import pathlib
 import warnings
 
 import numpy as np
 import pytest
 
+import ergolab
 from ergolab import (
+    AverageTrajectory,
+    CyclicShift,
+    DenseMatrix,
+    IndexSequence,
     InvalidInputError,
+    MetastabilityQuery,
+    RotationProduct,
+    SeqFunction,
     SpaceDescriptor,
     Vector,
     batch_norm_p,
     check_uniform_convexity,
     clarkson_lower_bound,
     clarkson_modulus,
+    count_fluctuations,
     descriptor_preset,
+    empirical_convergence_rate,
+    g_successor,
+    max_p_variation,
+    metastability_rate,
     norm_p,
+    p_variation_along,
     vector,
 )
 
@@ -123,6 +138,17 @@ class TestBatchNorm:
         out = batch_norm_p(np.zeros((3, 2), dtype=complex), 3.0)
         assert np.all(out == 0.0)
 
+    @pytest.mark.parametrize("p", [1.5, 3.0, 7.5])
+    def test_zero_rows_leave_scaled_rows_alone(self, p):
+        # zero rows skip the root; interleaved with rows of the scaled path they change no bit
+        rng = np.random.default_rng(5)
+        pts = rng.uniform(0.5, 1.0, (40, 3)) * np.exp2(rng.choice([-1060.0, -700.0, 700.0], (40, 1)))
+        mixed = np.zeros((80, 3), dtype=complex)
+        mixed[::2] = pts
+        out = batch_norm_p(mixed, p)
+        assert np.all(out[1::2] == 0.0)
+        assert np.array_equal(out[::2], batch_norm_p(pts.astype(complex), p))
+
     def test_extreme_scale_rows(self):
         # the unscaled p = 2 path must neither overflow nor underflow
         pts = np.array([[1e200, 1e200], [1e-200, 1e-200], [3.0, 4.0], [0.0, 0.0]], dtype=complex)
@@ -154,6 +180,60 @@ class TestBatchNorm:
                 assert rows[k] == pytest.approx(scalar, rel=1e-12, abs=0.0)
             else:  # the scaled path is norm_p's, bit for bit
                 assert rows[k] == scalar
+
+
+# Every way a point array or a norm exponent enters the package: (name, build(values, p)), with
+# p None where the way in takes no exponent. values is a finite (4, 2) array; each way takes what
+# it needs of it, its [0, 0] entry included.
+WAYS_IN = [
+    ("Vector", lambda a, p: Vector(a[0], p)),
+    ("SeqFunction", lambda a, p: SeqFunction(0, a, p)),
+    ("AverageTrajectory", lambda a, p: AverageTrajectory(a, p, CyclicShift(2), vector([1, 0], p=2))),
+    ("RotationProduct", lambda a, p: RotationProduct(a[0].real)),
+    ("DenseMatrix", lambda a, p: DenseMatrix(a[:2].real)),
+    ("p_variation_along", lambda a, p: p_variation_along(a, IndexSequence((1, 3)), 2.0, p_norm=p)),
+    ("max_p_variation", lambda a, p: max_p_variation(a, 2.0, p_norm=p)),
+    ("count_fluctuations", lambda a, p: count_fluctuations(a, 0.5, p_norm=p)),
+    ("metastability_rate",
+     lambda a, p: metastability_rate(a, MetastabilityQuery(0.5, g_successor), p_norm=p)),
+    ("empirical_convergence_rate", lambda a, p: empirical_convergence_rate(a, 0.5, p_norm=p)),
+]
+_NO_EXPONENT = {"RotationProduct", "DenseMatrix"}
+
+
+class TestInputGate:
+    GOOD = np.array([[0.0, 1.0], [0.5, 0.25], [1.0, 0.0], [1.0, 0.25]], dtype=complex)
+
+    @pytest.mark.parametrize("name, build", WAYS_IN, ids=[w[0] for w in WAYS_IN])
+    def test_non_finite_entries_and_bad_exponents_are_rejected(self, name, build):
+        build(self.GOOD, 2.0)
+        for bad in (math.nan, math.inf, -math.inf):
+            values = self.GOOD.copy()
+            values[0, 0] = bad
+            with pytest.raises(InvalidInputError, match="must be finite"):
+                build(values, 2.0)
+        if name in _NO_EXPONENT:
+            return
+        for p in (0.5, 0.0, math.nan):
+            with pytest.raises(InvalidInputError):
+                build(self.GOOD, p)
+
+    def test_only_spaces_checks_and_freezes_arrays(self):
+        # ergodic_averages marks the sum it built read-only and hands it over to the gate
+        src = pathlib.Path(ergolab.__file__).parent
+        hits = [(path.name, line.split("#")[0].strip()) for path in sorted(src.glob("*.py"))
+                for line in path.read_text().splitlines()
+                if "np.isfinite(" in line or "flags.writeable = False" in line]
+        assert [hit for hit in hits if hit[0] != "spaces.py"] == [
+            ("averages.py", "sums.flags.writeable = False")]
+
+    def test_freeze_shares_read_only_contiguous_arrays_only(self):
+        owned = np.arange(4, dtype=complex)
+        owned.flags.writeable = False
+        assert np.shares_memory(Vector(owned, 2.0).components, owned)
+        strided = Vector(owned[::2], 2.0).components  # operators view components as floats
+        assert strided.flags.c_contiguous and not np.shares_memory(strided, owned)
+        assert not Vector(np.arange(4.0), 2.0).components.flags.writeable
 
 
 class TestDescriptor:

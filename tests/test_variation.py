@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from ergolab import (
+    ConvergenceRateResult,
     CountOverflowError,
     HorizonExhaustedError,
     IndexSequence,
@@ -138,6 +139,16 @@ class TestCountFluctuations:
             count_fluctuations(np.zeros(3), 0.0)
         with pytest.raises(InvalidInputError):
             count_fluctuations(np.zeros(3), -1.0)
+
+    def test_nan_epsilon_rejected(self):
+        # NaN <= 0 is false: a NaN eps once counted 0 fluctuations and rated n = 1
+        pts = np.array([0.0, 1.0, 0.0])
+        for scan in (count_fluctuations, empirical_convergence_rate):
+            with pytest.raises(InvalidInputError, match="separation threshold must be > 0, got nan"):
+                scan(pts, math.nan)
+        with pytest.raises(InvalidInputError, match="separation threshold"):
+            empirical_convergence_rate([0.0], math.nan)  # one point: the scan still checks eps
+        assert empirical_convergence_rate([0.0], 0.5) == ConvergenceRateResult(True, 1, 1)
 
     def test_matches_brute_force_randomized(self):
         rng = np.random.default_rng(16)
