@@ -145,6 +145,8 @@ def greedy_chain(view: PointsView, eps: float, anchor: int, hi: int):
     Each pair closes at the earliest admissible j with the smallest
     admissible i, and the next pair is searched from j on.
     """
+    if not eps > 0.0:  # first_violation's rule, also for a segment too short to scan
+        raise InvalidInputError(f"separation threshold must be > 0, got {eps}")
     while anchor < hi:
         hit = first_violation(view, eps, anchor, hi)
         if hit is None:

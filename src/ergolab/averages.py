@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidInputError
 from .operators import Operator
-from .spaces import Vector, _exponent, _frozen, batch_norm_p
+from .spaces import Vector, _exponent, _frozen, _integer, batch_norm_p
 
 __all__ = ["AverageTrajectory", "ergodic_averages", "orbit", "rotation_average_closed_form"]
 
@@ -59,9 +59,7 @@ class AverageTrajectory:
 
     def point(self, n: int) -> Vector:
         """A_n x, 1-based."""
-        if not 1 <= n <= self.horizon:
-            raise InvalidInputError(f"index {n} outside [1, {self.horizon}]")
-        return Vector(self.points[n - 1], self.p)
+        return Vector(self.points[_integer(n, "index", 1, self.horizon) - 1], self.p)
 
     def norms(self) -> np.ndarray:
         """||A_n x|| for n = 1..N."""
@@ -69,16 +67,13 @@ class AverageTrajectory:
 
     def truncated(self, m: int) -> "AverageTrajectory":
         """The prefix trajectory A_1 x .. A_m x."""
-        if not 1 <= m <= self.horizon:
-            raise InvalidInputError(f"prefix length {m} outside [1, {self.horizon}]")
+        m = _integer(m, "prefix length", 1, self.horizon)
         return AverageTrajectory(self.points[:m], self.p, self.operator, self.x)
 
 
 def orbit(op: Operator, x: Vector, n: int) -> np.ndarray:
     """The rows x, Tx, ..., T^(n-1) x. Closed forms for rotation and shift."""
-    n = int(n)
-    if n < 1:
-        raise InvalidInputError(f"horizon must be >= 1, got {n}")
+    n = _integer(n, "horizon", 1)
     if x.dim != op.dim:
         raise DimensionMismatchError(f"operator dimension {op.dim} != vector dimension {x.dim}")
     return op.orbit(x.components, n)
@@ -117,9 +112,7 @@ def rotation_average_closed_form(theta: float, n: int) -> complex:
     sin(n*theta/2) / (n*sin(theta/2)) * e^(i*(n-1)*theta/2), which keeps the
     O(theta^2) part of e^(i*theta) - 1 from cancelling at tiny angles.
     """
-    n = int(n)
-    if n < 1:
-        raise InvalidInputError(f"average length must be >= 1, got {n}")
+    n = _integer(n, "average length", 1)
     if not math.isfinite(theta):
         raise InvalidInputError(f"angle must be finite, got {theta}")
     if math.remainder(theta, math.tau) == 0.0:

@@ -17,7 +17,7 @@ import numpy as np
 from ._scan import _CHUNK, _CHUNK_FLOATS, PointsView, box_reach, greedy_chain
 from .averages import AverageTrajectory
 from .errors import HorizonExhaustedError, InvalidInputError, PreconditionError
-from .spaces import SpaceDescriptor, batch_norm_p
+from .spaces import SpaceDescriptor, _integer, batch_norm_p
 
 __all__ = [
     "StabilityParameters",
@@ -194,10 +194,8 @@ def stability_window_check(
     indices in [M*n_start, floor(u/2)] are eps-separated. The violation list
     is expected empty; at most 16 pairs are collected before truncating.
     """
-    if n_start < 1:
-        raise InvalidInputError(f"need n_start >= 1, got {n_start}")
-    if u < n_start:
-        raise InvalidInputError(f"need u >= n_start, got u={u}, n_start={n_start}")
+    n_start = _integer(n_start, "n_start", 1)
+    u = _integer(u, "u", n_start)
     if u > traj.horizon:
         raise HorizonExhaustedError(
             f"hypothesis range [1, {u}] exceeds horizon {traj.horizon}",
@@ -227,8 +225,7 @@ def earliest_stable_start(traj: AverageTrajectory, gamma: float, u: int) -> int:
     This is the first index whose norm is within gamma of the running-window
     minimum, i.e. the natural n_start for `stability_window_check`.
     """
-    if not 1 <= u <= traj.horizon:
-        raise InvalidInputError(f"need 1 <= u <= horizon, got u={u}")
+    u = _integer(u, "u", 1, traj.horizon)
     if not (math.isfinite(gamma) and gamma >= 0.0):
         raise InvalidInputError(f"need gamma >= 0, got {gamma}")
     norms = traj.norms()[:u]

@@ -26,7 +26,7 @@ from ._scan import PointsView, first_violation
 from .averages import AverageTrajectory, ergodic_averages
 from .errors import HorizonExhaustedError, InvalidInputError
 from .operators import CyclicShift, RotationProduct
-from .spaces import Vector
+from .spaces import Vector, _integer
 from .variation import MetastabilityQuery, count_fluctuations, g_next_power_of_two, metastability_rate
 
 __all__ = [
@@ -59,8 +59,7 @@ def build_rotation_counterexample(p: float, u: int) -> RotationCounterexample:
     """
     if p < 2.0:
         raise InvalidInputError(f"need p >= 2, got {p}")
-    if u < 1:
-        raise InvalidInputError(f"need u >= 1, got {u}")
+    u = _integer(u, "u", 1)
     angles = math.pi / np.exp2(np.arange(u, dtype=np.float64))
     scale = u ** (-1.0 / p)
     x = Vector(np.full(u, scale, dtype=np.complex128), p=p)
@@ -75,8 +74,7 @@ def build_cyclic_shift_counterexample(u: int) -> tuple[CyclicShift, Vector]:
     (for 2^k <= u), so consecutive power-of-two averages differ by exactly
     1 in the 1-norm.
     """
-    if u < 1:
-        raise InvalidInputError(f"need u >= 1, got {u}")
+    u = _integer(u, "u", 1)
     e1 = np.zeros(u, dtype=np.complex128)
     e1[0] = 1.0
     return CyclicShift(u), Vector(e1, p=1.0)
@@ -84,8 +82,7 @@ def build_cyclic_shift_counterexample(u: int) -> tuple[CyclicShift, Vector]:
 
 def fluctuation_in_dyadic_interval(traj: AverageTrajectory, eps: float, k: int) -> bool:
     """True when some pair of indices in [2^(k-1), 2^k] is eps-separated."""
-    if k < 1:
-        raise InvalidInputError(f"need k >= 1, got {k}")
+    k = _integer(k, "k", 1)
     lo, hi = 2 ** (k - 1), 2**k
     if hi > traj.horizon:
         raise HorizonExhaustedError(
@@ -118,11 +115,9 @@ def verify_metastability_lower_bound(p: int, horizon: int | None = None) -> Lowe
     verified lower bound (every smaller n was checked and failed) is
     reported with rate_exhausted=True; it exceeds 2^p for every p >= 2.
     """
-    if p < 2:
-        raise InvalidInputError(f"need integer p >= 2, got {p}")
+    p = _integer(p, "p", 2)
     u = 2**p
-    if horizon is None:
-        horizon = 2**u
+    horizon = _integer(2**u if horizon is None else horizon, "horizon", 1)
     built = build_rotation_counterexample(float(p), u)
     eps = 0.25  # = 1/(2 u^(1/p)) exactly, since u^(1/p) = 2
     traj = ergodic_averages(built.operator, built.x, horizon)

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DimensionMismatchError, InvalidInputError, PreconditionError
 from .operators import Operator
 from .averages import orbit
-from .spaces import Vector, _exponent, _frozen, norm_p
+from .spaces import Vector, _exponent, _frozen, _integer, _integers, norm_p
 from .variation import IndexSequence
 
 __all__ = [
@@ -49,7 +49,7 @@ class SeqFunction:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _frozen(self.values, "values", 2))
-        object.__setattr__(self, "lo", int(self.lo))
+        object.__setattr__(self, "lo", _integer(self.lo, "lo"))
         object.__setattr__(self, "p", _exponent(self.p))
 
     @property
@@ -62,6 +62,7 @@ class SeqFunction:
 
     def at(self, x: int) -> Vector:
         """f(x), the implicit zero outside the window included."""
+        x = _integer(x, "x")
         if self.lo <= x < self.hi:
             return Vector(self.values[x - self.lo], self.p)
         return Vector(np.zeros(self.dim, dtype=np.complex128), self.p)
@@ -104,9 +105,7 @@ def lpb_norm(f: SeqFunction) -> float:
 def conditional_expectation(f: SeqFunction, level: int) -> SeqFunction:
     """Block averages of f over the blocks of length 2^level (level >= 0), window
     widened to block boundaries (partially covered blocks average in the implicit zeros)."""
-    if level < 0:
-        raise InvalidInputError(f"level must be >= 0, got {level}")
-    b = 1 << int(level)
+    b = 1 << _integer(level, "level", 0)
     if b == 1:
         return SeqFunction(f.lo, f.values, f.p)
     lo = (f.lo // b) * b
@@ -120,12 +119,9 @@ def conditional_expectation(f: SeqFunction, level: int) -> SeqFunction:
 def martingale_differences(f: SeqFunction, n_max: int) -> list[SeqFunction]:
     """[d_1 f, ..., d_n_max f] with d_1 f = f - E_1 f and
     d_n f = E_(n-1) f - E_n f; they telescope to f - E_n_max f."""
-    n_max = int(n_max)
-    if n_max < 1:
-        raise InvalidInputError(f"need n_max >= 1, got {n_max}")
     out = []
     prev = f
-    for n in range(1, n_max + 1):
+    for n in range(1, _integer(n_max, "n_max", 1) + 1):
         cur = conditional_expectation(f, n)
         out.append(prev - cur)
         prev = cur
@@ -134,9 +130,7 @@ def martingale_differences(f: SeqFunction, n_max: int) -> list[SeqFunction]:
 
 def shift_average_at(f: SeqFunction, n: int) -> SeqFunction:
     """(A_n f)(x) = (1/n) * sum_(i<n) f(x+i), windowed sums via one prefix pass."""
-    n = int(n)
-    if n < 1:
-        raise InvalidInputError(f"average length must be >= 1, got {n}")
+    n = _integer(n, "average length", 1)
     if n == 1:
         return SeqFunction(f.lo, f.values, f.p)
     length = f.hi - f.lo
@@ -152,7 +146,7 @@ def shift_average_at(f: SeqFunction, n: int) -> SeqFunction:
 
 def seq_shift(f: SeqFunction, steps: int = 1) -> SeqFunction:
     """(T^k f)(x) = f(x + k): the window slides left, values unchanged."""
-    return SeqFunction(f.lo - int(steps), f.values, f.p)
+    return SeqFunction(f.lo - _integer(steps, "steps"), f.values, f.p)
 
 
 def transfer_embed(op: Operator, x: Vector, n: int) -> SeqFunction:
@@ -200,8 +194,8 @@ def verify_decomposition_inequalities(
     if which == "martingale":
         if levels is None:
             raise InvalidInputError("'martingale' needs `levels`")
-        lvls = [int(v) for v in levels]
-        if len(lvls) < 2 or lvls[0] < 0 or any(b <= a for a, b in zip(lvls, lvls[1:])):
+        lvls = _integers(levels, "level", 0)
+        if len(lvls) < 2 or any(b <= a for a, b in zip(lvls, lvls[1:])):
             raise InvalidInputError("levels must be >= 0, strictly increasing, length >= 2")
         exps = [conditional_expectation(f, n) for n in lvls]
         terms = [lpb_norm(b - a) ** f.p for a, b in zip(exps, exps[1:])]
@@ -210,16 +204,13 @@ def verify_decomposition_inequalities(
     if which == "average_vs_expectation":
         if ts is None:
             raise InvalidInputError("'average_vs_expectation' needs `ts`")
-        seq = IndexSequence(ts)
-        for k, t in enumerate(seq, start=1):
+        terms = []
+        for k, t in enumerate(IndexSequence(ts), start=1):
             if not (1 << (k - 1)) <= t < (1 << k):
                 raise PreconditionError(
                     f"t_{k} = {t} outside its dyadic band [{1 << (k - 1)}, {1 << k})"
                 )
-        terms = [
-            lpb_norm(shift_average_at(f, t) - conditional_expectation(f, k)) ** f.p
-            for k, t in enumerate(seq, start=1)
-        ]
+            terms.append(lpb_norm(shift_average_at(f, t) - conditional_expectation(f, k)) ** f.p)
         return _ratio_report(which, terms, f)
 
     if which == "short_increments":

@@ -28,7 +28,7 @@ from typing import Protocol
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidInputError
-from .spaces import Vector, _frozen, _unit_sphere_sample, batch_norm_p
+from .spaces import Vector, _frozen, _integer, _unit_sphere_sample, batch_norm_p
 
 __all__ = [
     "PowerBoundCertificate",
@@ -113,9 +113,7 @@ class CyclicShift(_Isometry):
     certificate: PowerBoundCertificate = _ISOMETRY_CERT
 
     def __post_init__(self):
-        if int(self.dim) < 1:
-            raise InvalidInputError(f"dimension must be >= 1, got {self.dim}")
-        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "dim", _integer(self.dim, "dimension", 1))
 
     def power(self, z: np.ndarray, n: int) -> np.ndarray:
         return np.roll(z, n % self.dim)
@@ -172,12 +170,6 @@ class DenseMatrix:
         return out
 
     def estimate_power_bounds(self, n_max, trials, seed, p) -> PowerBoundCertificate:
-        n_max = int(n_max)
-        if n_max < 1:
-            raise InvalidInputError(f"need n_max >= 1, got {n_max}")
-        if trials < 1:
-            raise InvalidInputError(f"need trials >= 1, got {trials}")
-
         rng = np.random.default_rng(seed)
         coords = _unit_sphere_sample(rng, trials, self.dim, p).view(np.float64)
 
@@ -199,9 +191,7 @@ def apply(op: Operator, v: Vector) -> Vector:
 
 def apply_power(op: Operator, n: int, v: Vector) -> Vector:
     """T^n applied to v; closed form where the kind admits one."""
-    n = int(n)
-    if n < 0:
-        raise InvalidInputError(f"power must be >= 0, got {n}")
+    n = _integer(n, "power", 0)
     if v.dim != op.dim:
         raise DimensionMismatchError(f"operator dimension {op.dim} != vector dimension {v.dim}")
     return Vector(op.power(v.components, n), v.p)
@@ -220,4 +210,4 @@ def estimate_power_bounds(
     certificate without sampling. The result is a measurement, not a proof:
     it is never attached to the operator automatically.
     """
-    return op.estimate_power_bounds(n_max, trials, seed, p)
+    return op.estimate_power_bounds(_integer(n_max, "n_max", 1), _integer(trials, "trials", 1), seed, p)

@@ -10,6 +10,8 @@ claim by sampling, and `clarkson_modulus` supplies the classical valid choice.
 from __future__ import annotations
 
 import math
+import operator
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +35,10 @@ __all__ = [
 def _checked(values, name: str, rank: int, dtype=np.complex128) -> np.ndarray:
     """values as a nonempty, finite array of the given rank, not copied; a 1-D
     input becomes a column when the rank is 2. The package's one array gate."""
-    arr = np.asarray(values, dtype=dtype)
+    try:
+        arr = np.asarray(values, dtype=dtype)
+    except (TypeError, ValueError, OverflowError):  # text, ragged rows, ints past the float range
+        raise InvalidInputError(f"{name} must be an array of finite numbers") from None
     if rank == 2 and arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim != rank or arr.size == 0:
@@ -55,12 +60,38 @@ def _frozen(values, name: str, rank: int, dtype=np.complex128) -> np.ndarray:
     return arr
 
 
-def _exponent(p) -> float:
-    """A norm exponent: finite and >= 1."""
-    out = float(p)
+def _exponent(p, name: str = "norm exponent", symbol: str = "p") -> float:
+    """An exponent: a finite real number >= 1, neither a boolean nor text."""
+    out = math.nan if isinstance(p, (bool, np.bool_, str, bytes)) else float(p)
     if not (math.isfinite(out) and out >= 1.0):
-        raise InvalidInputError(f"norm exponent must satisfy p >= 1, got {p}")
+        raise InvalidInputError(f"{name} must satisfy {symbol} >= 1, got {p}")
     return out
+
+
+def _integer(value, name: str, lo: int | None = None, hi: int | None = None) -> int:
+    """value as a Python int in [lo, hi], an end None when open: whatever
+    `operator.index` takes except a boolean. The package's one integer gate."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        out = operator.index(value)
+    except TypeError:
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None
+    if lo is not None and out < lo or hi is not None and out > hi:
+        raise InvalidInputError(f"{name} must be >= {lo}, got {out}" if hi is None
+                                else f"{name} {out} outside [{lo}, {hi}]")
+    return out
+
+
+def _integers(values, name: str, lo: int | None = None) -> tuple[int, ...]:
+    """`_integer` of each entry in C-level passes; entry by entry only to name a bad one."""
+    values = tuple(values)
+    if bool not in map(type, values):
+        with suppress(TypeError):
+            out = tuple(map(operator.index, values))
+            if lo is None or not out or min(out) >= lo:
+                return out
+    return tuple(_integer(v, name, lo) for v in values)
 
 
 @dataclass(frozen=True)
@@ -260,10 +291,7 @@ def check_uniform_convexity(
     Pairs with eps = 0 or eps > 2 (impossible in the ball, barring rounding)
     are skipped as vacuous.
     """
-    if dim < 1:
-        raise InvalidInputError(f"dimension must be >= 1, got {dim}")
-    if trials < 1:
-        raise InvalidInputError(f"trials must be >= 1, got {trials}")
+    dim, trials = _integer(dim, "dimension", 1), _integer(trials, "trials", 1)
     rng = np.random.default_rng(seed)
     p = desc.p
 

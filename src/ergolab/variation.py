@@ -23,7 +23,7 @@ import numpy as np
 from ._scan import PointsView, first_violation, greedy_chain
 from .averages import AverageTrajectory
 from .errors import CountOverflowError, HorizonExhaustedError, InvalidInputError
-from .spaces import _checked, _exponent, batch_norm_p
+from .spaces import _checked, _exponent, _integer, _integers, batch_norm_p
 
 __all__ = [
     "IndexSequence",
@@ -53,10 +53,10 @@ class IndexSequence:
     indices: tuple[int, ...]
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
+        idx = _integers(self.indices, "index", 1)
         if len(idx) == 0:
             raise InvalidInputError("index sequence must be nonempty")
-        if idx[0] < 1 or any(b <= a for a, b in zip(idx, idx[1:])):
+        if any(b <= a for a, b in zip(idx, idx[1:])):
             raise InvalidInputError("indices must be >= 1 and strictly increasing")
         object.__setattr__(self, "indices", idx)
 
@@ -90,9 +90,6 @@ class MetastabilityQuery:
     def __post_init__(self):
         if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
             raise InvalidInputError(f"epsilon must be positive and finite, got {self.epsilon}")
-
-    def window_end(self, n: int) -> int:
-        return _checked_g(self.g, n)
 
 
 def _checked_g(g: Callable[[int], int], n: int) -> int:
@@ -145,12 +142,10 @@ def p_variation_along(points: PointsLike, ts: IndexSequence, q: float, *,
                       p_norm: float | None = None) -> float:
     """sum_k ||a_(t_(k+1)) - a_(t_k)||^q along the given index sequence."""
     view = _points_view(points, p_norm)
-    ts = IndexSequence(ts)
-    if q < 1.0 or not math.isfinite(q):
-        raise InvalidInputError(f"variation exponent must satisfy q >= 1, got {q}")
+    ts, q = IndexSequence(ts), _exponent(q, "variation exponent", "q")
+    if ts.indices[-1] > view.n:  # before int64 conversion, which a huge index overflows
+        raise InvalidInputError(f"index {ts.indices[-1]} exceeds horizon {view.n}")
     idx = np.asarray(ts.indices, dtype=np.int64)
-    if idx[-1] > view.n:
-        raise InvalidInputError(f"index {idx[-1]} exceeds horizon {view.n}")
     if len(idx) == 1:
         return 0.0
     steps = batch_norm_p(view.pts[idx[1:] - 1] - view.pts[idx[:-1] - 1], view.p)
@@ -164,9 +159,7 @@ def max_p_variation(points: PointsLike, q: float, *,
     Quadratic dynamic program: V[j] = max(0, max_(i<j) V[i] + ||a_j - a_i||^q),
     with backpointers for the witness. Ties fall to the smallest index.
     """
-    view = _points_view(points, p_norm)
-    if q < 1.0 or not math.isfinite(q):
-        raise InvalidInputError(f"variation exponent must satisfy q >= 1, got {q}")
+    view, q = _points_view(points, p_norm), _exponent(q, "variation exponent", "q")
     n = view.n
     best = np.zeros(n, dtype=np.float64)
     back = np.full(n, -1, dtype=np.int64)
@@ -220,7 +213,7 @@ def metastability_rate(points: PointsLike, query: MetastabilityQuery, *,
     rev = PointsView(view.pts[::-1], view.p)
     n = 1
     while True:
-        end = query.window_end(n)
+        end = _checked_g(query.g, n)
         if end > view.n:
             raise HorizonExhaustedError(
                 f"window [{n}, {end}] exceeds horizon {view.n}; "
@@ -233,7 +226,7 @@ def metastability_rate(points: PointsLike, query: MetastabilityQuery, *,
         _, i_last_rev, j_rev = hit
         i1, j1 = view.n - j_rev, view.n - i_last_rev
         n += 1
-        while n <= i1 and query.window_end(n) >= j1:
+        while n <= i1 and _checked_g(query.g, n) >= j1:
             n += 1
 
 
@@ -245,11 +238,8 @@ def metastability_from_fluctuations(count: int, g: Callable[[int], int]) -> int:
     rate is at most g^count(1). Iteration past 2^63 - 1 raises
     CountOverflowError rather than returning silently huge values.
     """
-    count = int(count)
-    if count < 0:
-        raise InvalidInputError(f"fluctuation count must be >= 0, got {count}")
     t = 1
-    for _ in range(count):
+    for _ in range(_integer(count, "fluctuation count", 0)):
         nxt = _checked_g(g, t)
         if nxt > _COUNT_CAP:
             raise CountOverflowError(f"g-iteration left the 64-bit range at {nxt}")

@@ -1,7 +1,9 @@
-"""Vector arithmetic, p-norms, descriptors, and the convexity audit."""
+"""Vector arithmetic, p-norms, descriptors, the convexity audit, and the input gates."""
 
+import dataclasses
 import math
 import pathlib
+import re
 import warnings
 
 import numpy as np
@@ -214,9 +216,34 @@ class TestInputGate:
                 build(values, 2.0)
         if name in _NO_EXPONENT:
             return
-        for p in (0.5, 0.0, math.nan):
-            with pytest.raises(InvalidInputError):
+        for p in (0.5, 0.0, math.nan, True, np.True_, "3"):
+            with pytest.raises(InvalidInputError, match="must satisfy p >= 1"):
                 build(self.GOOD, p)
+
+    @pytest.mark.parametrize("name, build", WAYS_IN, ids=[w[0] for w in WAYS_IN])
+    def test_non_numeric_entries_are_rejected(self, name, build):
+        values = self.GOOD.real.astype(object)
+        values[0, 0] = "a"
+        with pytest.raises(InvalidInputError, match=r"^\w+ must be an array of finite numbers$"):
+            build(values, 2.0)
+
+    def test_ragged_rows_and_huge_integers_are_rejected(self):
+        for bad in ([[0, 1], [1]], [0, 10**400]):
+            with pytest.raises(InvalidInputError, match="^points must be an array of finite numbers$"):
+                count_fluctuations(bad, 0.5)
+        with pytest.raises(InvalidInputError, match="^components must be an array of finite numbers$"):
+            Vector(["a", "b"], 2.0)
+
+    def test_variation_exponent_keeps_its_message(self):
+        for q in (0.5, math.nan, math.inf, True, "3"):
+            with pytest.raises(InvalidInputError, match=r"^variation exponent must satisfy q >= 1, got "):
+                max_p_variation(self.GOOD, q)
+            with pytest.raises(InvalidInputError, match=r"^variation exponent must satisfy q >= 1, got "):
+                p_variation_along(self.GOOD, IndexSequence((1, 3)), q)
+
+    def test_one_point_nan_threshold_is_rejected(self):
+        with pytest.raises(InvalidInputError, match="^separation threshold must be > 0, got nan$"):
+            count_fluctuations([0.0], math.nan)
 
     def test_only_spaces_checks_and_freezes_arrays(self):
         # ergodic_averages marks the sum it built read-only and hands it over to the gate
@@ -234,6 +261,120 @@ class TestInputGate:
         strided = Vector(owned[::2], 2.0).components  # operators view components as floats
         assert strided.flags.c_contiguous and not np.shares_memory(strided, owned)
         assert not Vector(np.arange(4.0), 2.0).components.flags.writeable
+
+
+def _bits(obj):
+    """obj reduced to a value that == compares bit for bit, types included."""
+    if isinstance(obj, np.ndarray):
+        return obj.dtype.str, obj.shape, obj.tobytes()
+    if dataclasses.is_dataclass(obj):
+        return type(obj), tuple(_bits(getattr(obj, f.name)) for f in dataclasses.fields(obj))
+    if isinstance(obj, (list, tuple)):
+        return type(obj), tuple(_bits(item) for item in obj)
+    if isinstance(obj, (float, complex)):
+        return type(obj), complex(obj).real.hex(), complex(obj).imag.hex()
+    return type(obj), obj
+
+
+_ROT = RotationProduct([0.3, 1.1])
+_X = vector([0.6, 0.8j], p=2)
+_TRAJ = ergolab.ergodic_averages(_ROT, _X, 64)
+_F = SeqFunction(-3, np.arange(10.0) - 4.5j, 2.0)
+_PAR = ergolab.stability_parameters(1.0, 0.5, descriptor_preset("hilbert"))
+_N0 = ergolab.earliest_stable_start(_TRAJ, _PAR.gamma, 64)
+_DENSE = DenseMatrix([[0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+                      [0.0, 0.0, 0.5, 0.0], [0.0, 0.0, 0.0, 1.0]])
+_X4 = vector([1.0, 0.5j], p=2)
+
+# Every integer argument of the library: (name, build(value), a valid value).
+INTEGER_WAYS_IN = [
+    ("orbit", lambda n: ergolab.orbit(_ROT, _X, n), 5),
+    ("ergodic_averages", lambda n: ergolab.ergodic_averages(_ROT, _X, n), 5),
+    ("AverageTrajectory.point", lambda n: _TRAJ.point(n), 3),
+    ("AverageTrajectory.truncated", lambda m: _TRAJ.truncated(m), 3),
+    ("rotation_average_closed_form", lambda n: ergolab.rotation_average_closed_form(0.3, n), 5),
+    ("CyclicShift", lambda dim: CyclicShift(dim), 3),
+    ("apply_power", lambda n: ergolab.apply_power(_ROT, n, _X), 3),
+    ("estimate_power_bounds.n_max", lambda n: ergolab.estimate_power_bounds(_DENSE, n, 4), 3),
+    ("estimate_power_bounds.trials", lambda t: ergolab.estimate_power_bounds(_DENSE, 3, t), 4),
+    ("estimate_power_bounds.n_max.isometry", lambda n: ergolab.estimate_power_bounds(_ROT, n), 3),
+    ("estimate_power_bounds.trials.isometry",
+     lambda t: ergolab.estimate_power_bounds(CyclicShift(2), 3, t), 4),
+    ("SeqFunction.lo", lambda lo: SeqFunction(lo, _F.values, 2.0), -2),
+    ("SeqFunction.at", lambda x: _F.at(x), 1),
+    ("conditional_expectation", lambda level: ergolab.conditional_expectation(_F, level), 2),
+    ("martingale_differences", lambda n: ergolab.martingale_differences(_F, n), 2),
+    ("shift_average_at", lambda n: ergolab.shift_average_at(_F, n), 3),
+    ("seq_shift", lambda k: ergolab.seq_shift(_F, k), 2),
+    ("verify_decomposition_inequalities.levels",
+     lambda level: ergolab.verify_decomposition_inequalities(_F, "martingale", levels=[0, level]), 2),
+    ("IndexSequence", lambda i: IndexSequence([1, i]), 3),
+    ("metastability_from_fluctuations",
+     lambda count: ergolab.metastability_from_fluctuations(count, ergolab.g_double), 3),
+    ("stability_window_check.n_start", lambda n: ergolab.stability_window_check(_TRAJ, _PAR, n, 64), _N0),
+    ("stability_window_check.u", lambda u: ergolab.stability_window_check(_TRAJ, _PAR, _N0, u), 64),
+    ("earliest_stable_start", lambda u: ergolab.earliest_stable_start(_TRAJ, _PAR.gamma, u), 64),
+    ("build_rotation_counterexample", lambda u: ergolab.build_rotation_counterexample(2.0, u), 3),
+    ("build_cyclic_shift_counterexample", lambda u: ergolab.build_cyclic_shift_counterexample(u), 3),
+    ("fluctuation_in_dyadic_interval",
+     lambda k: ergolab.fluctuation_in_dyadic_interval(_TRAJ, 0.1, k), 2),
+    ("verify_metastability_lower_bound.p", lambda p: ergolab.verify_metastability_lower_bound(p), 2),
+    ("verify_metastability_lower_bound.horizon",
+     lambda n: ergolab.verify_metastability_lower_bound(2, n), 20),
+    ("check_uniform_convexity.dim",
+     lambda dim: check_uniform_convexity(SpaceDescriptor(2.0, 0.125), dim, trials=50), 2),
+    ("check_uniform_convexity.trials",
+     lambda t: check_uniform_convexity(SpaceDescriptor(2.0, 0.125), 2, trials=t), 50),
+]
+
+
+class TestIntegerGate:
+    @pytest.mark.parametrize("name, build, good", INTEGER_WAYS_IN, ids=[w[0] for w in INTEGER_WAYS_IN])
+    def test_non_integers_are_rejected(self, name, build, good):
+        for bad in (2.5, float(good), True, np.True_, "8", math.nan, np.array([good])):
+            with pytest.raises(InvalidInputError, match="must be an integer, got "):
+                build(bad)
+
+    @pytest.mark.parametrize("name, build, good", INTEGER_WAYS_IN, ids=[w[0] for w in INTEGER_WAYS_IN])
+    def test_numpy_integers_give_identical_results(self, name, build, good):
+        want = _bits(build(good))
+        for same in (np.int64(good), np.array(good), np.int16(good)):
+            assert _bits(build(same)) == want
+
+    def test_range_messages(self):
+        cases = [
+            (lambda: ergolab.ergodic_averages(_ROT, _X, 0), "horizon must be >= 1, got 0"),
+            (lambda: _TRAJ.point(65), "index 65 outside [1, 64]"),
+            (lambda: _TRAJ.truncated(0), "prefix length 0 outside [1, 64]"),
+            (lambda: CyclicShift(0), "dimension must be >= 1, got 0"),
+            (lambda: ergolab.apply_power(_ROT, -1, _X), "power must be >= 0, got -1"),
+            (lambda: ergolab.estimate_power_bounds(_ROT, n_max=-5, trials=0),
+             "n_max must be >= 1, got -5"),
+            (lambda: ergolab.estimate_power_bounds(_DENSE, trials=0), "trials must be >= 1, got 0"),
+            (lambda: ergolab.conditional_expectation(_F, -1), "level must be >= 0, got -1"),
+            (lambda: ergolab.verify_decomposition_inequalities(_F, "martingale", levels=[-1, 2]),
+             "level must be >= 0, got -1"),
+            (lambda: IndexSequence([0, 2]), "index must be >= 1, got 0"),
+            (lambda: p_variation_along([0.0, 1.0], [1, 2**70], 2.0),
+             f"index {2**70} exceeds horizon 2"),
+            (lambda: ergolab.metastability_from_fluctuations(-1, ergolab.g_double),
+             "fluctuation count must be >= 0, got -1"),
+            (lambda: ergolab.stability_window_check(_TRAJ, _PAR, 5, 4), "u must be >= 5, got 4"),
+            (lambda: ergolab.earliest_stable_start(_TRAJ, 0.0, 65), "u 65 outside [1, 64]"),
+            (lambda: ergolab.verify_metastability_lower_bound(1), "p must be >= 2, got 1"),
+            (lambda: check_uniform_convexity(SpaceDescriptor(2.0, 0.125), 0), "dimension must be >= 1, got 0"),
+        ]
+        for call, message in cases:
+            with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+                call()
+
+    def test_only_spaces_coerces_integers(self):
+        # g's values are checked once per probed n of the rate scan's skip loop, outside the gate
+        src = pathlib.Path(ergolab.__file__).parent
+        coerce = re.compile(r"(?<![\w.])(\w+) = int\(\1\)|int\(self\.")
+        hits = [(path.name, line.strip()) for path in sorted(src.glob("*.py"))
+                for line in path.read_text().splitlines() if coerce.search(line)]
+        assert [hit for hit in hits if hit[0] != "spaces.py"] == [("variation.py", "gn = int(gn)")]
 
 
 class TestDescriptor:
