@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInputError
-from .spaces import batch_norm_p
+from .spaces import _real, batch_norm_p
 
 _CHUNK = 256
 _CHUNK_FLOATS = 2**15  # cap on rows x real coordinates of one chunk
@@ -93,8 +93,7 @@ def first_violation(
     Returns (i_first, i_last, j): the smallest and largest admissible i for
     that j. Returns None when the whole segment [anchor, hi] is eps-tight.
     """
-    if not eps > 0.0:  # NaN included
-        raise InvalidInputError(f"separation threshold must be > 0, got {eps}")
+    eps = _real(eps, "separation threshold", 0, above=True)
     if not 0 <= anchor <= hi < view.n:
         raise InvalidInputError(f"segment [{anchor}, {hi}] outside [0, {view.n - 1}]")
     coords, p = view.coords, view.p
@@ -145,8 +144,7 @@ def greedy_chain(view: PointsView, eps: float, anchor: int, hi: int):
     Each pair closes at the earliest admissible j with the smallest
     admissible i, and the next pair is searched from j on.
     """
-    if not eps > 0.0:  # first_violation's rule, also for a segment too short to scan
-        raise InvalidInputError(f"separation threshold must be > 0, got {eps}")
+    eps = _real(eps, "separation threshold", 0, above=True)  # also for a segment too short to scan
     while anchor < hi:
         hit = first_violation(view, eps, anchor, hi)
         if hit is None:

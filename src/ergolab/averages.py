@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidInputError
+from .errors import DimensionMismatchError
 from .operators import Operator
-from .spaces import Vector, _exponent, _frozen, _integer, batch_norm_p
+from .spaces import Vector, _exponent, _frozen, _integer, _real, batch_norm_p
 
 __all__ = ["AverageTrajectory", "ergodic_averages", "orbit", "rotation_average_closed_form"]
 
@@ -112,9 +112,7 @@ def rotation_average_closed_form(theta: float, n: int) -> complex:
     sin(n*theta/2) / (n*sin(theta/2)) * e^(i*(n-1)*theta/2), which keeps the
     O(theta^2) part of e^(i*theta) - 1 from cancelling at tiny angles.
     """
-    n = _integer(n, "average length", 1)
-    if not math.isfinite(theta):
-        raise InvalidInputError(f"angle must be finite, got {theta}")
+    n, theta = _integer(n, "average length", 1), _real(theta, "angle")
     if math.remainder(theta, math.tau) == 0.0:
         return complex(1.0, 0.0)
     half = 0.5 * theta

@@ -17,7 +17,7 @@ import numpy as np
 from ._scan import _CHUNK, _CHUNK_FLOATS, PointsView, box_reach, greedy_chain
 from .averages import AverageTrajectory
 from .errors import HorizonExhaustedError, InvalidInputError, PreconditionError
-from .spaces import SpaceDescriptor, _integer, batch_norm_p
+from .spaces import SpaceDescriptor, _integer, _real, batch_norm_p
 
 __all__ = [
     "StabilityParameters",
@@ -66,22 +66,12 @@ class StabilityParameters:
 
 
 def stability_parameters(norm_x: float, eps: float, desc: SpaceDescriptor) -> StabilityParameters:
-    if not (norm_x > 0.0 and math.isfinite(norm_x)):
-        raise InvalidInputError(f"need ||x|| > 0, got {norm_x}")
-    if not (eps > 0.0 and math.isfinite(eps)):
-        raise InvalidInputError(f"need eps > 0, got {eps}")
+    norm_x, eps = _real(norm_x, "||x||", 0, above=True), _real(eps, "eps", 0, above=True)
     m = ceil12(16.0 * norm_x / eps)
     gamma = (eps / 8.0) * desc.K * (eps / (8.0 * norm_x)) ** (desc.p - 1.0)
     if gamma == 0.0 or math.isinf(norm_x / gamma):
         raise InvalidInputError(f"gamma = {gamma} underflows: ||x||/gamma is not finite")
-    return StabilityParameters(
-        norm_x=float(norm_x),
-        eps=float(eps),
-        p=desc.p,
-        K=desc.K,
-        M=m,
-        gamma=gamma,
-    )
+    return StabilityParameters(norm_x=norm_x, eps=eps, p=desc.p, K=desc.K, M=m, gamma=gamma)
 
 
 def window_fluctuation_bound(norm_x: float, eps: float, alpha: float) -> int:
@@ -91,10 +81,10 @@ def window_fluctuation_bound(norm_x: float, eps: float, alpha: float) -> int:
     Natural logarithm: the derivation consumes ln(1 + eps/(2||x||)) >
     eps/(4||x||), which holds precisely for eps < 2||x|| with ln.
     """
+    norm_x, eps = _real(norm_x, "||x||", 0, above=True), _real(eps, "eps")
+    alpha = _real(alpha, "alpha", 1)
     if not (0.0 < eps < 2.0 * norm_x):
         raise PreconditionError(f"need 0 < eps < 2*||x||, got eps={eps}, ||x||={norm_x}")
-    if not (math.isfinite(alpha) and alpha >= 1.0):
-        raise InvalidInputError(f"need alpha >= 1, got {alpha}")
     return floor12(4.0 * math.log(alpha) * norm_x / eps)
 
 
@@ -108,12 +98,10 @@ def fluctuation_bound_nonexpansive(norm_x: float, eps: float, desc: SpaceDescrip
     with M and gamma from `stability_parameters`. Finite and fully explicit;
     the count of the actual sequence never exceeds it.
     """
-    if not (0.0 < eps < 2.0 * norm_x):
-        raise PreconditionError(f"need 0 < eps < 2*||x||, got eps={eps}, ||x||={norm_x}")
     par = stability_parameters(norm_x, eps, desc)
-    drops = floor12(norm_x / par.gamma)
-    per_window = window_fluctuation_bound(norm_x, eps, 2 * par.M)
-    return window_fluctuation_bound(norm_x, eps, par.M) + drops * per_window + drops
+    drops = floor12(par.norm_x / par.gamma)
+    per_window = window_fluctuation_bound(par.norm_x, par.eps, 2 * par.M)
+    return window_fluctuation_bound(par.norm_x, par.eps, par.M) + drops * per_window + drops
 
 
 @dataclass(frozen=True)
@@ -225,9 +213,7 @@ def earliest_stable_start(traj: AverageTrajectory, gamma: float, u: int) -> int:
     This is the first index whose norm is within gamma of the running-window
     minimum, i.e. the natural n_start for `stability_window_check`.
     """
-    u = _integer(u, "u", 1, traj.horizon)
-    if not (math.isfinite(gamma) and gamma >= 0.0):
-        raise InvalidInputError(f"need gamma >= 0, got {gamma}")
+    u, gamma = _integer(u, "u", 1, traj.horizon), _real(gamma, "gamma", 0)
     norms = traj.norms()[:u]
     floor_level = float(norms.min()) + gamma
     hits = np.flatnonzero(norms <= floor_level)

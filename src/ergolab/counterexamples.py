@@ -24,9 +24,9 @@ import numpy as np
 
 from ._scan import PointsView, first_violation
 from .averages import AverageTrajectory, ergodic_averages
-from .errors import HorizonExhaustedError, InvalidInputError
+from .errors import HorizonExhaustedError
 from .operators import CyclicShift, RotationProduct
-from .spaces import Vector, _integer
+from .spaces import Vector, _exponent, _integer
 from .variation import MetastabilityQuery, count_fluctuations, g_next_power_of_two, metastability_rate
 
 __all__ = [
@@ -57,9 +57,7 @@ def build_rotation_counterexample(p: float, u: int) -> RotationCounterexample:
     which forces a fluctuation of size 2 eps inside every dyadic interval
     [2^(k-1), 2^k] with k <= u.
     """
-    if p < 2.0:
-        raise InvalidInputError(f"need p >= 2, got {p}")
-    u = _integer(u, "u", 1)
+    p, u = _exponent(p, "counterexample exponent", "p", 2), _integer(u, "u", 1)
     angles = math.pi / np.exp2(np.arange(u, dtype=np.float64))
     scale = u ** (-1.0 / p)
     x = Vector(np.full(u, scale, dtype=np.complex128), p=p)
@@ -118,7 +116,7 @@ def verify_metastability_lower_bound(p: int, horizon: int | None = None) -> Lowe
     p = _integer(p, "p", 2)
     u = 2**p
     horizon = _integer(2**u if horizon is None else horizon, "horizon", 1)
-    built = build_rotation_counterexample(float(p), u)
+    built = build_rotation_counterexample(p, u)
     eps = 0.25  # = 1/(2 u^(1/p)) exactly, since u^(1/p) = 2
     traj = ergodic_averages(built.operator, built.x, horizon)
     query = MetastabilityQuery(eps, g_next_power_of_two)

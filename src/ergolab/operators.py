@@ -28,7 +28,7 @@ from typing import Protocol
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidInputError
-from .spaces import Vector, _frozen, _integer, _unit_sphere_sample, batch_norm_p
+from .spaces import Vector, _exponent, _frozen, _integer, _real, _unit_sphere_sample, batch_norm_p
 
 __all__ = [
     "PowerBoundCertificate",
@@ -53,8 +53,8 @@ class PowerBoundCertificate:
     n_max: float  # math.inf for "all powers"
 
     def __post_init__(self):
-        if not (0.0 < self.B1 <= self.B2) or not math.isfinite(self.B2):
-            raise InvalidInputError(f"need 0 < B1 <= B2 < inf, got ({self.B1}, {self.B2})")
+        object.__setattr__(self, "B1", _real(self.B1, "B1", 0, above=True))
+        object.__setattr__(self, "B2", _real(self.B2, "B2", self.B1))
         if not (self.n_max >= 1):
             raise InvalidInputError(f"need n_max >= 1, got {self.n_max}")
 
@@ -210,4 +210,5 @@ def estimate_power_bounds(
     certificate without sampling. The result is a measurement, not a proof:
     it is never attached to the operator automatically.
     """
-    return op.estimate_power_bounds(_integer(n_max, "n_max", 1), _integer(trials, "trials", 1), seed, p)
+    return op.estimate_power_bounds(_integer(n_max, "n_max", 1), _integer(trials, "trials", 1), seed,
+                                    _exponent(p))

@@ -85,7 +85,7 @@ _MONOTONE_TOL = 1e-12  # sub-sequence variation vs maximum
 
 # Cap on horizon * max(dims): a trajectory of 2^24 complex slots is 256 MiB,
 # and building one holds about three arrays of that size. The same cap bounds
-# the dyadic levels, the counterexample exponents and the audit samples.
+# the dyadic levels, the counterexample exponents, the audit samples and the cases.
 MAX_TRAJECTORY_SLOTS = 1 << 24
 # verify_metastability_lower_bound(p) builds u = 2^p slots over 2^u rows
 _MAX_SUITE_P = max(p for p in range(2, 6) if 2**p << 2**p <= MAX_TRAJECTORY_SLOTS)
@@ -421,13 +421,16 @@ _AUDIT_KEYS = {
         f"dim * trials exceeds the cap of {MAX_TRAJECTORY_SLOTS} sample slots"),)),
 }
 
+_CASES = (_rule(lambda cases, par: cases <= MAX_TRAJECTORY_SLOTS,
+                f"must be <= {MAX_TRAJECTORY_SLOTS}, got {{val}}"),)
+
 _KINDS: dict[str, _Kind] = {
     "variation-sweep": _Kind(
         {"dims": _Key(_counts, [4]),
          "horizon": _Key(_count, 256, (_slot_cap,)),
          "q_grid": _Key(_nums, [2.0], (_rule(lambda qs, par: min(qs) >= 1.0,
                                              "variation exponents must be >= 1"),)),
-         "cases": _Key(_count, 8)},
+         "cases": _Key(_count, 8, _CASES)},
         "case dim horizon q variation_max witness_value variation_dyadic passed note".split(),
         _variation_case, lambda par: par["cases"],
         {"dims": [2, 4], "horizon": 128, "q_grid": [2.0, 3.0], "cases": 4}),
@@ -439,7 +442,7 @@ _KINDS: dict[str, _Kind] = {
          "eps_grid": _Key(_nums, [0.5, 0.25], (_rule(
              lambda grid, par: max(grid) < 2.0,
              "points are normalized to ||x|| = 1, so the bound needs eps < 2"),)),
-         "cases": _Key(_count, 8),
+         "cases": _Key(_count, 8, _CASES),
          "include_constant": _Key(_of(bool), False)},
         "case dim p K horizon eps norm_x measured_count bound passed note".split(),
         _fluctuation_case, lambda par: par["cases"],
@@ -451,7 +454,7 @@ _KINDS: dict[str, _Kind] = {
          "eps_grid": _Key(_nums, [0.25]),
          "g": _Key(_of(str), "double", (_rule(lambda g, par: g in G_SELECTORS, "unknown selector "
                                               "{val!r}; known: " + ", ".join(G_SELECTORS)),)),
-         "cases": _Key(_count, 4)},
+         "cases": _Key(_count, 4, _CASES)},
         "case dim horizon eps g rate exhausted fluctuation_count conversion_bound passed note".split(),
         _metastability_case, lambda par: par["cases"],
         {"dims": [3], "horizon": 512, "eps_grid": [0.5], "g": "double", "cases": 4}),
@@ -462,7 +465,7 @@ _KINDS: dict[str, _Kind] = {
          "levels": _Key(_count, 6, (_rule(
              lambda levels, par: par["support"] + 2 ** min(levels + 1, 25) <= MAX_TRAJECTORY_SLOTS,
              f"support + 2^(levels + 1) > {MAX_TRAJECTORY_SLOTS} slots"),)),
-         "cases": _Key(_count, 16),
+         "cases": _Key(_count, 16, _CASES),
          "ratio_cap": _Key(_num, 64.0, (_rule(lambda cap, par: cap > 0, "must be > 0, got {val}"),))},
         "case p support levels kind ratio bound passed note".split(),
         _dyadic_case, lambda par: par["cases"],

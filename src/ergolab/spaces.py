@@ -10,6 +10,7 @@ claim by sampling, and `clarkson_modulus` supplies the classical valid choice.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from contextlib import suppress
 from dataclasses import dataclass
@@ -60,12 +61,31 @@ def _frozen(values, name: str, rank: int, dtype=np.complex128) -> np.ndarray:
     return arr
 
 
-def _exponent(p, name: str = "norm exponent", symbol: str = "p") -> float:
-    """An exponent: a finite real number >= 1, neither a boolean nor text."""
-    out = math.nan if isinstance(p, (bool, np.bool_, str, bytes)) else float(p)
-    if not (math.isfinite(out) and out >= 1.0):
-        raise InvalidInputError(f"{name} must satisfy {symbol} >= 1, got {p}")
+def _real(value, name: str, lo: float | None = None, hi: float | None = None, *,
+          above: bool = False) -> float:
+    """value as a finite Python float in [lo, hi], or (lo, hi] when `above`, an end
+    None when open: any Python or numpy real but a boolean. The package's one real gate."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):  # np.bool_ is no Real
+        raise InvalidInputError(f"{name} must be a real number, got {value!r}")
+    try:
+        out = float(value)
+    except OverflowError:  # an integer past the float range
+        out = math.inf if value > 0 else -math.inf
+    if lo is not None and not (out > lo if above else out >= lo) or hi is not None and not out <= hi:
+        raise InvalidInputError(
+            f"{name} must be {'>' if above else '>='} {lo}, got {out}" if hi is None
+            else f"{name} {out} outside {'(' if above else '['}{'-inf' if lo is None else lo}, {hi}]")
+    if not math.isfinite(out):
+        raise InvalidInputError(f"{name} must be finite, got {out}")
     return out
+
+
+def _exponent(p, name: str = "norm exponent", symbol: str = "p", lo: int = 1) -> float:
+    """`_real` in [lo, inf), failing as `<name> must satisfy <symbol> >= <lo>, got <p>`."""
+    try:
+        return _real(p, name, lo)
+    except InvalidInputError:
+        raise InvalidInputError(f"{name} must satisfy {symbol} >= {lo}, got {p}") from None
 
 
 def _integer(value, name: str, lo: int | None = None, hi: int | None = None) -> int:
@@ -85,7 +105,10 @@ def _integer(value, name: str, lo: int | None = None, hi: int | None = None) -> 
 
 def _integers(values, name: str, lo: int | None = None) -> tuple[int, ...]:
     """`_integer` of each entry in C-level passes; entry by entry only to name a bad one."""
-    values = tuple(values)
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise InvalidInputError(f"{name} sequence must be iterable, got {values!r}") from None
     if bool not in map(type, values):
         with suppress(TypeError):
             out = tuple(map(operator.index, values))
@@ -195,11 +218,11 @@ class SpaceDescriptor:
     K: float
 
     def __post_init__(self):
-        p, K = float(self.p), float(self.K)
-        if not (math.isfinite(p) and p >= 2.0):
-            raise InvalidInputError(f"descriptor exponent must satisfy p >= 2, got {self.p}")
-        if not (math.isfinite(K) and K > 0.0):
-            raise InvalidInputError(f"modulus coefficient must be positive, got {self.K}")
+        p = _exponent(self.p, "descriptor exponent", "p", 2)
+        try:
+            K = _real(self.K, "modulus coefficient", 0, above=True)
+        except InvalidInputError:
+            raise InvalidInputError(f"modulus coefficient must be positive, got {self.K}") from None
         if p >= 1024.0:
             raise InvalidInputError(f"descriptor exponent must satisfy p < 1024, where 2^p is finite, "
                                     f"got {self.p}")
@@ -208,9 +231,7 @@ class SpaceDescriptor:
 
     def eta(self, eps: float) -> float:
         """Claimed modulus eta(eps) = K * eps^p, for eps in (0, 2]."""
-        if not 0.0 < eps <= 2.0:
-            raise InvalidInputError(f"modulus argument must lie in (0, 2], got {eps}")
-        return self.K * eps**self.p
+        return self.K * _real(eps, "modulus argument", 0, 2, above=True) ** self.p
 
     @property
     def admissible(self) -> bool:
@@ -220,19 +241,13 @@ class SpaceDescriptor:
 
 def clarkson_modulus(p: float, eps: float) -> float:
     """The classical modulus 1 - (1 - (eps/2)^p)^(1/p) of l^p, p >= 2."""
-    if p < 2.0 or not math.isfinite(p):
-        raise InvalidInputError(f"need p >= 2, got {p}")
-    if not 0.0 < eps <= 2.0:
-        raise InvalidInputError(f"need eps in (0, 2], got {eps}")
+    p, eps = _exponent(p, "Clarkson exponent", "p", 2), _real(eps, "eps", 0, 2, above=True)
     return 1.0 - (1.0 - (eps / 2.0) ** p) ** (1.0 / p)
 
 
 def clarkson_lower_bound(p: float, eps: float) -> float:
     """Power-type lower bound (1/p) * (eps/2)^p for the Clarkson modulus."""
-    if p < 2.0 or not math.isfinite(p):
-        raise InvalidInputError(f"need p >= 2, got {p}")
-    if not 0.0 < eps <= 2.0:
-        raise InvalidInputError(f"need eps in (0, 2], got {eps}")
+    p, eps = _exponent(p, "Clarkson exponent", "p", 2), _real(eps, "eps", 0, 2, above=True)
     return (eps / 2.0) ** p / p
 
 
@@ -253,12 +268,9 @@ def descriptor_preset(name: str, p: float | None = None) -> SpaceDescriptor:
     if name == "clarkson":
         if p is None:
             raise InvalidInputError("preset 'clarkson' needs an exponent p")
-        p = float(p)
-        try:
-            K = 1.0 / (p * 2.0**p)
-        except (OverflowError, ZeroDivisionError):  # 2^p overflows, or p * 2^p is 0
-            K = 0.0  # SpaceDescriptor rejects p or K, as when p * 2^p is inf
-        return SpaceDescriptor(p, K)
+        p = _exponent(p, "descriptor exponent", "p", 2)
+        # 2^p is finite below 1024; SpaceDescriptor rejects K = 0, also when p * 2^p is inf
+        return SpaceDescriptor(p, 1.0 / (p * 2.0**p) if p < 1024.0 else 0.0)
     raise InvalidInputError(f"unknown preset {name!r}; known: {sorted(PRESETS)}")
 
 

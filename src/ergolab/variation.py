@@ -14,7 +14,6 @@ Conventions fixed here once:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
@@ -23,7 +22,7 @@ import numpy as np
 from ._scan import PointsView, first_violation, greedy_chain
 from .averages import AverageTrajectory
 from .errors import CountOverflowError, HorizonExhaustedError, InvalidInputError
-from .spaces import _checked, _exponent, _integer, _integers, batch_norm_p
+from .spaces import _checked, _exponent, _integer, _integers, _real, batch_norm_p
 
 __all__ = [
     "IndexSequence",
@@ -88,8 +87,7 @@ class MetastabilityQuery:
     g: Callable[[int], int]
 
     def __post_init__(self):
-        if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
-            raise InvalidInputError(f"epsilon must be positive and finite, got {self.epsilon}")
+        object.__setattr__(self, "epsilon", _real(self.epsilon, "epsilon", 0, above=True))
 
 
 def _checked_g(g: Callable[[int], int], n: int) -> int:

@@ -11,6 +11,7 @@ with ||x|| = 1, eps = 1/4, p = 2, K = 1/8:
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -112,8 +113,9 @@ class TestWindowFluctuationBound:
             window_fluctuation_bound(1.0, 0.0, 2.0)
         with pytest.raises(InvalidInputError):
             window_fluctuation_bound(1.0, 0.5, 0.99)
-        for alpha in (math.nan, math.inf):  # once a ValueError and an OverflowError
-            with pytest.raises(InvalidInputError, match="need alpha >= 1"):
+        for alpha, message in ((math.nan, "alpha must be >= 1, got nan"),  # once a ValueError
+                               (math.inf, "alpha must be finite, got inf")):  # and an OverflowError
+            with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
                 window_fluctuation_bound(1.0, 0.5, alpha)
 
     def test_monotone_in_alpha(self):
@@ -348,6 +350,8 @@ class TestEarliestStableStart:
             earliest_stable_start(traj, 0.1, 0)
         with pytest.raises(InvalidInputError):
             earliest_stable_start(traj, 0.1, 17)
-        for gamma in (math.nan, math.inf, -0.1):  # NaN and -0.1 once raised IndexError
-            with pytest.raises(InvalidInputError, match="need gamma >= 0"):
+        for gamma, message in ((math.nan, "gamma must be >= 0, got nan"),  # NaN and -0.1 once
+                               (math.inf, "gamma must be finite, got inf"),  # raised IndexError
+                               (-0.1, "gamma must be >= 0, got -0.1")):
+            with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
                 earliest_stable_start(traj, gamma, 16)

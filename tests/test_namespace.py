@@ -1,5 +1,7 @@
-"""The package namespace is the union of the module `__all__` lists."""
+"""The package namespace is the union of the module `__all__` lists, and no module
+imports a name it never uses."""
 
+import ast
 import importlib
 import pathlib
 
@@ -42,3 +44,23 @@ def test_version_is_written_once():
     root = pathlib.Path(__file__).resolve().parents[1]
     config = pyprojecttoml.read_configuration(root / "pyproject.toml")
     assert config["project"]["version"] == ergolab.__version__
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names bound by an import (star imports and `__future__` aside) that the module
+    never reads, as a name or as a whole string (an `__all__` entry, a quoted annotation)."""
+    tree = ast.parse(source)
+    bound = {alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__"
+             for alias in node.names if alias.name != "*"}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= {node.value for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    return sorted(name for name in bound if name not in used)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    src = pathlib.Path(ergolab.__file__).parent
+    unused = {path.name: _unused_imports(path.read_text()) for path in sorted(src.glob("*.py"))}
+    assert {name: names for name, names in unused.items() if names} == {}
+    assert _unused_imports("import math\nfrom .errors import A, B\nprint(B)\n") == ["A", "math"]

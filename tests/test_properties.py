@@ -273,3 +273,23 @@ class TestDyadicInvariants:
     @given(seq_functions, st.integers(0, 5))
     def test_contraction(self, f, n):
         assert lpb_norm(conditional_expectation(f, n)) <= lpb_norm(f) + 1e-10
+
+
+class TestScaleInvariance:
+    """Scaling the points and eps by 2^k scales every distance and eps alike, so
+    counts, witnesses and rates must not move, down to 2^-300 and up to 2^300."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.integers(2, 400), st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+           st.integers(-300, 300), st.integers(0, 2**32 - 1))
+    def test_counts_and_rates_under_power_of_two_scaling(self, u, n, p, k, seed):
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal(u) + 1j * rng.standard_normal(u)
+        op = RotationProduct(rng.uniform(-np.pi, np.pi, u))
+        pts = ergodic_averages(op, Vector(z, p), n).points / Vector(z, p).norm()
+        eps = float(np.exp(rng.uniform(np.log(0.01), np.log(0.5))))
+        scaled = pts * 2.0**k, eps * 2.0**k
+        assert count_fluctuations(*scaled, p_norm=p).witnesses == \
+            count_fluctuations(pts, eps, p_norm=p).witnesses
+        assert empirical_convergence_rate(*scaled, p_norm=p) == \
+            empirical_convergence_rate(pts, eps, p_norm=p)

@@ -113,6 +113,9 @@ MESSAGES = [
     pytest.param({"name": "n", "kind": "variation-sweep", "cases": 2.0},
                  "key 'cases': expected int, got float",
                  id='cases-float'),
+    pytest.param({"name": "n", "kind": "variation-sweep", "cases": 2**24 + 1},
+                 "key 'cases': must be <= 16777216, got 16777217",
+                 id='cases-above-cap'),
     pytest.param({"name": "n", "kind": "fluctuation-vs-bound", "preset": 2},
                  "key 'preset': expected str, got int",
                  id='preset-type'),

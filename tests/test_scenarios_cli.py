@@ -167,6 +167,15 @@ class TestLoadScenario:
         with pytest.raises(ConfigError, match="horizon"):
             scenario_from_mapping(dict(doc, dims=[1, 5]))
 
+    @pytest.mark.parametrize("kind", ["variation-sweep", "fluctuation-vs-bound", "metastability",
+                                      "dyadic-constants"])
+    def test_cases_capped(self, kind):
+        doc = {"name": "n", "kind": kind, "cases": MAX_TRAJECTORY_SLOTS}
+        assert scenario_from_mapping(doc).params["cases"] == MAX_TRAJECTORY_SLOTS
+        with pytest.raises(ConfigError, match=f"^key 'cases': must be <= {MAX_TRAJECTORY_SLOTS}, "
+                                              f"got {10**12}$"):
+            scenario_from_mapping(dict(doc, cases=10**12))
+
 
 class TestDeterminism:
     def test_same_seed_same_rows(self):

@@ -363,6 +363,10 @@ class TestIntegerGate:
             (lambda: ergolab.earliest_stable_start(_TRAJ, 0.0, 65), "u 65 outside [1, 64]"),
             (lambda: ergolab.verify_metastability_lower_bound(1), "p must be >= 2, got 1"),
             (lambda: check_uniform_convexity(SpaceDescriptor(2.0, 0.125), 0), "dimension must be >= 1, got 0"),
+            (lambda: IndexSequence(5), "index sequence must be iterable, got 5"),
+            (lambda: IndexSequence(None), "index sequence must be iterable, got None"),
+            (lambda: ergolab.verify_decomposition_inequalities(_F, "martingale", levels=3),
+             "level sequence must be iterable, got 3"),
         ]
         for call, message in cases:
             with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
@@ -375,6 +379,102 @@ class TestIntegerGate:
         hits = [(path.name, line.strip()) for path in sorted(src.glob("*.py"))
                 for line in path.read_text().splitlines() if coerce.search(line)]
         assert [hit for hit in hits if hit[0] != "spaces.py"] == [("variation.py", "gn = int(gn)")]
+
+
+_PTS = np.array([0.0, 0.3, 1.0, 0.9, 0.2])
+_HILBERT = descriptor_preset("hilbert")
+
+# Every real argument of the library: (name, build(value), a valid integer value).
+REAL_WAYS_IN = [
+    ("count_fluctuations.eps", lambda e: count_fluctuations(_PTS, e), 1),
+    ("empirical_convergence_rate.eps", lambda e: empirical_convergence_rate(_PTS, e), 1),
+    ("fluctuation_in_dyadic_interval.eps",
+     lambda e: ergolab.fluctuation_in_dyadic_interval(_TRAJ, e, 2), 1),
+    ("MetastabilityQuery.epsilon", lambda e: MetastabilityQuery(e, ergolab.g_double), 1),
+    ("stability_parameters.norm_x", lambda x: ergolab.stability_parameters(x, 0.5, _HILBERT), 1),
+    ("stability_parameters.eps", lambda e: ergolab.stability_parameters(1.0, e, _HILBERT), 1),
+    ("window_fluctuation_bound.norm_x", lambda x: ergolab.window_fluctuation_bound(x, 0.5, 2.0), 1),
+    ("window_fluctuation_bound.eps", lambda e: ergolab.window_fluctuation_bound(2.0, e, 2.0), 1),
+    ("window_fluctuation_bound.alpha", lambda a: ergolab.window_fluctuation_bound(1.0, 0.5, a), 3),
+    ("fluctuation_bound_nonexpansive.norm_x",
+     lambda x: ergolab.fluctuation_bound_nonexpansive(x, 0.5, _HILBERT), 1),
+    ("fluctuation_bound_nonexpansive.eps",
+     lambda e: ergolab.fluctuation_bound_nonexpansive(1.0, e, _HILBERT), 1),
+    ("earliest_stable_start.gamma", lambda g: ergolab.earliest_stable_start(_TRAJ, g, 64), 0),
+    ("SpaceDescriptor.p", lambda p: SpaceDescriptor(p, 0.01), 3),
+    ("SpaceDescriptor.K", lambda K: SpaceDescriptor(2.0, K), 1),
+    ("SpaceDescriptor.eta", lambda e: _HILBERT.eta(e), 1),
+    ("clarkson_modulus.p", lambda p: clarkson_modulus(p, 1.0), 3),
+    ("clarkson_modulus.eps", lambda e: clarkson_modulus(3.0, e), 1),
+    ("clarkson_lower_bound.p", lambda p: clarkson_lower_bound(p, 1.0), 3),
+    ("clarkson_lower_bound.eps", lambda e: clarkson_lower_bound(3.0, e), 1),
+    ("descriptor_preset.p", lambda p: descriptor_preset("clarkson", p), 3),
+    ("rotation_average_closed_form", lambda t: ergolab.rotation_average_closed_form(t, 3), 1),
+    ("build_rotation_counterexample", lambda p: ergolab.build_rotation_counterexample(p, 2), 3),
+    ("PowerBoundCertificate.B1", lambda b: ergolab.PowerBoundCertificate(b, 2.0, math.inf), 1),
+    ("PowerBoundCertificate.B2", lambda b: ergolab.PowerBoundCertificate(1.0, b, math.inf), 2),
+    ("estimate_power_bounds.p", lambda p: ergolab.estimate_power_bounds(_DENSE, 3, 4, p=p), 2),
+    ("estimate_power_bounds.p.isometry", lambda p: ergolab.estimate_power_bounds(_ROT, p=p), 2),
+]
+
+
+class TestRealGate:
+    @pytest.mark.parametrize("name, build, good", REAL_WAYS_IN, ids=[w[0] for w in REAL_WAYS_IN])
+    def test_non_reals_and_non_finite_values_are_rejected(self, name, build, good):
+        for bad in (True, np.True_, "0.5", None, 1j, math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidInputError):
+                build(bad)
+
+    @pytest.mark.parametrize("name, build, good", REAL_WAYS_IN, ids=[w[0] for w in REAL_WAYS_IN])
+    def test_numpy_floats_and_ints_give_identical_results(self, name, build, good):
+        want = _bits(build(float(good)))
+        for same in (good, np.float64(good), np.int64(good)):
+            assert _bits(build(same)) == want
+
+    def test_messages(self):
+        pts, cert = [0.0, 1.0], ergolab.PowerBoundCertificate
+        cases = [
+            (lambda: count_fluctuations(pts, True), "separation threshold must be a real number, got True"),
+            (lambda: count_fluctuations(pts, "0.5"), "separation threshold must be a real number, got '0.5'"),
+            (lambda: count_fluctuations(pts, math.inf), "separation threshold must be finite, got inf"),
+            (lambda: count_fluctuations(pts, -1), "separation threshold must be > 0, got -1.0"),
+            (lambda: MetastabilityQuery(0.0, ergolab.g_double), "epsilon must be > 0, got 0.0"),
+            (lambda: MetastabilityQuery(math.inf, ergolab.g_double), "epsilon must be finite, got inf"),
+            (lambda: ergolab.stability_parameters(10**400, 0.5, _HILBERT), "||x|| must be finite, got inf"),
+            (lambda: ergolab.stability_parameters(1.0, -10**400, _HILBERT), "eps must be > 0, got -inf"),
+            (lambda: ergolab.window_fluctuation_bound(math.inf, 0.5, 2), "||x|| must be finite, got inf"),
+            (lambda: ergolab.window_fluctuation_bound(1.0, 0.5, 0.5), "alpha must be >= 1, got 0.5"),
+            (lambda: ergolab.fluctuation_bound_nonexpansive(1.0, "0.5", _HILBERT),
+             "eps must be a real number, got '0.5'"),
+            (lambda: SpaceDescriptor("3", 0.01), "descriptor exponent must satisfy p >= 2, got 3"),
+            (lambda: SpaceDescriptor(2, True), "modulus coefficient must be positive, got True"),
+            (lambda: SpaceDescriptor(2, math.nan), "modulus coefficient must be positive, got nan"),
+            (lambda: _HILBERT.eta(2.5), "modulus argument 2.5 outside (0, 2]"),
+            (lambda: _HILBERT.eta("1"), "modulus argument must be a real number, got '1'"),
+            (lambda: clarkson_modulus("3", 1), "Clarkson exponent must satisfy p >= 2, got 3"),
+            (lambda: clarkson_lower_bound(3, 0), "eps 0.0 outside (0, 2]"),
+            (lambda: descriptor_preset("clarkson", 1.5), "descriptor exponent must satisfy p >= 2, got 1.5"),
+            (lambda: descriptor_preset("clarkson", 1100), "modulus coefficient must be positive, got 0.0"),
+            (lambda: ergolab.rotation_average_closed_form(math.nan, 3), "angle must be finite, got nan"),
+            (lambda: ergolab.build_rotation_counterexample(math.nan, 2),
+             "counterexample exponent must satisfy p >= 2, got nan"),
+            (lambda: cert(0, 1, math.inf), "B1 must be > 0, got 0.0"),
+            (lambda: cert(2, 1, math.inf), "B2 must be >= 2.0, got 1.0"),
+            (lambda: ergolab.estimate_power_bounds(DenseMatrix(np.eye(4)), n_max=2, trials=2, p=0.5),
+             "norm exponent must satisfy p >= 1, got 0.5"),
+            (lambda: ergolab.estimate_power_bounds(_ROT, p=math.nan),
+             "norm exponent must satisfy p >= 1, got nan"),
+            (lambda: Vector([1.0], None), "norm exponent must satisfy p >= 1, got None"),
+        ]
+        for call, message in cases:
+            with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+                call()
+
+    def test_only_spaces_checks_finiteness(self):
+        # the config parsers of scenarios stay the config boundary, with their own messages
+        src = pathlib.Path(ergolab.__file__).parent
+        hits = {path.name for path in src.glob("*.py") if "math.isfinite(" in path.read_text()}
+        assert hits == {"spaces.py", "scenarios.py"}
 
 
 class TestDescriptor:
