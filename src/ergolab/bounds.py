@@ -17,7 +17,7 @@ import numpy as np
 from ._scan import _CHUNK, _CHUNK_FLOATS, PointsView, box_reach, greedy_chain
 from .averages import AverageTrajectory
 from .errors import HorizonExhaustedError, InvalidInputError, PreconditionError
-from .spaces import SpaceDescriptor, _integer, _real, batch_norm_p
+from .spaces import SpaceDescriptor, _integer, _real, _shown, batch_norm_p
 
 __all__ = [
     "StabilityParameters",
@@ -177,20 +177,21 @@ def stability_window_check(
 ) -> StabilityWindowReport:
     """Check a norm-stable trajectory's late window for eps-separated pairs.
 
-    Hypothesis (verified first, PreconditionError when it fails): every
+    The pack's M, gamma and eps pass the gates before they are read, since a
+    pack may be built by hand. Hypothesis (else PreconditionError): every
     m <= u has ||x_m|| >= ||x_(n_start)|| - gamma. Conclusion checked: no two
-    indices in [M*n_start, floor(u/2)] are eps-separated. The violation list
-    is expected empty; at most 16 pairs are collected before truncating.
+    indices in [M*n_start, floor(u/2)] are eps-separated; at most 16 are kept.
     """
     n_start = _integer(n_start, "n_start", 1)
     u = _integer(u, "u", n_start)
+    m_factor, eps = _integer(params.M, "M", 1), _real(params.eps, "eps", 0, above=True)
     if u > traj.horizon:
         raise HorizonExhaustedError(
-            f"hypothesis range [1, {u}] exceeds horizon {traj.horizon}",
+            f"hypothesis range [1, {_shown(u)}] exceeds horizon {traj.horizon}",
             checked_up_to=traj.horizon,
         )
     norms = traj.norms()
-    floor_level = norms[n_start - 1] - params.gamma
+    floor_level = norms[n_start - 1] - _real(params.gamma, "gamma", 0)
     bad = np.flatnonzero(norms[:u] < floor_level)
     if bad.size:
         m = int(bad[0]) + 1
@@ -198,11 +199,11 @@ def stability_window_check(
             f"hypothesis fails at m={m}: ||x_m|| = {norms[m - 1]:.6g} < "
             f"||x_{n_start}|| - gamma = {floor_level:.6g}"
         )
-    lo = params.M * n_start
+    lo = m_factor * n_start
     hi = u // 2
     if lo > hi:
         return StabilityWindowReport((lo, hi), (), False)
-    chain = greedy_chain(PointsView(traj.points, traj.p), params.eps, lo - 1, hi - 1)
+    chain = greedy_chain(PointsView(traj.points, traj.p), eps, lo - 1, hi - 1)
     violations = tuple((i + 1, j + 1) for i, j in itertools.islice(chain, _MAX_VIOLATIONS))
     return StabilityWindowReport((lo, hi), violations, next(chain, None) is not None)
 

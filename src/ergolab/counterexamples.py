@@ -26,7 +26,7 @@ from ._scan import PointsView, first_violation
 from .averages import AverageTrajectory, ergodic_averages
 from .errors import HorizonExhaustedError
 from .operators import CyclicShift, RotationProduct
-from .spaces import Vector, _exponent, _integer
+from .spaces import Vector, _exponent, _integer, _shown
 from .variation import MetastabilityQuery, count_fluctuations, g_next_power_of_two, metastability_rate
 
 __all__ = [
@@ -84,7 +84,7 @@ def fluctuation_in_dyadic_interval(traj: AverageTrajectory, eps: float, k: int) 
     lo, hi = 2 ** (k - 1), 2**k
     if hi > traj.horizon:
         raise HorizonExhaustedError(
-            f"interval [{lo}, {hi}] exceeds horizon {traj.horizon}",
+            f"interval [{_shown(lo)}, {_shown(hi)}] exceeds horizon {traj.horizon}",
             checked_up_to=traj.horizon,
         )
     return first_violation(PointsView(traj.points, traj.p), eps, lo - 1, hi - 1) is not None

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DimensionMismatchError, InvalidInputError, PreconditionError
 from .operators import Operator
 from .averages import orbit
-from .spaces import Vector, _exponent, _frozen, _integer, _integers, norm_p
+from .spaces import Vector, _exponent, _frozen, _integer, _integers, _shown, norm_p
 from .variation import IndexSequence
 
 __all__ = [
@@ -208,7 +208,7 @@ def verify_decomposition_inequalities(
         for k, t in enumerate(IndexSequence(ts), start=1):
             if not (1 << (k - 1)) <= t < (1 << k):
                 raise PreconditionError(
-                    f"t_{k} = {t} outside its dyadic band [{1 << (k - 1)}, {1 << k})"
+                    f"t_{k} = {_shown(t)} outside its dyadic band [{1 << (k - 1)}, {1 << k})"
                 )
             terms.append(lpb_norm(shift_average_at(f, t) - conditional_expectation(f, k)) ** f.p)
         return _ratio_report(which, terms, f)

@@ -50,13 +50,13 @@ class PowerBoundCertificate:
 
     B1: float
     B2: float
-    n_max: float  # math.inf for "all powers"
+    n_max: int | float  # an integer >= 1, or math.inf for "all powers"
 
     def __post_init__(self):
         object.__setattr__(self, "B1", _real(self.B1, "B1", 0, above=True))
         object.__setattr__(self, "B2", _real(self.B2, "B2", self.B1))
-        if not (self.n_max >= 1):
-            raise InvalidInputError(f"need n_max >= 1, got {self.n_max}")
+        if not (isinstance(self.n_max, float) and self.n_max == math.inf):
+            object.__setattr__(self, "n_max", _integer(self.n_max, "n_max", 1))
 
 
 _ISOMETRY_CERT = PowerBoundCertificate(1.0, 1.0, math.inf)
@@ -181,7 +181,7 @@ class DenseMatrix:
             hi = max(hi, float(norms.max()))
         if lo <= 0.0:
             raise InvalidInputError("sampled a vector annihilated by the matrix; bounds are degenerate")
-        return PowerBoundCertificate(lo, hi, float(n_max))
+        return PowerBoundCertificate(lo, hi, n_max)
 
 
 def apply(op: Operator, v: Vector) -> Vector:

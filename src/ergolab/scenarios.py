@@ -41,7 +41,7 @@ from .counterexamples import verify_metastability_lower_bound
 from .dyadic import SeqFunction, verify_decomposition_inequalities
 from .errors import ErgolabError, HorizonExhaustedError, InvalidInputError
 from .operators import RotationProduct
-from .spaces import SpaceDescriptor, Vector, descriptor_preset, check_uniform_convexity
+from .spaces import SpaceDescriptor, Vector, _shown, check_uniform_convexity, descriptor_preset
 from .variation import (
     MetastabilityQuery,
     count_fluctuations,
@@ -151,7 +151,7 @@ def _num(key: str, val: Any) -> float:
 def _count(key: str, val: Any) -> int:
     val = int(_of(int)(key, val))
     if val < 1:
-        raise ConfigError(f"key {key!r}: must be >= 1, got {val}")
+        raise ConfigError(f"key {key!r}: must be >= 1, got {_shown(val)}")
     return val
 
 
@@ -165,7 +165,7 @@ def _nums(key: str, val: Any) -> list[float]:
     out = []
     for item in _list(key, val):
         if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise ConfigError(f"key {key!r}: entries must be numbers, got {item!r}")
+            raise ConfigError(f"key {key!r}: entries must be numbers, got {_shown(item)}")
         out.append(_num(key, item))
         if out[-1] <= 0:
             raise ConfigError(f"key {key!r}: entries must be > 0, got {item}")
@@ -175,9 +175,9 @@ def _nums(key: str, val: Any) -> list[float]:
 def _counts(key: str, val: Any) -> list[int]:
     for item in _list(key, val):
         if isinstance(item, bool) or not isinstance(item, int):
-            raise ConfigError(f"key {key!r}: entries must be integers, got {item!r}")
+            raise ConfigError(f"key {key!r}: entries must be integers, got {_shown(item)}")
         if item < 1:
-            raise ConfigError(f"key {key!r}: entries must be >= 1, got {item}")
+            raise ConfigError(f"key {key!r}: entries must be >= 1, got {_shown(item)}")
     return [int(item) for item in val]
 
 
@@ -196,10 +196,10 @@ def _audits(key: str, val: Any) -> list[dict[str, Any]]:
 
 
 def _rule(ok: Callable[[Any, Mapping[str, Any]], bool], message: str) -> Callable:
-    """A check that raises "key 'k': <message>" (with {val} filled in) unless ok(value, params)."""
+    """A check that raises "key 'k': <message>" (with {val} filled in by its repr) unless ok(value, params)."""
     def check(key: str, val: Any, par: Mapping[str, Any]) -> Any:
         if not ok(val, par):
-            raise ConfigError(f"key {key!r}: " + message.format(val=val))
+            raise ConfigError(f"key {key!r}: " + message.format(val=_shown(val)))
         return val
     return check
 
@@ -220,7 +220,7 @@ def _preset_descriptor(key: str, p: float | None, par: Mapping[str, Any]) -> Spa
 def _slot_cap(key: str, horizon: int, par: Mapping[str, Any]) -> int:
     slots = horizon * max(par["dims"])
     if slots > MAX_TRAJECTORY_SLOTS:
-        raise ConfigError(f"key 'horizon': horizon * max(dims) = {slots} "
+        raise ConfigError(f"key 'horizon': horizon * max(dims) = {_shown(slots)} "
                           f"exceeds the cap of {MAX_TRAJECTORY_SLOTS} trajectory slots")
     return horizon
 
@@ -237,9 +237,10 @@ class _Key(NamedTuple):
 def _fields(doc: Mapping[str, Any], keys: Mapping[str, _Key], where: str | None = None,
             also: Iterable[str] = ()) -> dict[str, Any]:
     """Validate doc's keys in table order. With `where`, keys outside `keys`
-    and `also` are rejected first, naming `where` in the message."""
+    and `also` are rejected first, naming `where` in the message; a key that
+    is not a string, which only a Python mapping can hold, is named by its repr."""
     if where is not None:
-        unknown = sorted(set(doc) - set(keys) - set(also))
+        unknown = sorted(k if isinstance(k, str) else _shown(k) for k in set(doc) - set(keys) - set(also))
         if unknown:
             raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}; "
                               f"allowed: {', '.join(sorted({*keys, *also}))}")
@@ -453,7 +454,7 @@ _KINDS: dict[str, _Kind] = {
          "horizon": _Key(_count, 512, (_slot_cap,)),
          "eps_grid": _Key(_nums, [0.25]),
          "g": _Key(_of(str), "double", (_rule(lambda g, par: g in G_SELECTORS, "unknown selector "
-                                              "{val!r}; known: " + ", ".join(G_SELECTORS)),)),
+                                              "{val}; known: " + ", ".join(G_SELECTORS)),)),
          "cases": _Key(_count, 4, _CASES)},
         "case dim horizon eps g rate exhausted fluctuation_count conversion_bound passed note".split(),
         _metastability_case, lambda par: par["cases"],

@@ -66,7 +66,7 @@ def _real(value, name: str, lo: float | None = None, hi: float | None = None, *,
     """value as a finite Python float in [lo, hi], or (lo, hi] when `above`, an end
     None when open: any Python or numpy real but a boolean. The package's one real gate."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):  # np.bool_ is no Real
-        raise InvalidInputError(f"{name} must be a real number, got {value!r}")
+        raise InvalidInputError(f"{name} must be a real number, got {_shown(value)}")
     try:
         out = float(value)
     except OverflowError:  # an integer past the float range
@@ -85,7 +85,16 @@ def _exponent(p, name: str = "norm exponent", symbol: str = "p", lo: int = 1) ->
     try:
         return _real(p, name, lo)
     except InvalidInputError:
-        raise InvalidInputError(f"{name} must satisfy {symbol} >= {lo}, got {p}") from None
+        raise InvalidInputError(f"{name} must satisfy {symbol} >= {lo}, got {_shown(p, str)}") from None
+
+
+def _shown(value, show=repr) -> str:
+    """show(value); an integer past str()'s digit limit is shown by its size."""
+    try:
+        return show(value)
+    except ValueError:  # the limit, hit by the integer or by one inside the container
+        return (f"a {'negative ' if value < 0 else ''}{value.bit_length()}-bit integer" if isinstance(value, int)
+                else f"a {type(value).__name__} holding an integer too long to show")
 
 
 def _integer(value, name: str, lo: int | None = None, hi: int | None = None) -> int:
@@ -96,10 +105,10 @@ def _integer(value, name: str, lo: int | None = None, hi: int | None = None) -> 
             raise TypeError
         out = operator.index(value)
     except TypeError:
-        raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None
+        raise InvalidInputError(f"{name} must be an integer, got {_shown(value)}") from None
     if lo is not None and out < lo or hi is not None and out > hi:
-        raise InvalidInputError(f"{name} must be >= {lo}, got {out}" if hi is None
-                                else f"{name} {out} outside [{lo}, {hi}]")
+        raise InvalidInputError(f"{name} must be >= {_shown(lo)}, got {_shown(out)}" if hi is None
+                                else f"{name} {_shown(out)} outside [{lo}, {hi}]")
     return out
 
 
@@ -108,7 +117,7 @@ def _integers(values, name: str, lo: int | None = None) -> tuple[int, ...]:
     try:
         values = tuple(values)
     except TypeError:
-        raise InvalidInputError(f"{name} sequence must be iterable, got {values!r}") from None
+        raise InvalidInputError(f"{name} sequence must be iterable, got {_shown(values)}") from None
     if bool not in map(type, values):
         with suppress(TypeError):
             out = tuple(map(operator.index, values))
@@ -222,7 +231,7 @@ class SpaceDescriptor:
         try:
             K = _real(self.K, "modulus coefficient", 0, above=True)
         except InvalidInputError:
-            raise InvalidInputError(f"modulus coefficient must be positive, got {self.K}") from None
+            raise InvalidInputError(f"modulus coefficient must be positive, got {_shown(self.K, str)}") from None
         if p >= 1024.0:
             raise InvalidInputError(f"descriptor exponent must satisfy p < 1024, where 2^p is finite, "
                                     f"got {self.p}")

@@ -22,7 +22,7 @@ import numpy as np
 from ._scan import PointsView, first_violation, greedy_chain
 from .averages import AverageTrajectory
 from .errors import CountOverflowError, HorizonExhaustedError, InvalidInputError
-from .spaces import _checked, _exponent, _integer, _integers, _real, batch_norm_p
+from .spaces import _checked, _exponent, _integer, _integers, _real, _shown, batch_norm_p
 
 __all__ = [
     "IndexSequence",
@@ -80,7 +80,7 @@ class MetastabilityQuery:
     """Separation threshold plus the window-growth function g.
 
     g maps a 1-based index n to the window end g(n) >= n. It is probed only
-    where needed; every probed value is validated.
+    where needed; every probed value passes the integer gate.
     """
 
     epsilon: float
@@ -88,17 +88,6 @@ class MetastabilityQuery:
 
     def __post_init__(self):
         object.__setattr__(self, "epsilon", _real(self.epsilon, "epsilon", 0, above=True))
-
-
-def _checked_g(g: Callable[[int], int], n: int) -> int:
-    """g(n), checked to be an integer >= n."""
-    gn = g(n)
-    if not isinstance(gn, (int, np.integer)):
-        raise InvalidInputError(f"g({n}) = {gn!r} is not an integer")
-    gn = int(gn)
-    if gn < n:
-        raise InvalidInputError(f"g({n}) = {gn} < {n}; g must satisfy g(n) >= n")
-    return gn
 
 
 @dataclass(frozen=True)
@@ -142,7 +131,7 @@ def p_variation_along(points: PointsLike, ts: IndexSequence, q: float, *,
     view = _points_view(points, p_norm)
     ts, q = IndexSequence(ts), _exponent(q, "variation exponent", "q")
     if ts.indices[-1] > view.n:  # before int64 conversion, which a huge index overflows
-        raise InvalidInputError(f"index {ts.indices[-1]} exceeds horizon {view.n}")
+        raise InvalidInputError(f"index {_shown(ts.indices[-1])} exceeds horizon {view.n}")
     idx = np.asarray(ts.indices, dtype=np.int64)
     if len(idx) == 1:
         return 0.0
@@ -211,10 +200,10 @@ def metastability_rate(points: PointsLike, query: MetastabilityQuery, *,
     rev = PointsView(view.pts[::-1], view.p)
     n = 1
     while True:
-        end = _checked_g(query.g, n)
+        end = _integer(query.g(n), "g(n)", n)
         if end > view.n:
             raise HorizonExhaustedError(
-                f"window [{n}, {end}] exceeds horizon {view.n}; "
+                f"window [{n}, {_shown(end)}] exceeds horizon {view.n}; "
                 f"every n < {n} was checked and failed",
                 checked_up_to=n - 1,
             )
@@ -224,7 +213,7 @@ def metastability_rate(points: PointsLike, query: MetastabilityQuery, *,
         _, i_last_rev, j_rev = hit
         i1, j1 = view.n - j_rev, view.n - i_last_rev
         n += 1
-        while n <= i1 and _checked_g(query.g, n) >= j1:
+        while n <= i1 and _integer(query.g(n), "g(n)", n) >= j1:
             n += 1
 
 
@@ -238,10 +227,9 @@ def metastability_from_fluctuations(count: int, g: Callable[[int], int]) -> int:
     """
     t = 1
     for _ in range(_integer(count, "fluctuation count", 0)):
-        nxt = _checked_g(g, t)
-        if nxt > _COUNT_CAP:
-            raise CountOverflowError(f"g-iteration left the 64-bit range at {nxt}")
-        t = nxt
+        t = _integer(g(t), "g(n)", t)
+        if t > _COUNT_CAP:
+            raise CountOverflowError(f"g-iteration left the 64-bit range at {_shown(t)}")
     return t
 
 

@@ -293,3 +293,41 @@ class TestScaleInvariance:
             count_fluctuations(pts, eps, p_norm=p).witnesses
         assert empirical_convergence_rate(*scaled, p_norm=p) == \
             empirical_convergence_rate(pts, eps, p_norm=p)
+
+
+_QUARTER_TURNS = np.array([1.0, 1j, -1.0, -1j])
+
+
+def _scans(pts, eps, p):
+    """Witnesses, empirical rate and metastability rate (g_double), or where the
+    rate scan ran out of horizon."""
+    try:
+        rate = metastability_rate(pts, MetastabilityQuery(eps, g_double), p_norm=p)
+    except HorizonExhaustedError as exc:
+        rate = ("exhausted", exc.checked_up_to)
+    return (count_fluctuations(pts, eps, p_norm=p).witnesses,
+            empirical_convergence_rate(pts, eps, p_norm=p), rate)
+
+
+class TestSlotSymmetries:
+    """Turning a slot by a quarter turn, or conjugating it, swaps or negates its
+    real coordinates exactly, so every distance keeps its bits. Swapping two slots
+    swaps the two terms of each power sum, which is exact too; from u = 3 on the
+    order of a sum can move its last bit, so permutations stop at u = 2."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 3), st.integers(2, 300), st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+           st.integers(0, 2**32 - 1))
+    def test_scans_are_blind_to_slot_symmetries(self, u, n, p, seed):
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal(u) + 1j * rng.standard_normal(u)
+        op = RotationProduct(rng.uniform(-np.pi, np.pi, u))
+        pts = ergodic_averages(op, Vector(z, p), n).points / Vector(z, p).norm()
+        eps = float(np.exp(rng.uniform(np.log(0.01), np.log(0.5))))
+        mapped = [pts * _QUARTER_TURNS[rng.integers(0, 4, u)],
+                  np.where(rng.random(u) < 0.5, pts.conj(), pts)]
+        if u <= 2:
+            mapped.append(pts[:, rng.permutation(u)])
+        want = _scans(pts, eps, p)
+        for image in mapped:
+            assert _scans(image, eps, p) == want

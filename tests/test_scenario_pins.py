@@ -332,6 +332,41 @@ MESSAGES = [
     pytest.param({"name": "n", "kind": "convexity-audit", "audits": [{"p": 2.0, "K": 0.125, "dim": 0}, {"K": 1.0}]},
                  "key 'dim': must be >= 1, got 0",
                  id='two:first-audit-wins'),
+    # integers past str()'s 4300-digit limit are shown by their size
+    pytest.param({"name": "n", "kind": "variation-sweep", "dims": [10**5000]},
+                 "key 'horizon': horizon * max(dims) = a 16618-bit integer exceeds the cap of 16777216 "
+                 "trajectory slots",
+                 id='huge:dims-entry'),
+    pytest.param({"name": "n", "kind": "variation-sweep", "dims": [-10**5000]},
+                 "key 'dims': entries must be >= 1, got a negative 16610-bit integer",
+                 id='huge:dims-entry-negative'),
+    pytest.param({"name": "n", "kind": "variation-sweep", "dims": [[10**5000]]},
+                 "key 'dims': entries must be integers, got a list holding an integer too long to show",
+                 id='huge:dims-entry-list'),
+    pytest.param({"name": "n", "kind": "variation-sweep", "cases": 10**5000},
+                 "key 'cases': must be <= 16777216, got a 16610-bit integer",
+                 id='huge:cases'),
+    pytest.param({"name": "n", "kind": "variation-sweep", "seed": -10**5000},
+                 "key 'seed': must be >= 0, got a negative 16610-bit integer",
+                 id='huge:seed-negative'),
+    pytest.param({"name": "n", "kind": "variation-sweep", "horizon": -10**5000},
+                 "key 'horizon': must be >= 1, got a negative 16610-bit integer",
+                 id='huge:horizon-negative'),
+    pytest.param({"name": "n", "kind": "variation-sweep", "q_grid": [[-10**5000]]},
+                 "key 'q_grid': entries must be numbers, got a list holding an integer too long to show",
+                 id='huge:q-grid-entry-list'),
+    # a Python mapping may have keys that are not strings, named by their repr; JSON text cannot
+    pytest.param({"name": "n", "kind": "variation-sweep", 1: 2},
+                 "unknown key(s) in variation-sweep config: 1; allowed: cases, dims, horizon, kind, name, out, "
+                 "q_grid, seed",
+                 id='non-string-key'),
+    pytest.param({"name": "n", "kind": "variation-sweep", 1: 2, (2, 3): 0, "z": 3, 10**5000: 0},
+                 "unknown key(s) in variation-sweep config: (2, 3), 1, a 16610-bit integer, z; allowed: cases, "
+                 "dims, horizon, kind, name, out, q_grid, seed",
+                 id='non-string-keys-sorted-with-string-keys'),
+    pytest.param({"name": "n", "kind": "convexity-audit", "audits": [{"p": 2.0, "K": 0.1, 5: 1, "x": 2}]},
+                 "unknown key(s) in audits[0]: 5, x; allowed: K, dim, p, trials",
+                 id='audit-non-string-key'),
 ]
 
 

@@ -548,3 +548,27 @@ class TestFlaggedRows:
         flagged = [row for row in rows if row["note"]]
         assert flagged and all(not row["passed"] for row in flagged)
         assert all(row["note"].startswith("PreconditionError") for row in flagged)
+
+
+def test_reference_report_comparison_drops_only_the_timestamp(tmp_path, capsys):
+    import importlib.util
+    import pathlib
+
+    script = pathlib.Path(__file__).resolve().parents[1] / "tools" / "reference_reports.py"
+    spec = importlib.util.spec_from_file_location("reference_reports", script)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    report = run_scenario(scenario_from_mapping(_sweep_doc(horizon=8, cases=1)))
+    for side in ("a", "b"):
+        for fmt in ("json", "csv"):
+            write_report(report, str(tmp_path / side / "run"), fmt)
+    (tmp_path / "a" / "run" / "sweep.json").write_text(
+        (tmp_path / "a" / "run" / "sweep.json").read_text().replace(
+            report.environment["timestamp"], "1970-01-01T00:00:00+00:00"))
+    assert tool.main(["--compare", str(tmp_path / "a"), str(tmp_path / "b")]) == 0
+    (tmp_path / "b" / "run" / "sweep.csv").unlink()
+    (tmp_path / "b" / "run" / "sweep.json").write_text(
+        (tmp_path / "b" / "run" / "sweep.json").read_text().replace('"seed": 7', '"seed": 8'))
+    assert tool.main(["--compare", str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+    assert capsys.readouterr().out.splitlines()[-3:] == [
+        os.path.join("run", "sweep.csv"), os.path.join("run", "sweep.json"), "2 of 2 files differ"]

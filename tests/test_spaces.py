@@ -373,12 +373,107 @@ class TestIntegerGate:
                 call()
 
     def test_only_spaces_coerces_integers(self):
-        # g's values are checked once per probed n of the rate scan's skip loop, outside the gate
         src = pathlib.Path(ergolab.__file__).parent
         coerce = re.compile(r"(?<![\w.])(\w+) = int\(\1\)|int\(self\.")
         hits = [(path.name, line.strip()) for path in sorted(src.glob("*.py"))
                 for line in path.read_text().splitlines() if coerce.search(line)]
-        assert [hit for hit in hits if hit[0] != "spaces.py"] == [("variation.py", "gn = int(gn)")]
+        assert [hit for hit in hits if hit[0] != "spaces.py"] == []
+
+
+_HUGE = 10**5000  # str() refuses it: past the 4300-digit limit
+
+
+def _window_then(bad):
+    """g(1) = 4 opens a window with a separated pair on [0, 1, 0, 1, 0], so the
+    skip loop probes g(2), which returns `bad`."""
+    return lambda n: 4 if n == 1 else bad
+
+
+class TestNoSideDoors:
+    """g's values, a certificate's n_max and a hand-built StabilityParameters
+    pass the same gates as every other argument."""
+
+    @pytest.mark.parametrize("probe", ["first", "skip", "conversion"])
+    def test_g_values_pass_the_integer_gate(self, probe):
+        pts = [0.0, 1.0, 0.0, 1.0, 0.0]
+        run = {"first": lambda bad: metastability_rate(pts, MetastabilityQuery(0.5, lambda n: bad)),
+               "skip": lambda bad: metastability_rate(pts, MetastabilityQuery(0.5, _window_then(bad))),
+               "conversion": lambda bad: ergolab.metastability_from_fluctuations(2, lambda n: bad)}[probe]
+        n = 2 if probe == "skip" else 1
+        for bad in (True, np.True_, 2.5, float(n + 1), "8", None, math.nan):
+            with pytest.raises(InvalidInputError, match=r"^g\(n\) must be an integer, got "):
+                run(bad)
+        with pytest.raises(InvalidInputError, match=f"^g\\(n\\) must be >= {n}, got {n - 1}$"):
+            run(n - 1)
+
+    def test_numpy_g_values_give_identical_rates(self):
+        pts = np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        for g in (g_successor, ergolab.g_double):
+            want = metastability_rate(pts, MetastabilityQuery(0.5, g))
+            for wrap in (np.int64, np.int16, np.array):
+                assert metastability_rate(pts, MetastabilityQuery(0.5, lambda n, g=g, w=wrap: w(g(n)))) == want
+            assert ergolab.metastability_from_fluctuations(3, lambda n, g=g: np.int32(g(n))) == \
+                ergolab.metastability_from_fluctuations(3, g)
+
+    def test_certificate_n_max_is_an_integer_or_inf(self):
+        cert = ergolab.PowerBoundCertificate
+        for bad in (True, np.True_, 2.5, 5.0, "5", None, math.nan, -math.inf, np.array([5])):
+            with pytest.raises(InvalidInputError, match="^n_max must be an integer, got "):
+                cert(1, 1, bad)
+        with pytest.raises(InvalidInputError, match="^n_max must be >= 1, got 0$"):
+            cert(1, 1, 0)
+        assert math.isinf(cert(1, 1, math.inf).n_max)
+        for good in (1, 5, np.int64(5), _HUGE):
+            built = cert(1, 1, good)
+            assert type(built.n_max) is int and built.n_max == good
+        measured = ergolab.estimate_power_bounds(_DENSE, n_max=np.int16(3), trials=4)
+        assert type(measured.n_max) is int and measured.n_max == 3
+
+    def test_a_hand_built_stability_pack_is_gated(self):
+        want = ergolab.stability_window_check(_TRAJ, _PAR, _N0, 64)
+        assert ergolab.stability_window_check(_TRAJ, dataclasses.replace(_PAR, M=np.int64(_PAR.M)), _N0, 64) == want
+        cases = [
+            (dict(gamma=math.nan), "gamma must be >= 0, got nan"),
+            (dict(gamma=math.inf), "gamma must be finite, got inf"),
+            (dict(gamma=True), "gamma must be a real number, got True"),
+            (dict(gamma=-0.5), "gamma must be >= 0, got -0.5"),
+            (dict(M=2.5), "M must be an integer, got 2.5"),
+            (dict(M=True), "M must be an integer, got True"),
+            (dict(M=0), "M must be >= 1, got 0"),
+            (dict(eps=math.nan), "eps must be > 0, got nan"),
+            (dict(eps="0.5"), "eps must be a real number, got '0.5'"),
+        ]
+        for change, message in cases:
+            with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+                ergolab.stability_window_check(_TRAJ, dataclasses.replace(_PAR, **change), _N0, 64)
+
+    def test_integers_past_the_digit_limit_are_shown_by_size(self):
+        size = _HUGE.bit_length()
+        cases = [
+            (lambda: ergolab.ergodic_averages(RotationProduct([0.3]), vector([1.0], p=2), -_HUGE),
+             f"horizon must be >= 1, got a negative {size}-bit integer"),
+            (lambda: IndexSequence([1, -_HUGE]), f"index must be >= 1, got a negative {size}-bit integer"),
+            (lambda: IndexSequence([1, [_HUGE]]), "index must be an integer, got a list holding an "
+                                                  "integer too long to show"),
+            (lambda: _TRAJ.point(_HUGE), f"index a {size}-bit integer outside [1, 64]"),
+            (lambda: p_variation_along([0.0, 1.0], [1, _HUGE], 2.0), f"index a {size}-bit integer exceeds horizon 2"),
+            (lambda: ergolab.stability_window_check(_TRAJ, _PAR, _HUGE, 5), f"u must be >= a {size}-bit integer, got 5"),
+            (lambda: Vector([1.0], _HUGE), f"norm exponent must satisfy p >= 1, got a {size}-bit integer"),
+            (lambda: SpaceDescriptor(2, _HUGE), f"modulus coefficient must be positive, got a {size}-bit integer"),
+            (lambda: count_fluctuations([0.0, 1.0], [_HUGE]),
+             "separation threshold must be a real number, got a list holding an integer too long to show"),
+            (lambda: metastability_rate([0.0, 1.0], MetastabilityQuery(0.5, lambda n: _HUGE)),
+             f"window [1, a {size}-bit integer] exceeds horizon 2; every n < 1 was checked and failed"),
+            (lambda: ergolab.metastability_from_fluctuations(1, lambda n: _HUGE),
+             f"g-iteration left the 64-bit range at a {size}-bit integer"),
+            (lambda: ergolab.fluctuation_in_dyadic_interval(_TRAJ, 0.1, 20_000),
+             "interval [a 20000-bit integer, a 20001-bit integer] exceeds horizon 64"),
+            (lambda: ergolab.verify_decomposition_inequalities(_F, "average_vs_expectation", ts=[_HUGE]),
+             f"t_1 = a {size}-bit integer outside its dyadic band [1, 2)"),
+        ]
+        for call, message in cases:
+            with pytest.raises(ergolab.ErgolabError, match=f"^{re.escape(message)}$"):
+                call()
 
 
 _PTS = np.array([0.0, 0.3, 1.0, 0.9, 0.2])

@@ -1,0 +1,86 @@
+"""Write the reference reports of this checkout, or compare two sets of them.
+
+    python3 tools/reference_reports.py OUT
+    python3 tools/reference_reports.py --compare A B
+
+The reports are the `verify-all` corpus at the default seed and at seeds 2 and
+11, and the nine `perfbench/workloads.scenario_configs` configs drawn at seeds
+1 and 2, each in JSON and CSV: 72 files under OUT. The library and the configs
+come from the checkout this script sits in. Two checkouts give the same answers
+when --compare, which drops each report's `timestamp` line, lists no file; it
+exits 1 when some file differs or exists on one side only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+VERIFY_SEEDS = (None, 2, 11)
+CONFIG_SEEDS = (1, 2)
+
+
+def write(out: str) -> int:
+    sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+    from ergolab.scenarios import builtin_corpus, load_scenario, run_scenario, write_report
+    from workloads import scenario_configs
+
+    runs = [(f"verify-all-{'default' if seed is None else f'seed{seed}'}", builtin_corpus(seed))
+            for seed in VERIFY_SEEDS]
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in CONFIG_SEEDS:
+            scenarios = []
+            for config in scenario_configs(seed):  # through a config file, as `ergolab run` reads it
+                path = os.path.join(tmp, f"{seed}-{config['name']}.json")
+                with open(path, "w", encoding="utf-8") as fh:
+                    json.dump(config, fh)
+                scenarios.append(load_scenario(path))
+            runs.append((f"configs-seed{seed}", scenarios))
+    count = 0
+    for folder, scenarios in runs:
+        for scenario in scenarios:
+            report = run_scenario(scenario)
+            for fmt in ("json", "csv"):
+                write_report(report, os.path.join(out, folder), fmt)
+                count += 1
+    print(f"{count} reports written under {out}")
+    return 0
+
+
+def _files(root: str) -> set[str]:
+    return {os.path.relpath(os.path.join(where, name), root)
+            for where, _, names in os.walk(root) for name in names}
+
+
+def _body(path: str) -> list[str]:
+    with open(path, encoding="utf-8", newline="") as fh:
+        return [line for line in fh if '"timestamp":' not in line]
+
+
+def compare(a: str, b: str) -> int:
+    names = sorted(_files(a) | _files(b))
+    differ = [name for name in names
+              if not all(os.path.isfile(os.path.join(root, name)) for root in (a, b))
+              or _body(os.path.join(a, name)) != _body(os.path.join(b, name))]
+    for name in differ:
+        print(name)
+    print(f"{len(differ)} of {len(names)} files differ")
+    return 1 if differ else 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out", nargs="?", help="directory to write the reports under")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two report directories")
+    args = parser.parse_args(argv)
+    if (args.out is None) == (args.compare is None):
+        parser.error("give either OUT or --compare A B")
+    return compare(*args.compare) if args.compare else write(args.out)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
