@@ -100,23 +100,17 @@ def first_violation(
     max_chunk = max(_CHUNK, _CHUNK_FLOATS // coords.shape[1])
     chunk = _CHUNK
 
-    cmin = coords[anchor].copy()
-    cmax = coords[anchor].copy()
+    cmin = cmax = coords[anchor]  # the running box of the rows before j
     j = anchor + 1
     while j <= hi:
         stop = min(hi + 1, j + chunk)
         block = coords[j:stop]
-        # Exclusive prefix boxes: candidate set for row t is [anchor, j+t-1].
-        pmin = np.minimum(np.minimum.accumulate(block, axis=0), cmin)
-        pmax = np.maximum(np.maximum.accumulate(block, axis=0), cmax)
-        bmin = np.empty_like(pmin)
-        bmax = np.empty_like(pmax)
-        bmin[0], bmax[0] = cmin, cmax
-        bmin[1:], bmax[1:] = pmin[:-1], pmax[:-1]
-
+        # Row t's candidates are [anchor, j+t-1]: the running box widened by rows j-1 .. j+t-1.
+        bmin = np.minimum(np.minimum.accumulate(coords[j - 1 : stop - 1], axis=0), cmin)
+        bmax = np.maximum(np.maximum.accumulate(coords[j - 1 : stop - 1], axis=0), cmax)
         alive = box_reach(bmin, bmax, block, block, p, eps) >= eps
         if not alive.any():
-            cmin, cmax = pmin[-1], pmax[-1]
+            cmin, cmax = np.minimum(bmin[-1], block[-1]), np.maximum(bmax[-1], block[-1])
             j = stop
             chunk = min(2 * chunk, max_chunk)
             continue

@@ -127,7 +127,7 @@ def drift_bound_check(traj: AverageTrajectory) -> DriftReport:
     if cert is not None and cert.B2 > 1.0:
         raise PreconditionError(f"operator certifies B2 = {cert.B2} > 1: not nonexpansive")
     norm_x = traj.x.norm()
-    pts, p = np.ascontiguousarray(traj.points), traj.p
+    pts, p = traj.points, traj.p
     n, step = pts.shape[0], max(_CHUNK, _CHUNK_FLOATS // (2 * pts.shape[1]))
     steps = batch_norm_p(pts[1:] - pts[:-1], p)
     incumbent = float(np.max(steps - (2.0 * norm_x) / np.arange(2.0, n + 1), initial=-math.inf))

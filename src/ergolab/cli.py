@@ -54,17 +54,19 @@ def _summarize(report: Report, path: str, verbose_rows: bool) -> None:
                   + ", ".join(f"{k}={v}" for k, v in row.items() if k != "note"))
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    try:
-        scenario = load_scenario(args.config, seed_override=args.seed)
+def _run_all(scenarios, args: argparse.Namespace, verbose_rows: bool) -> bool:
+    """Run each scenario, write its report and summarize it; True when every row passed."""
+    ok = True
+    for scenario in scenarios:
         report = run_scenario(scenario)
-        out_dir = _resolve_out(args.out, scenario.out)
-        path = write_report(report, out_dir, args.format)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _summarize(report, path, verbose_rows=False)
-    return 0 if report.all_passed else 1
+        path = write_report(report, _resolve_out(args.out, scenario.out), args.format)
+        _summarize(report, path, verbose_rows)
+        ok = ok and report.all_passed
+    return ok
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    return 0 if _run_all([load_scenario(args.config, seed_override=args.seed)], args, False) else 1
 
 
 def _cmd_presets_list(args: argparse.Namespace) -> int:
@@ -74,18 +76,7 @@ def _cmd_presets_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_all(args: argparse.Namespace) -> int:
-    try:
-        scenarios = builtin_corpus(args.seed)
-    except ConfigError as exc:  # an invalid --seed
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    ok = True
-    for scenario in scenarios:
-        report = run_scenario(scenario)
-        out_dir = _resolve_out(args.out, scenario.out)
-        path = write_report(report, out_dir, args.format)
-        _summarize(report, path, verbose_rows=True)
-        ok = ok and report.all_passed
+    ok = _run_all(builtin_corpus(args.seed), args, True)
     print("verify-all:", "OK" if ok else "FAILED")
     return 0 if ok else 1
 
@@ -125,10 +116,13 @@ def main(argv: list[str] | None = None) -> int:
     verify_p.set_defaults(func=_cmd_verify_all)
 
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", 1) < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
+    try:
+        if getattr(args, "jobs", 1) < 1:
+            raise ConfigError("--jobs must be >= 1")
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -80,14 +80,12 @@ def build_cyclic_shift_counterexample(u: int) -> tuple[CyclicShift, Vector]:
 
 def fluctuation_in_dyadic_interval(traj: AverageTrajectory, eps: float, k: int) -> bool:
     """True when some pair of indices in [2^(k-1), 2^k] is eps-separated."""
-    k = _integer(k, "k", 1)
-    lo, hi = 2 ** (k - 1), 2**k
-    if hi > traj.horizon:
-        raise HorizonExhaustedError(
-            f"interval [{_shown(lo)}, {_shown(hi)}] exceeds horizon {traj.horizon}",
-            checked_up_to=traj.horizon,
-        )
-    return first_violation(PointsView(traj.points, traj.p), eps, lo - 1, hi - 1) is not None
+    k, bits = _integer(k, "k", 1), traj.horizon.bit_length()
+    if k >= bits:  # 2^k > horizon; past 4 x horizon, the ends are shown as powers, not built
+        ends = (2 ** (k - 1), 2**k) if k <= bits + 1 else (f"2^{_shown(k - 1)}", f"2^{_shown(k)}")
+        raise HorizonExhaustedError(f"interval [{ends[0]}, {ends[1]}] exceeds horizon {traj.horizon}",
+                                    checked_up_to=traj.horizon)
+    return first_violation(PointsView(traj.points, traj.p), eps, 2 ** (k - 1) - 1, 2**k - 1) is not None
 
 
 @dataclass(frozen=True)

@@ -102,14 +102,22 @@ def lpb_norm(f: SeqFunction) -> float:
     return norm_p(Vector(f.values.ravel(), f.p))
 
 
+def _blocks(f: SeqFunction, level: int) -> tuple[int, int, int]:
+    """(2^level, lo, hi): f's window widened to blocks of 2^level rows, which numpy
+    must be able to hold as complex rows. No power past 2^63 is built: one such
+    block alone is past numpy's limit on an array's bytes."""
+    b = 1 << min(level, 63)
+    lo, hi = (f.lo // b) * b, -((-f.hi) // b) * b  # floor and ceiling to block boundaries
+    if (hi - lo) * f.dim * 16 > np.iinfo(np.intp).max:
+        raise InvalidInputError(f"level {_shown(level)}: blocks of 2^level rows widen the window "
+                                "past numpy's largest array")
+    return b, lo, hi
+
+
 def conditional_expectation(f: SeqFunction, level: int) -> SeqFunction:
     """Block averages of f over the blocks of length 2^level (level >= 0), window
     widened to block boundaries (partially covered blocks average in the implicit zeros)."""
-    b = 1 << _integer(level, "level", 0)
-    if b == 1:
-        return SeqFunction(f.lo, f.values, f.p)
-    lo = (f.lo // b) * b
-    hi = -((-f.hi) // b) * b  # ceil division
+    b, lo, hi = _blocks(f, _integer(level, "level", 0))
     padded = np.zeros((hi - lo, f.dim), dtype=np.complex128)
     padded[f.lo - lo : f.hi - lo] = f.values
     means = padded.reshape(-1, b, f.dim).sum(axis=1) / b
@@ -118,10 +126,13 @@ def conditional_expectation(f: SeqFunction, level: int) -> SeqFunction:
 
 def martingale_differences(f: SeqFunction, n_max: int) -> list[SeqFunction]:
     """[d_1 f, ..., d_n_max f] with d_1 f = f - E_1 f and
-    d_n f = E_(n-1) f - E_n f; they telescope to f - E_n_max f."""
+    d_n f = E_(n-1) f - E_n f; they telescope to f - E_n_max f. The widest
+    window, at level n_max, is checked before any is built."""
+    n_max = _integer(n_max, "n_max", 1)
+    _blocks(f, n_max)
     out = []
     prev = f
-    for n in range(1, _integer(n_max, "n_max", 1) + 1):
+    for n in range(1, n_max + 1):
         cur = conditional_expectation(f, n)
         out.append(prev - cur)
         prev = cur

@@ -35,7 +35,7 @@ from typing import Any, Callable, Iterable, Mapping, NamedTuple
 import numpy as np
 
 from . import __version__
-from .averages import ergodic_averages
+from .averages import AverageTrajectory, ergodic_averages
 from .bounds import fluctuation_bound_nonexpansive
 from .counterexamples import verify_metastability_lower_bound
 from .dyadic import SeqFunction, verify_decomposition_inequalities
@@ -261,23 +261,22 @@ def _fields(doc: Mapping[str, Any], keys: Mapping[str, _Key], where: str | None 
 # case runners: (case index, case rng, params) -> rows
 
 
-def _random_rotation(rng: np.random.Generator, dim: int, p: float) -> tuple[RotationProduct, Vector]:
-    """A random rotation product with angles bounded away from 0, and a
-    random p-normalized start point. The angle floor keeps every average
-    trajectory settling well inside desk-scale horizons."""
+def _rotation_case(idx: int, rng: np.random.Generator, par: Mapping[str, Any],
+                   p: float = 2.0) -> tuple[int, AverageTrajectory]:
+    """Case idx's dimension, and the averages over the horizon of a random rotation
+    product, its angles bounded away from 0, at a random p-normalized start point.
+    The angle floor keeps every trajectory settling well inside desk-scale horizons."""
+    dim = par["dims"][idx % len(par["dims"])]
     magnitudes = rng.uniform(0.25, math.pi, dim)
     signs = np.where(rng.uniform(size=dim) < 0.5, -1.0, 1.0)
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    x = Vector(z, p=p)
-    x = Vector(z / x.norm(), p=p)
-    return RotationProduct(magnitudes * signs), x
+    x = Vector(z / Vector(z, p=p).norm(), p=p)
+    return dim, ergodic_averages(RotationProduct(magnitudes * signs), x, par["horizon"])
 
 
 def _variation_case(idx: int, rng: np.random.Generator, par: Mapping[str, Any]) -> list[dict[str, Any]]:
-    dim = par["dims"][idx % len(par["dims"])]
+    dim, traj = _rotation_case(idx, rng, par)
     horizon = par["horizon"]
-    op, x = _random_rotation(rng, dim, 2.0)
-    traj = ergodic_averages(op, x, horizon)
     sub = [2**k for k in range(horizon.bit_length())]  # dyadic times 1, 2, 4, ... <= horizon
     rows = []
     for q in par["q_grid"]:
@@ -296,15 +295,14 @@ def _variation_case(idx: int, rng: np.random.Generator, par: Mapping[str, Any]) 
 
 def _fluctuation_case(idx: int, rng: np.random.Generator, par: Mapping[str, Any]) -> list[dict[str, Any]]:
     desc: SpaceDescriptor = par["descriptor"]
-    dim = par["dims"][idx % len(par["dims"])]
     horizon = par["horizon"]
-    if par["include_constant"] and idx == 0:
-        op = RotationProduct(np.zeros(dim))
+    if par["include_constant"] and idx == 0:  # the constant orbit of a unit vector
+        dim = par["dims"][0]
         x = Vector(np.full(dim, dim ** (-1.0 / desc.p), dtype=np.complex128), p=desc.p)
+        traj = ergodic_averages(RotationProduct(np.zeros(dim)), x, horizon)
     else:
-        op, x = _random_rotation(rng, dim, desc.p)
-    traj = ergodic_averages(op, x, horizon)
-    norm_x = x.norm()
+        dim, traj = _rotation_case(idx, rng, par, desc.p)
+    norm_x = traj.x.norm()
     rows = []
     for eps in par["eps_grid"]:
         measured = count_fluctuations(traj, eps).count
@@ -319,11 +317,9 @@ def _fluctuation_case(idx: int, rng: np.random.Generator, par: Mapping[str, Any]
 
 
 def _metastability_case(idx: int, rng: np.random.Generator, par: Mapping[str, Any]) -> list[dict[str, Any]]:
-    dim = par["dims"][idx % len(par["dims"])]
+    dim, traj = _rotation_case(idx, rng, par)
     horizon = par["horizon"]
     g = G_SELECTORS[par["g"]]
-    op, x = _random_rotation(rng, dim, 2.0)
-    traj = ergodic_averages(op, x, horizon)
     rows = []
     for eps in par["eps_grid"]:
         count = count_fluctuations(traj, eps).count
@@ -409,7 +405,9 @@ class _Kind(NamedTuple):
 _COMMON = {
     "name": _Key(_of(str)),
     "kind": _Key(_of(str), checks=(_known_kind,)),
-    "seed": _Key(_of(int), 0, (_rule(lambda seed, par: seed >= 0, "must be >= 0, got {val}"),)),
+    # below 2^128: SeedSequence mixes a seed into a 128-bit pool
+    "seed": _Key(_of(int), 0, (_rule(lambda seed, par: seed >= 0, "must be >= 0, got {val}"),
+                               _rule(lambda seed, par: seed < 2**128, "must be < 2^128, got {val}"))),
     "out": _Key(_of(str), None),
 }
 

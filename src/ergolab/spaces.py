@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,16 +112,11 @@ def _integer(value, name: str, lo: int | None = None, hi: int | None = None) -> 
 
 
 def _integers(values, name: str, lo: int | None = None) -> tuple[int, ...]:
-    """`_integer` of each entry in C-level passes; entry by entry only to name a bad one."""
+    """`_integer` of each entry of an iterable."""
     try:
         values = tuple(values)
     except TypeError:
         raise InvalidInputError(f"{name} sequence must be iterable, got {_shown(values)}") from None
-    if bool not in map(type, values):
-        with suppress(TypeError):
-            out = tuple(map(operator.index, values))
-            if lo is None or not out or min(out) >= lo:
-                return out
     return tuple(_integer(v, name, lo) for v in values)
 
 

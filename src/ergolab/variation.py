@@ -133,8 +133,6 @@ def p_variation_along(points: PointsLike, ts: IndexSequence, q: float, *,
     if ts.indices[-1] > view.n:  # before int64 conversion, which a huge index overflows
         raise InvalidInputError(f"index {_shown(ts.indices[-1])} exceeds horizon {view.n}")
     idx = np.asarray(ts.indices, dtype=np.int64)
-    if len(idx) == 1:
-        return 0.0
     steps = batch_norm_p(view.pts[idx[1:] - 1] - view.pts[idx[:-1] - 1], view.p)
     return float(np.sum(steps**q))
 
@@ -181,6 +179,14 @@ def count_fluctuations(points: PointsLike, eps: float, *,
     return FluctuationReport(len(witnesses), witnesses, float(eps))
 
 
+def _reversed_hit(n: int, hit: tuple[int, int, int]) -> tuple[int, int]:
+    """A hit of `first_violation` on the reversed view of n points, where 1-based
+    index k sits at row n - k, as (the largest index opening a separated pair,
+    its least partner)."""
+    _, i_last, j = hit
+    return n - j, n - i_last
+
+
 def metastability_rate(points: PointsLike, query: MetastabilityQuery, *,
                        p_norm: float | None = None) -> int:
     """Least n with every pair of A_n .. A_g(n) strictly within eps.
@@ -192,9 +198,8 @@ def metastability_rate(points: PointsLike, query: MetastabilityQuery, *,
     reversed scan's earliest violation endpoint is the largest index of the
     window that opens any separated pair, and the latest partner on the
     reversed side is that index's smallest partner. Every window is an index
-    range of one reversed view, where 1-based index k sits at row N - k. Runs
-    out of horizon -> HorizonExhaustedError carrying the least n the answer
-    could still be.
+    range of one reversed view. Runs out of horizon -> HorizonExhaustedError
+    carrying the least n the answer could still be.
     """
     view = _points_view(points, p_norm)
     rev = PointsView(view.pts[::-1], view.p)
@@ -210,8 +215,7 @@ def metastability_rate(points: PointsLike, query: MetastabilityQuery, *,
         hit = first_violation(rev, query.epsilon, view.n - end, view.n - n)
         if hit is None:
             return n
-        _, i_last_rev, j_rev = hit
-        i1, j1 = view.n - j_rev, view.n - i_last_rev
+        i1, j1 = _reversed_hit(view.n, hit)
         n += 1
         while n <= i1 and _integer(query.g(n), "g(n)", n) >= j1:
             n += 1
@@ -243,12 +247,10 @@ def empirical_convergence_rate(points: PointsLike, eps: float, *,
     """
     view = _points_view(points, p_norm)
     n = view.n
-    reversed_view = PointsView(view.pts[::-1], view.p)
-    hit = first_violation(reversed_view, eps, 0, n - 1)
+    hit = first_violation(PointsView(view.pts[::-1], view.p), eps, 0, n - 1)
     if hit is None:
         return ConvergenceRateResult(True, 1, n)
-    j_rev = hit[2]
-    i_max = n - 1 - j_rev  # 0-based largest index opening a separated pair
-    if i_max == n - 2:
+    opener, _ = _reversed_hit(n, hit)
+    if opener == n - 1:
         return ConvergenceRateResult(False, None, n)
-    return ConvergenceRateResult(True, i_max + 2, n)
+    return ConvergenceRateResult(True, opener + 1, n)

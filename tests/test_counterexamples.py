@@ -1,6 +1,7 @@
 """Lower-bound witness families: rotations per dyadic band, cyclic shift."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -71,6 +72,16 @@ class TestDyadicIntervalFluctuation:
         with pytest.raises(HorizonExhaustedError) as info:
             fluctuation_in_dyadic_interval(traj, 0.25, 4)  # [8, 16] > horizon 8
         assert info.value.checked_up_to == 8
+
+    @pytest.mark.parametrize("k, interval", [
+        (4, "[8, 16]"), (5, "[16, 32]"),  # up to 4 x horizon the ends are numbers
+        (6, "[2^5, 2^6]"), (20_000, "[2^19999, 2^20000]"),  # past it, powers that are never built
+    ])
+    def test_interval_past_the_horizon(self, k, interval):
+        built = build_rotation_counterexample(2.0, 2)
+        traj = ergodic_averages(built.operator, built.x, 8)
+        with pytest.raises(HorizonExhaustedError, match=f"^interval {re.escape(interval)} exceeds horizon 8$"):
+            fluctuation_in_dyadic_interval(traj, 0.25, k)
 
 
 class TestCyclicShiftFamily:

@@ -109,6 +109,13 @@ class TestConditionalExpectation:
         with pytest.raises(InvalidInputError, match=r"^level must be >= 0, got -1$"):
             conditional_expectation(_delta(), -1)
 
+    @pytest.mark.parametrize("level", [62, 200])
+    def test_levels_past_numpys_largest_array_are_rejected(self, level):
+        f = SeqFunction(0, np.arange(10.0), 2.0)
+        with pytest.raises(InvalidInputError, match=rf"^level {level}: blocks of 2\^level rows widen "
+                                                    r"the window past numpy's largest array$"):
+            conditional_expectation(f, level)
+
     def test_blocks_anchor_at_zero_for_negative_windows(self):
         f = SeqFunction(-1, np.array([1.0]), 2.0)
         e1 = conditional_expectation(f, 1)
@@ -183,6 +190,14 @@ class TestMartingaleDifferences:
     def test_validation(self):
         with pytest.raises(InvalidInputError):
             martingale_differences(_delta(), 0)
+
+    def test_n_max_past_numpys_largest_array_is_rejected_before_any_level(self, monkeypatch):
+        def unreachable(f, level):
+            raise AssertionError(f"level {level} built")
+
+        monkeypatch.setattr("ergolab.dyadic.conditional_expectation", unreachable)
+        with pytest.raises(InvalidInputError, match=r"^level 200: blocks of 2\^level rows widen "):
+            martingale_differences(SeqFunction(0, np.arange(10.0), 2.0), 200)
 
 
 class TestShiftAverages:

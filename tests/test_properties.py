@@ -19,6 +19,7 @@ from ergolab import (
     RotationProduct,
     SeqFunction,
     Vector,
+    batch_norm_p,
     conditional_expectation,
     count_fluctuations,
     empirical_convergence_rate,
@@ -331,3 +332,41 @@ class TestSlotSymmetries:
         want = _scans(pts, eps, p)
         for image in mapped:
             assert _scans(image, eps, p) == want
+
+
+def _monotone_scans(pts, eps, p):
+    """Count, empirical rate and metastability rate (g_double) at eps, a rate with
+    found=False or an exhausted horizon as +inf. None of them increases as eps grows."""
+    try:
+        meta = metastability_rate(pts, MetastabilityQuery(eps, g_double), p_norm=p)
+    except HorizonExhaustedError:
+        meta = math.inf
+    rate = empirical_convergence_rate(pts, eps, p_norm=p)
+    return count_fluctuations(pts, eps, p_norm=p).count, rate.n if rate.found else math.inf, meta
+
+
+class TestInexactSymmetries:
+    """A unit phase e^(i theta) on every point, or a permutation of three slots, is an
+    isometry that floating point carries out only up to a few ulps of the largest point
+    norm per distance. With eta far above that, each measurement of the image at eps
+    lies between the original's at eps + eta and at eps - eta. Half the draws put eps
+    exactly on a distance of the original, where the bracket is tight."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 3), st.integers(2, 300), st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+           st.floats(-math.pi, math.pi), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_measurements_of_the_image_are_bracketed(self, u, n, p, theta, on_a_distance, seed):
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal(u) + 1j * rng.standard_normal(u)
+        op = RotationProduct(rng.uniform(-np.pi, np.pi, u))
+        pts = ergodic_averages(op, Vector(z, p), n).points / Vector(z, p).norm()
+        eps = float(np.exp(rng.uniform(np.log(0.01), np.log(0.5))))
+        if on_a_distance:
+            i, j = sorted(rng.choice(n, 2, replace=False))
+            eps = float(batch_norm_p(pts[j : j + 1] - pts[i : i + 1], p)[0])
+        eta = 2.0**-40 * (1.0 + float(batch_norm_p(pts, p).max()))
+        assume(eps > 2.0 * eta)
+        lower, upper = _monotone_scans(pts, eps + eta, p), _monotone_scans(pts, eps - eta, p)
+        for image in (pts * np.exp(1j * theta), pts[:, rng.permutation(u)]):
+            got = _monotone_scans(image, eps, p)
+            assert all(lo <= g <= hi for lo, g, hi in zip(lower, got, upper)), (lower, got, upper)

@@ -349,6 +349,13 @@ MESSAGES = [
     pytest.param({"name": "n", "kind": "variation-sweep", "seed": -10**5000},
                  "key 'seed': must be >= 0, got a negative 16610-bit integer",
                  id='huge:seed-negative'),
+    # SeedSequence mixes a seed into a 128-bit pool; a longer one also breaks report writing
+    pytest.param({"name": "n", "kind": "variation-sweep", "seed": 10**5000},
+                 "key 'seed': must be < 2^128, got a 16610-bit integer",
+                 id='huge:seed'),
+    pytest.param({"name": "n", "kind": "variation-sweep", "seed": 2**128},
+                 "key 'seed': must be < 2^128, got 340282366920938463463374607431768211456",
+                 id='seed-past-128-bits'),
     pytest.param({"name": "n", "kind": "variation-sweep", "horizon": -10**5000},
                  "key 'horizon': must be >= 1, got a negative 16610-bit integer",
                  id='huge:horizon-negative'),

@@ -68,11 +68,16 @@ class TestConfigValidation:
     @pytest.mark.parametrize("override, message", [
         (-1, "key 'seed': must be >= 0, got -1"),
         (True, "key 'seed': expected an integer, got a boolean"),
+        (2**128, "key 'seed': must be < 2^128, got 340282366920938463463374607431768211456"),
     ])
     def test_seed_override_obeys_the_seed_rule(self, override, message):
         with pytest.raises(ConfigError) as info:
             scenario_from_mapping(_sweep_doc(), seed_override=override)
         assert str(info.value) == message
+
+    def test_largest_seed_runs_and_emits(self):
+        report = run_scenario(scenario_from_mapping(_sweep_doc(seed=2**128 - 1, cases=1)))
+        assert json.loads(emit_report(report, "json"))["scenario"]["seed"] == 2**128 - 1
 
     def test_invalid_config_seed_survives_a_valid_override(self):
         with pytest.raises(ConfigError, match=r"^key 'seed': must be >= 0, got -2$"):
@@ -390,13 +395,19 @@ class TestCLI:
         rows_b = json.loads((tmp_path / "b" / "sweep.json").read_text())["rows"]
         assert rows_a != rows_b
 
-    @pytest.mark.parametrize("command", ["run", "verify-all"])
-    def test_invalid_seed_override_exit_two(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command, seed, rule", [
+        pytest.param("run", "-3", "must be >= 0, got -3", id="run"),
+        pytest.param("verify-all", "-3", "must be >= 0, got -3", id="verify-all"),
+        pytest.param("run", str(2**128), f"must be < 2^128, got {2**128}", id="run-seed-past-128-bits"),
+        pytest.param("verify-all", str(2**128), f"must be < 2^128, got {2**128}",
+                     id="verify-all-seed-past-128-bits"),
+    ])
+    def test_invalid_seed_override_exit_two(self, tmp_path, capsys, command, seed, rule):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(_sweep_doc()))
         argv = [command] + ([str(cfg)] if command == "run" else [])
-        assert main(argv + ["--out", str(tmp_path / "r"), "--seed", "-3"]) == 2
-        assert capsys.readouterr().err == "error: key 'seed': must be >= 0, got -3\n"
+        assert main(argv + ["--out", str(tmp_path / "r"), "--seed", seed]) == 2
+        assert capsys.readouterr().err == f"error: key 'seed': {rule}\n"
         assert not (tmp_path / "r").exists()
 
     def test_jobs_guard(self, tmp_path, capsys):

@@ -467,7 +467,7 @@ class TestNoSideDoors:
             (lambda: ergolab.metastability_from_fluctuations(1, lambda n: _HUGE),
              f"g-iteration left the 64-bit range at a {size}-bit integer"),
             (lambda: ergolab.fluctuation_in_dyadic_interval(_TRAJ, 0.1, 20_000),
-             "interval [a 20000-bit integer, a 20001-bit integer] exceeds horizon 64"),
+             "interval [2^19999, 2^20000] exceeds horizon 64"),
             (lambda: ergolab.verify_decomposition_inequalities(_F, "average_vs_expectation", ts=[_HUGE]),
              f"t_1 = a {size}-bit integer outside its dyadic band [1, 2)"),
         ]

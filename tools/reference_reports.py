@@ -5,7 +5,11 @@
 
 The reports are the `verify-all` corpus at the default seed and at seeds 2 and
 11, and the nine `perfbench/workloads.scenario_configs` configs drawn at seeds
-1 and 2, each in JSON and CSV: 72 files under OUT. The library and the configs
+1 and 2, each in JSON and CSV: 72 files under OUT. Next to them,
+OUT/traced-counts.json holds the count metrics (unit `count` or `B`) of one
+traced round of each benchmark workload at seed 1, from
+`perfbench/run.py --workload W --seed 1 --seconds 0 --trace 1`; writing exits 1
+when such a run is not `correct`. The library, the configs and the benchmark
 come from the checkout this script sits in. Two checkouts give the same answers
 when --compare, which drops each report's `timestamp` line, lists no file; it
 exits 1 when some file differs or exists on one side only.
@@ -16,12 +20,32 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import subprocess
 import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 VERIFY_SEEDS = (None, 2, 11)
 CONFIG_SEEDS = (1, 2)
+WORKLOADS = ("tail-scan", "long-orbit", "scenario-batch")
+
+
+def traced_counts() -> dict[str, dict[str, int]] | None:
+    """Each workload's count metrics from one traced round at seed 1; None when a run
+    is not correct."""
+    counts = {}
+    for workload in WORKLOADS:
+        run = subprocess.run([sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
+                              "--seed", "1", "--seconds", "0", "--trace", "1"],
+                             cwd=ROOT, capture_output=True, text=True, check=False)
+        lines = run.stdout.splitlines()
+        result = json.loads(lines[-1]) if run.returncode == 0 and lines else {"correct": False}
+        if not result["correct"]:
+            print(f"perfbench/run.py --workload {workload} is not correct:\n{run.stderr}", file=sys.stderr)
+            return None
+        counts[workload] = {name: metric["value"] for name, metric in result["metrics"].items()
+                            if metric["unit"] in ("count", "B")}
+    return counts
 
 
 def write(out: str) -> int:
@@ -48,6 +72,13 @@ def write(out: str) -> int:
                 write_report(report, os.path.join(out, folder), fmt)
                 count += 1
     print(f"{count} reports written under {out}")
+    counts = traced_counts()
+    if counts is None:
+        return 1
+    with open(os.path.join(out, "traced-counts.json"), "w", encoding="utf-8") as fh:
+        json.dump(counts, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"traced counts of {', '.join(WORKLOADS)} written to {os.path.join(out, 'traced-counts.json')}")
     return 0
 
 
