@@ -10,7 +10,6 @@ caught immediately.
 from ergolab import (
     SpaceDescriptor,
     check_uniform_convexity,
-    clarkson_lower_bound,
     clarkson_modulus,
     descriptor_preset,
 )
@@ -19,9 +18,10 @@ from ergolab import (
 def main():
     print("two-point modulus vs power-form lower bound, p = 3:")
     print(f"{'eps':>5} {'modulus':>12} {'K*eps^p':>12}")
+    clarkson = descriptor_preset("clarkson", p=3.0)
     for eps in (0.25, 0.5, 1.0, 1.5, 2.0):
         mod = clarkson_modulus(3.0, eps)
-        low = clarkson_lower_bound(3.0, eps)
+        low = clarkson.eta(eps)
         print(f"{eps:5.2f} {mod:12.8f} {low:12.8f}")
 
     print("\nrandomized midpoint audits (2000 trials each):")

@@ -14,7 +14,6 @@ import numpy as np
 
 from ergolab import (
     HorizonExhaustedError,
-    MetastabilityQuery,
     RotationProduct,
     Vector,
     count_fluctuations,
@@ -39,7 +38,7 @@ def main():
         s = count_fluctuations(traj, eps).count
         bound = metastability_from_fluctuations(s, g_double)
         try:
-            rate = str(metastability_rate(traj, MetastabilityQuery(eps, g_double)))
+            rate = str(metastability_rate(traj, eps, g_double))
         except HorizonExhaustedError as exc:
             rate = f">= {exc.verified_lower_bound}"
         print(f"{case:4d} {s:8d} {bound:8d} {rate:>12}")

@@ -54,9 +54,6 @@ class AverageTrajectory:
     def horizon(self) -> int:
         return self.points.shape[0]
 
-    def __len__(self) -> int:
-        return self.horizon
-
     def point(self, n: int) -> Vector:
         """A_n x, 1-based."""
         return Vector(self.points[_integer(n, "index", 1, self.horizon) - 1], self.p)

@@ -27,7 +27,7 @@ from .averages import AverageTrajectory, ergodic_averages
 from .errors import HorizonExhaustedError
 from .operators import CyclicShift, RotationProduct
 from .spaces import Vector, _exponent, _integer, _shown
-from .variation import MetastabilityQuery, count_fluctuations, g_next_power_of_two, metastability_rate
+from .variation import count_fluctuations, g_next_power_of_two, metastability_rate
 
 __all__ = [
     "RotationCounterexample",
@@ -117,9 +117,8 @@ def verify_metastability_lower_bound(p: int, horizon: int | None = None) -> Lowe
     built = build_rotation_counterexample(p, u)
     eps = 0.25  # = 1/(2 u^(1/p)) exactly, since u^(1/p) = 2
     traj = ergodic_averages(built.operator, built.x, horizon)
-    query = MetastabilityQuery(eps, g_next_power_of_two)
     try:
-        rate = metastability_rate(traj, query)
+        rate = metastability_rate(traj, eps, g_next_power_of_two)
         exhausted = False
     except HorizonExhaustedError as exc:
         rate = exc.verified_lower_bound

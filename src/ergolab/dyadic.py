@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DimensionMismatchError, InvalidInputError, PreconditionError
 from .operators import Operator
 from .averages import orbit
-from .spaces import Vector, _exponent, _frozen, _integer, _integers, _shown, norm_p
+from .spaces import Vector, _checked, _exponent, _frozen, _integer, _integers, _shown
 from .variation import IndexSequence
 
 __all__ = [
@@ -91,7 +91,7 @@ class SeqFunction:
         return SeqFunction(lo, a - b, self.p)
 
     def __mul__(self, scalar) -> "SeqFunction":
-        return SeqFunction(self.lo, self.values * complex(scalar), self.p)
+        return SeqFunction(self.lo, self.values * _checked(scalar, "scalar factor", 0), self.p)
 
     __rmul__ = __mul__
 
@@ -99,7 +99,7 @@ class SeqFunction:
 def lpb_norm(f: SeqFunction) -> float:
     """(sum_x ||f(x)||^p)^(1/p); inner and outer exponents agree, so this is
     the flat p-norm over every complex entry."""
-    return norm_p(Vector(f.values.ravel(), f.p))
+    return Vector(f.values.ravel(), f.p).norm()
 
 
 def _blocks(f: SeqFunction, level: int) -> tuple[int, int, int]:
@@ -228,12 +228,10 @@ def verify_decomposition_inequalities(
         if ts is None:
             raise InvalidInputError("'short_increments' needs `ts`")
         idx = list(IndexSequence(ts))
-        terms = []
-        for a, b in zip(idx, idx[1:]):
-            k = max(b - 1, 1).bit_length()  # smallest k with b <= 2^k
-            if a >= (1 << (k - 1)):  # both endpoints inside [2^(k-1), 2^k]
-                terms.append(lpb_norm(shift_average_at(f, b) - shift_average_at(f, a)) ** f.p)
-        return _ratio_report(which, terms, f)
+        # both endpoints inside [2^(k-1), 2^k], k the smallest with b <= 2^k; each A_t built once
+        pairs = [(a, b) for a, b in zip(idx, idx[1:]) if a >= 1 << (max(b - 1, 1).bit_length() - 1)]
+        avg = {t: shift_average_at(f, t) for t in {t for pair in pairs for t in pair}}
+        return _ratio_report(which, [lpb_norm(avg[b] - avg[a]) ** f.p for a, b in pairs], f)
 
     raise InvalidInputError(
         f"unknown check {which!r}; expected 'martingale', "

@@ -36,7 +36,6 @@ __all__ = [
     "CyclicShift",
     "DenseMatrix",
     "Operator",
-    "apply",
     "apply_power",
     "estimate_power_bounds",
 ]
@@ -182,11 +181,6 @@ class DenseMatrix:
         if lo <= 0.0:
             raise InvalidInputError("sampled a vector annihilated by the matrix; bounds are degenerate")
         return PowerBoundCertificate(lo, hi, n_max)
-
-
-def apply(op: Operator, v: Vector) -> Vector:
-    """One application of the operator."""
-    return apply_power(op, 1, v)
 
 
 def apply_power(op: Operator, n: int, v: Vector) -> Vector:

@@ -43,7 +43,6 @@ from .errors import ErgolabError, HorizonExhaustedError, InvalidInputError
 from .operators import RotationProduct
 from .spaces import SpaceDescriptor, Vector, _shown, check_uniform_convexity, descriptor_preset
 from .variation import (
-    MetastabilityQuery,
     count_fluctuations,
     g_double,
     g_next_power_of_two,
@@ -326,7 +325,7 @@ def _metastability_case(idx: int, rng: np.random.Generator, par: Mapping[str, An
         conversion = metastability_from_fluctuations(count, g)
         note = ""
         try:
-            rate = metastability_rate(traj, MetastabilityQuery(eps, g))
+            rate = metastability_rate(traj, eps, g)
             exhausted = False
         except HorizonExhaustedError as exc:
             rate = exc.verified_lower_bound
@@ -347,12 +346,11 @@ def _dyadic_case(idx: int, rng: np.random.Generator, par: Mapping[str, Any]) -> 
     lo = int(rng.integers(-16, 17))
     values = rng.standard_normal(support) + 1j * rng.standard_normal(support)
     f = SeqFunction(lo, values, p=p)
-    ts = [2**k - 1 for k in range(1, levels + 1)]
     rows = []
     for kind_name, kwargs in (
         ("martingale", {"levels": list(range(levels + 1))}),
-        ("average_vs_expectation", {"ts": ts}),
-        ("short_increments", {"ts": ts}),
+        ("average_vs_expectation", {"ts": [2**k - 1 for k in range(1, levels + 1)]}),  # one per band
+        ("short_increments", {"ts": [2**k for k in range(levels + 1)]}),  # one in-band pair per level
     ):
         rep = verify_decomposition_inequalities(f, kind_name, **kwargs)
         bound = 1.0 + _RATIO_SLACK if kind_name == "martingale" and p == 2.0 else par["ratio_cap"]

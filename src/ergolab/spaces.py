@@ -21,11 +21,8 @@ from .errors import DimensionMismatchError, InvalidInputError
 __all__ = [
     "Vector",
     "SpaceDescriptor",
-    "vector",
-    "norm_p",
     "batch_norm_p",
     "clarkson_modulus",
-    "clarkson_lower_bound",
     "check_uniform_convexity",
     "descriptor_preset",
     "PRESETS",
@@ -34,10 +31,19 @@ __all__ = [
 
 def _checked(values, name: str, rank: int, dtype=np.complex128) -> np.ndarray:
     """values as a nonempty, finite array of the given rank, not copied; a 1-D
-    input becomes a column when the rank is 2. The package's one array gate."""
+    input becomes a column when the rank is 2. Entries must be integers, floats or,
+    for a complex dtype, complex numbers: no text, bytes, booleans or dropped
+    imaginary parts. The package's one array gate."""
+    kinds = "iufc" if np.dtype(dtype).kind == "c" else "iuf"
+    number = numbers.Complex if "c" in kinds else numbers.Real
     try:
-        arr = np.asarray(values, dtype=dtype)
-    except (TypeError, ValueError, OverflowError):  # text, ragged rows, ints past the float range
+        arr = np.asarray(values)
+        if arr.dtype == object and all(isinstance(v, number) and not isinstance(v, bool) for v in arr.flat):
+            arr = arr.astype(dtype)  # Python ints past the int64 range
+        if arr.dtype.kind not in kinds:
+            raise TypeError
+        arr = np.asarray(arr, dtype=dtype)
+    except (TypeError, ValueError, OverflowError):  # ragged rows, ints past the float range
         raise InvalidInputError(f"{name} must be an array of finite numbers") from None
     if rank == 2 and arr.ndim == 1:
         arr = arr[:, None]
@@ -136,7 +142,9 @@ class Vector:
         return self.components.shape[0]
 
     def norm(self) -> float:
-        return norm_p(self)
+        """(sum_i |z_i|^p)^(1/p) over the complex slots: the kernel's scaled path
+        on one row, so no p-th power overflows at any scale."""
+        return float(_scaled_norms(np.abs(self.components)[None, :], self.p)[0])
 
     def _coerce(self, other: "Vector") -> None:
         if not isinstance(other, Vector):
@@ -155,23 +163,12 @@ class Vector:
         return Vector(self.components - other.components, self.p)
 
     def __mul__(self, scalar) -> "Vector":
-        return Vector(self.components * complex(scalar), self.p)
+        return Vector(self.components * _checked(scalar, "scalar factor", 0), self.p)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "Vector":
         return Vector(-self.components, self.p)
-
-
-def vector(components, p: float) -> Vector:
-    """Convenience constructor accepting any array-like of numbers."""
-    return Vector(components, p)
-
-
-def norm_p(v: Vector) -> float:
-    """(sum_i |z_i|^p)^(1/p) over the complex slots of v: the kernel's scaled
-    path on one row, so no p-th power overflows at any scale."""
-    return float(_scaled_norms(np.abs(v.components)[None, :], v.p)[0])
 
 
 def batch_norm_p(points: np.ndarray, p: float) -> np.ndarray:
@@ -246,12 +243,6 @@ def clarkson_modulus(p: float, eps: float) -> float:
     """The classical modulus 1 - (1 - (eps/2)^p)^(1/p) of l^p, p >= 2."""
     p, eps = _exponent(p, "Clarkson exponent", "p", 2), _real(eps, "eps", 0, 2, above=True)
     return 1.0 - (1.0 - (eps / 2.0) ** p) ** (1.0 / p)
-
-
-def clarkson_lower_bound(p: float, eps: float) -> float:
-    """Power-type lower bound (1/p) * (eps/2)^p for the Clarkson modulus."""
-    p, eps = _exponent(p, "Clarkson exponent", "p", 2), _real(eps, "eps", 0, 2, above=True)
-    return (eps / 2.0) ** p / p
 
 
 PRESETS: dict[str, str] = {

@@ -27,7 +27,6 @@ from .spaces import _checked, _exponent, _integer, _integers, _real, _shown, bat
 __all__ = [
     "IndexSequence",
     "FluctuationReport",
-    "MetastabilityQuery",
     "ConvergenceRateResult",
     "p_variation_along",
     "max_p_variation",
@@ -73,21 +72,6 @@ class FluctuationReport:
     count: int
     witnesses: tuple[tuple[int, int], ...]
     epsilon: float
-
-
-@dataclass(frozen=True)
-class MetastabilityQuery:
-    """Separation threshold plus the window-growth function g.
-
-    g maps a 1-based index n to the window end g(n) >= n. It is probed only
-    where needed; every probed value passes the integer gate.
-    """
-
-    epsilon: float
-    g: Callable[[int], int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "epsilon", _real(self.epsilon, "epsilon", 0, above=True))
 
 
 @dataclass(frozen=True)
@@ -187,9 +171,12 @@ def _reversed_hit(n: int, hit: tuple[int, int, int]) -> tuple[int, int]:
     return n - j, n - i_last
 
 
-def metastability_rate(points: PointsLike, query: MetastabilityQuery, *,
+def metastability_rate(points: PointsLike, eps: float, g: Callable[[int], int], *,
                        p_norm: float | None = None) -> int:
     """Least n with every pair of A_n .. A_g(n) strictly within eps.
+
+    g maps a 1-based index n to the window end g(n) >= n. It is probed only
+    where needed; every probed value passes the integer gate.
 
     Scans n upward. A violating pair (i, j) found in [n, g(n)] rules out every
     n' in [n, i] whose window still reaches j, so the scan jumps; skipped n'
@@ -201,23 +188,24 @@ def metastability_rate(points: PointsLike, query: MetastabilityQuery, *,
     range of one reversed view. Runs out of horizon -> HorizonExhaustedError
     carrying the least n the answer could still be.
     """
+    eps = _real(eps, "epsilon", 0, above=True)
     view = _points_view(points, p_norm)
     rev = PointsView(view.pts[::-1], view.p)
     n = 1
     while True:
-        end = _integer(query.g(n), "g(n)", n)
+        end = _integer(g(n), "g(n)", n)
         if end > view.n:
             raise HorizonExhaustedError(
                 f"window [{n}, {_shown(end)}] exceeds horizon {view.n}; "
                 f"every n < {n} was checked and failed",
                 checked_up_to=n - 1,
             )
-        hit = first_violation(rev, query.epsilon, view.n - end, view.n - n)
+        hit = first_violation(rev, eps, view.n - end, view.n - n)
         if hit is None:
             return n
         i1, j1 = _reversed_hit(view.n, hit)
         n += 1
-        while n <= i1 and _integer(query.g(n), "g(n)", n) >= j1:
+        while n <= i1 and _integer(g(n), "g(n)", n) >= j1:
             n += 1
 
 

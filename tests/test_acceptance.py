@@ -17,7 +17,6 @@ import numpy as np
 from ergolab import (
     CyclicShift,
     HorizonExhaustedError,
-    MetastabilityQuery,
     RotationProduct,
     Vector,
     apply_power,
@@ -36,7 +35,6 @@ from ergolab import (
     metastability_rate,
     shift_average_at,
     transfer_embed,
-    vector,
     verify_decomposition_inequalities,
     verify_metastability_lower_bound,
     window_fluctuation_bound,
@@ -55,7 +53,7 @@ def test_01_rotation_average_identities():
     t0 = time.perf_counter()
     for k in range(1, 13):
         theta = math.pi / k
-        traj = ergodic_averages(RotationProduct(np.array([theta])), vector([1.0], p=2), 2 * k)
+        traj = ergodic_averages(RotationProduct(np.array([theta])), Vector([1.0], p=2), 2 * k)
         a_2k = traj.point(2 * k).norm()
         a_k = traj.point(k).norm()
         assert a_2k <= 1e-12, f"k={k}: |A_2k| = {a_2k}"
@@ -245,8 +243,8 @@ def test_08_transfer_consistency():
     t0 = time.perf_counter()
     big_n = 2**14
     setups = [
-        (RotationProduct(np.array([0.9, -2.3, 0.31])), vector([1.0, 0.5j, -0.25], p=2)),
-        (CyclicShift(8), vector([1, 0, 0, 0.5, 0, 0, 0, 0], p=3)),
+        (RotationProduct(np.array([0.9, -2.3, 0.31])), Vector([1.0, 0.5j, -0.25], p=2)),
+        (CyclicShift(8), Vector([1, 0, 0, 0.5, 0, 0, 0, 0], p=3)),
     ]
     for op, x in setups:
         f = transfer_embed(op, x, big_n)

@@ -26,6 +26,7 @@ from ergolab import (
     InvalidInputError,
     PreconditionError,
     RotationProduct,
+    Vector,
     ceil12,
     count_fluctuations,
     descriptor_preset,
@@ -37,7 +38,6 @@ from ergolab import (
     fluctuation_bound_nonexpansive,
     stability_parameters,
     stability_window_check,
-    vector,
     window_fluctuation_bound,
 )
 from ergolab.averages import AverageTrajectory
@@ -147,7 +147,7 @@ class TestFluctuationBoundNonexpansive:
 
 def _rotation_traj(horizon=64):
     op = RotationProduct(np.array([1.1, -0.4]))
-    x = vector([1.0, 0.5j], p=2)
+    x = Vector([1.0, 0.5j], p=2)
     return ergodic_averages(op, x, horizon)
 
 
@@ -155,7 +155,7 @@ class TestDriftBoundCheck:
     def test_isometry_trajectories_satisfy_bound(self):
         for traj in (
             _rotation_traj(),
-            ergodic_averages(CyclicShift(4), vector([1, 0, 0, 0], p=2), 64),
+            ergodic_averages(CyclicShift(4), Vector([1, 0, 0, 0], p=2), 64),
         ):
             rep = drift_bound_check(traj)
             assert rep.max_excess <= 1e-10
@@ -166,13 +166,13 @@ class TestDriftBoundCheck:
         mat = np.diag([2.0, 2.0]).astype(np.float64)
         cert = estimate_power_bounds(DenseMatrix(mat), n_max=8)
         op = DenseMatrix(mat, cert)
-        traj = ergodic_averages(op, vector([1.0], p=2), 8)
+        traj = ergodic_averages(op, Vector([1.0], p=2), 8)
         with pytest.raises(PreconditionError):
             drift_bound_check(traj)
 
     def test_contraction_passes(self):
         op = DenseMatrix(np.diag([0.5, 0.5]).astype(np.float64))
-        traj = ergodic_averages(op, vector([1.0], p=2), 32)
+        traj = ergodic_averages(op, Vector([1.0], p=2), 32)
         rep = drift_bound_check(traj)
         assert rep.max_excess <= 1e-10
 
@@ -207,12 +207,12 @@ class TestDriftSearchIsExact:
     def test_matches_all_pairs_loop(self, kind, u, horizon, p, scale, seed):
         rng = np.random.default_rng(seed)
         x = 2.0**scale * (rng.standard_normal(u) + 1j * rng.standard_normal(u))
-        _same_as_loop(ergodic_averages(_drift_operator(kind, u, rng), vector(x, p=p), horizon))
+        _same_as_loop(ergodic_averages(_drift_operator(kind, u, rng), Vector(x, p=p), horizon))
 
     @pytest.mark.parametrize("horizon", [2, 7, 130])
     def test_zero_vector_ties_everywhere(self, horizon):
         # every excess is 0.0: the first adjacent pair wins
-        traj = ergodic_averages(RotationProduct(np.array([0.7, 1.9])), vector([0.0, 0.0], p=2),
+        traj = ergodic_averages(RotationProduct(np.array([0.7, 1.9])), Vector([0.0, 0.0], p=2),
                                 horizon)
         assert _same_as_loop(traj) == DriftReport(0.0, (1, 2))
 
@@ -221,13 +221,13 @@ class TestDriftSearchIsExact:
     def test_constant_operators(self, scale, horizon):
         # T = I keeps A_n x = x, T = 0 gives A_n x = x/n
         op = DenseMatrix(scale * np.eye(4))
-        rep = _same_as_loop(ergodic_averages(op, vector([1.0, 0.5j], p=2), horizon))
+        rep = _same_as_loop(ergodic_averages(op, Vector([1.0, 0.5j], p=2), horizon))
         if scale:
             assert rep.worst_pair == (horizon - 1, horizon)
 
     def test_ties_go_to_the_smaller_gap_then_the_earlier_start(self):
         # ||x|| = 0, so excess = distance: (2, 3) and (1, 3) both reach 1
-        traj = AverageTrajectory(np.array([[0.0], [0.0], [1.0]]), 2.0, None, vector([0.0], p=2))
+        traj = AverageTrajectory(np.array([[0.0], [0.0], [1.0]]), 2.0, None, Vector([0.0], p=2))
         assert _same_as_loop(traj).worst_pair == (2, 3)
 
     def test_rotation_needs_few_exact_pairs(self, monkeypatch):

@@ -127,6 +127,11 @@ class TestVerifier:
         assert res.fluctuation_count == 12
         assert res.required == 8
 
+    def test_rate_found_inside_a_longer_horizon(self):
+        res = verify_metastability_lower_bound(2, horizon=32)
+        assert (res.horizon, res.rate_exhausted, res.rate_lower_bound) == (32, False, 11)
+        assert res.fluctuation_count == 6
+
     def test_short_horizon_still_reports(self):
         res = verify_metastability_lower_bound(2, horizon=8)
         assert res.horizon == 8

@@ -11,6 +11,7 @@ from ergolab import (
     PreconditionError,
     RotationProduct,
     SeqFunction,
+    Vector,
     apply_power,
     conditional_expectation,
     lpb_norm,
@@ -18,7 +19,6 @@ from ergolab import (
     seq_shift,
     shift_average_at,
     transfer_embed,
-    vector,
     verify_decomposition_inequalities,
 )
 
@@ -233,7 +233,7 @@ class TestShiftAndTransfer:
 
     def test_transfer_embed_lays_out_orbit(self):
         op = RotationProduct(np.array([math.pi / 3]))
-        x = vector([1.0 + 0.0j], p=2)
+        x = Vector([1.0 + 0.0j], p=2)
         f = transfer_embed(op, x, 6)
         assert (f.lo, f.hi) == (0, 6)
         for i in range(6):
@@ -244,12 +244,12 @@ class TestShiftAndTransfer:
     def test_transfer_isometry_norm_identity(self):
         n = 32
         op = RotationProduct(np.array([0.7, -1.9]))
-        x = vector([1.0, 2.0j], p=2)
+        x = Vector([1.0, 2.0j], p=2)
         f = transfer_embed(op, x, n)
         assert lpb_norm(f) ** 2 == pytest.approx(n * x.norm() ** 2, rel=1e-12)
 
         op3 = CyclicShift(5)
-        y = vector([1.0, 0.5, 0.0, 0.0, 0.25], p=3)
+        y = Vector([1.0, 0.5, 0.0, 0.0, 0.25], p=3)
         g = transfer_embed(op3, y, n)
         assert lpb_norm(g) ** 3 == pytest.approx(n * y.norm() ** 3, rel=1e-12)
 

@@ -12,6 +12,31 @@ import ergolab
 MODULES = ["averages", "bounds", "counterexamples", "dyadic", "errors", "operators", "spaces",
            "variation"]
 
+# Adding or removing a public name is a deliberate change: update this list with it.
+PUBLIC_NAMES = ["AverageTrajectory", "ConvergenceRateResult", "CountOverflowError", "CyclicShift",
+                "DecompositionReport", "DenseMatrix", "DimensionMismatchError", "DriftReport",
+                "ErgolabError", "FluctuationReport", "HorizonExhaustedError", "IndexSequence",
+                "InvalidInputError", "LowerBoundResult", "Operator", "PRESETS",
+                "PowerBoundCertificate", "PreconditionError", "RotationCounterexample",
+                "RotationProduct", "SeqFunction", "SpaceDescriptor", "StabilityParameters",
+                "StabilityWindowReport", "Vector", "apply_power", "batch_norm_p",
+                "build_cyclic_shift_counterexample", "build_rotation_counterexample", "ceil12",
+                "check_uniform_convexity", "clarkson_modulus", "conditional_expectation",
+                "count_fluctuations", "descriptor_preset", "drift_bound_check",
+                "earliest_stable_start", "empirical_convergence_rate", "ergodic_averages",
+                "estimate_power_bounds", "floor12", "fluctuation_bound_nonexpansive",
+                "fluctuation_in_dyadic_interval", "g_double", "g_next_power_of_two", "g_successor",
+                "lpb_norm", "martingale_differences", "max_p_variation",
+                "metastability_from_fluctuations", "metastability_rate", "orbit",
+                "p_variation_along", "rotation_average_closed_form", "seq_shift",
+                "shift_average_at", "stability_parameters", "stability_window_check",
+                "transfer_embed", "verify_decomposition_inequalities",
+                "verify_metastability_lower_bound", "window_fluctuation_bound"]
+
+
+def test_public_names_are_pinned():
+    assert sorted(ergolab.__all__) == PUBLIC_NAMES
+
 
 def test_all_is_the_union_of_the_module_lists():
     names = [name for mod in MODULES for name in importlib.import_module(f"ergolab.{mod}").__all__]

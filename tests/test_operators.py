@@ -12,34 +12,32 @@ from ergolab import (
     PowerBoundCertificate,
     RotationProduct,
     Vector,
-    apply,
     apply_power,
     estimate_power_bounds,
-    vector,
 )
 
 
 def test_rotation_apply_frozen():
     op = RotationProduct(np.array([math.pi, math.pi / 2]))
-    v = vector([1.0, 1.0], p=2)
-    out = apply(op, v)
+    v = Vector([1.0, 1.0], p=2)
+    out = apply_power(op, 1, v)
     assert np.allclose(out.components, [-1.0, 1j], atol=1e-15)
 
 
 def test_rotation_power_closed_form():
     op = RotationProduct(np.array([0.3, -1.1]))
-    v = vector([1.0 + 0.5j, 2.0], p=2)
+    v = Vector([1.0 + 0.5j, 2.0], p=2)
     w = v
     for n in range(5):
         got = apply_power(op, n, v)
         assert np.allclose(got.components, w.components, atol=1e-12)
-        w = apply(op, w)
+        w = apply_power(op, 1, w)
 
 
 def test_cyclic_shift_moves_basis():
     op = CyclicShift(4)
-    e1 = vector([1, 0, 0, 0], p=1)
-    out = apply(op, e1)
+    e1 = Vector([1, 0, 0, 0], p=1)
+    out = apply_power(op, 1, e1)
     assert np.allclose(out.components, [0, 1, 0, 0])
     # wraps around after dim steps
     assert np.allclose(apply_power(op, 4, e1).components, e1.components)
@@ -53,9 +51,9 @@ def test_isometries_preserve_norm():
     for p in (1.0, 2.0, 3.0):
         z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         v = Vector(z, p=p)
-        assert apply(rot, v).norm() == pytest.approx(v.norm(), rel=1e-12)
+        assert apply_power(rot, 1, v).norm() == pytest.approx(v.norm(), rel=1e-12)
         w = Vector(rng.standard_normal(5) + 0j, p=p)
-        assert apply(shift, w).norm() == pytest.approx(w.norm(), rel=1e-12)
+        assert apply_power(shift, 1, w).norm() == pytest.approx(w.norm(), rel=1e-12)
 
 
 def test_isometry_certificates():
@@ -78,13 +76,13 @@ class TestDenseMatrix:
     def test_real_representation_multiplies_complex(self):
         # matrix i*I on one complex coordinate: ((0,-1),(1,0)) on (Re, Im)
         m = DenseMatrix(np.array([[0.0, -1.0], [1.0, 0.0]]))
-        v = vector([1.0 + 2.0j], p=2)
-        out = apply(m, v)
+        v = Vector([1.0 + 2.0j], p=2)
+        out = apply_power(m, 1, v)
         assert np.allclose(out.components, [1j * (1 + 2j)])
 
     def test_power_by_iteration(self):
         m = DenseMatrix(np.diag([0.5, 0.5]))
-        v = vector([4.0], p=2)
+        v = Vector([4.0], p=2)
         assert np.allclose(apply_power(m, 3, v).components, [0.5])
 
     def test_odd_size_rejected(self):
@@ -113,4 +111,4 @@ class TestDenseMatrix:
 def test_dimension_checks():
     from ergolab import DimensionMismatchError
     with pytest.raises(DimensionMismatchError):
-        apply(CyclicShift(3), vector([1.0, 2.0], p=1))
+        apply_power(CyclicShift(3), 1, Vector([1.0, 2.0], p=1))

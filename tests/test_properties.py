@@ -31,7 +31,6 @@ from ergolab import (
     max_p_variation,
     metastability_from_fluctuations,
     metastability_rate,
-    MetastabilityQuery,
     HorizonExhaustedError,
 )
 
@@ -223,7 +222,7 @@ class TestMetastabilityInvariants:
         s = count_fluctuations(arr, eps).count
         bound = metastability_from_fluctuations(s, g)
         try:
-            rate = metastability_rate(arr, MetastabilityQuery(eps, g))
+            rate = metastability_rate(arr, eps, g)
         except HorizonExhaustedError:
             assume(False)
         assert rate <= bound
@@ -234,7 +233,7 @@ class TestMetastabilityInvariants:
         arr = np.array(vals)
         res = empirical_convergence_rate(arr, eps)
         assume(res.found and g(res.n) <= len(vals))
-        rate = metastability_rate(arr, MetastabilityQuery(eps, g))
+        rate = metastability_rate(arr, eps, g)
         assert rate <= res.n
 
 
@@ -303,7 +302,7 @@ def _scans(pts, eps, p):
     """Witnesses, empirical rate and metastability rate (g_double), or where the
     rate scan ran out of horizon."""
     try:
-        rate = metastability_rate(pts, MetastabilityQuery(eps, g_double), p_norm=p)
+        rate = metastability_rate(pts, eps, g_double, p_norm=p)
     except HorizonExhaustedError as exc:
         rate = ("exhausted", exc.checked_up_to)
     return (count_fluctuations(pts, eps, p_norm=p).witnesses,
@@ -338,7 +337,7 @@ def _monotone_scans(pts, eps, p):
     """Count, empirical rate and metastability rate (g_double) at eps, a rate with
     found=False or an exhausted horizon as +inf. None of them increases as eps grows."""
     try:
-        meta = metastability_rate(pts, MetastabilityQuery(eps, g_double), p_norm=p)
+        meta = metastability_rate(pts, eps, g_double, p_norm=p)
     except HorizonExhaustedError:
         meta = math.inf
     rate = empirical_convergence_rate(pts, eps, p_norm=p)

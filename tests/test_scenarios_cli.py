@@ -3,13 +3,16 @@
 import csv
 import io
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
 import ergolab.cli
+from ergolab import InvalidInputError, scenarios
 from ergolab.cli import main
+from ergolab.dyadic import verify_decomposition_inequalities
 from ergolab.scenarios import (
     MAX_TRAJECTORY_SLOTS,
     ConfigError,
@@ -281,6 +284,36 @@ class TestEmission:
         assert json.loads(open(path, encoding="utf-8").read())["rows"]
         assert [f for f in os.listdir(tmp_path) if f.endswith(".tmp")] == []
 
+    def test_write_report_removes_its_temp_file_when_the_rename_fails(self, tmp_path):
+        rep = run_scenario(scenario_from_mapping(_sweep_doc(cases=1)))
+        (tmp_path / "sweep.json").mkdir()  # the rename cannot replace a directory
+        with pytest.raises(OSError):
+            write_report(rep, str(tmp_path), "json")
+        assert os.listdir(tmp_path) == ["sweep.json"]
+        assert os.listdir(tmp_path / "sweep.json") == []
+
+    def test_csv_of_an_unknown_kind_takes_the_first_row_columns(self):
+        rep = Report({"name": "x", "kind": "custom"}, [{"a": 1, "b": "t"}, {"a": 2.5, "b": "u,v"}], {})
+        assert emit_report(rep, "csv") == 'a,b\r\n1,t\r\n2.5,"u,v"\r\n'
+        with pytest.raises(InvalidInputError, match="^cannot emit CSV: no rows and no known scenario kind"):
+            emit_report(Report({"name": "x", "kind": "custom"}, [], {}), "csv")
+        with pytest.raises(InvalidInputError, match="^rows disagree on columns; cannot emit CSV$"):
+            emit_report(Report({"name": "x", "kind": "custom"}, [{"a": 1}, {"b": 1}], {}), "csv")
+
+    def test_json_null_empty_containers_and_unserializable_values(self):
+        rep = Report({"name": "x", "note": None}, [{"a": [], "b": {}, "c": np.int64(3)}], {})
+        text = emit_report(rep, "json")
+        assert '"note": null' in text and '"a": []' in text and '"b": {}' in text
+        assert '"environment": {}' in text
+        assert json.loads(text) == {"scenario": {"name": "x", "note": None},
+                                    "rows": [{"a": [], "b": {}, "c": 3}], "environment": {}}
+        for bad, message in ((math.nan, "cannot serialize non-finite number nan"),
+                             (np.float64(-math.inf), "cannot serialize non-finite number -inf"),
+                             (1j, "cannot serialize complex into a report"),
+                             (object(), "cannot serialize object into a report")):
+            with pytest.raises(InvalidInputError, match=f"^{message}$"):
+                emit_report(Report({"name": "x"}, [{"v": bad}], {}), "json")
+
 
 class TestBuiltinCorpus:
     def test_covers_every_kind_once(self):
@@ -294,6 +327,21 @@ class TestBuiltinCorpus:
         rep = run_scenario(sc)
         assert rep.all_passed
         assert len(rep.rows) == 3 * sc.params["cases"]
+
+    def test_dyadic_short_increments_rows_measure_in_band_pairs(self, monkeypatch):
+        reports = []
+
+        def recorded(f, which, **kwargs):
+            reports.append(verify_decomposition_inequalities(f, which, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(scenarios, "verify_decomposition_inequalities", recorded)
+        sc = next(s for s in builtin_corpus() if s.kind == "dyadic-constants")
+        rows = [row for row in run_scenario(sc).rows if row["kind"] == "short_increments"]
+        short = [rep for rep in reports if rep.kind == "short_increments"]
+        assert len(rows) == len(short) == sc.params["cases"]
+        assert all(len(rep.terms) == sc.params["levels"] and rep.ratio > 0.0 for rep in short)
+        assert [row["ratio"] for row in rows] == [rep.ratio for rep in short]
 
 
 class TestCLI:

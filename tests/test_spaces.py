@@ -16,14 +16,12 @@ from ergolab import (
     DenseMatrix,
     IndexSequence,
     InvalidInputError,
-    MetastabilityQuery,
     RotationProduct,
     SeqFunction,
     SpaceDescriptor,
     Vector,
     batch_norm_p,
     check_uniform_convexity,
-    clarkson_lower_bound,
     clarkson_modulus,
     count_fluctuations,
     descriptor_preset,
@@ -31,9 +29,7 @@ from ergolab import (
     g_successor,
     max_p_variation,
     metastability_rate,
-    norm_p,
     p_variation_along,
-    vector,
 )
 
 from oracles import ref_norm
@@ -41,11 +37,11 @@ from oracles import ref_norm
 
 class TestVector:
     def test_norm_frozen_values(self):
-        assert vector([3, 4], p=2).norm() == pytest.approx(5.0)
-        assert vector([1, 1j], p=2).norm() == pytest.approx(math.sqrt(2))
-        assert vector([1, -2, 2], p=1).norm() == pytest.approx(5.0)
+        assert Vector([3, 4], p=2).norm() == pytest.approx(5.0)
+        assert Vector([1, 1j], p=2).norm() == pytest.approx(math.sqrt(2))
+        assert Vector([1, -2, 2], p=1).norm() == pytest.approx(5.0)
         # p=3 on (1, 1, 1): 3^(1/3)
-        assert vector([1, 1, 1], p=3).norm() == pytest.approx(3 ** (1 / 3))
+        assert Vector([1, 1, 1], p=3).norm() == pytest.approx(3 ** (1 / 3))
 
     def test_norm_matches_reference(self):
         rng = np.random.default_rng(0)
@@ -53,11 +49,11 @@ class TestVector:
             dim = int(rng.integers(1, 7))
             p = float(rng.choice([1.0, 2.0, 2.5, 3.0, 4.0]))
             z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            assert vector(z, p=p).norm() == pytest.approx(ref_norm(list(z), p), rel=1e-12)
+            assert Vector(z, p=p).norm() == pytest.approx(ref_norm(list(z), p), rel=1e-12)
 
     def test_arithmetic(self):
-        a = vector([1, 2], p=2)
-        b = vector([0, 1j], p=2)
+        a = Vector([1, 2], p=2)
+        b = Vector([0, 1j], p=2)
         assert np.allclose((a + b).components, [1, 2 + 1j])
         assert np.allclose((a - b).components, [1, 2 - 1j])
         assert np.allclose((2.0 * a).components, [2, 4])
@@ -65,27 +61,27 @@ class TestVector:
 
     def test_mixed_exponent_rejected(self):
         with pytest.raises(InvalidInputError):
-            vector([1], p=2) + vector([1], p=3)
+            Vector([1], p=2) + Vector([1], p=3)
 
     def test_dimension_mismatch_rejected(self):
         from ergolab import DimensionMismatchError
         with pytest.raises(DimensionMismatchError):
-            vector([1], p=2) + vector([1, 2], p=2)
+            Vector([1], p=2) + Vector([1, 2], p=2)
 
     def test_bad_inputs(self):
         with pytest.raises(InvalidInputError):
-            vector([], p=2)
+            Vector([], p=2)
         with pytest.raises(InvalidInputError):
-            vector([np.nan], p=2)
+            Vector([np.nan], p=2)
         with pytest.raises(InvalidInputError):
-            vector([1.0], p=0.5)
+            Vector([1.0], p=0.5)
 
     def test_components_read_only(self):
-        v = vector([1, 2], p=2)
+        v = Vector([1, 2], p=2)
         with pytest.raises(ValueError):
             v.components[0] = 9
 
-    # (components, p, norm_p bits): scenarios normalise their start vectors with norm_p,
+    # (components, p, Vector.norm bits): scenarios normalise their start vectors with it,
     # so every report rests on these bits
     NORM_PINS = [
         ([3, 4], 2.0, "0x1.4000000000000p+2"),
@@ -117,13 +113,13 @@ class TestVector:
 
     @pytest.mark.parametrize("components, p, bits", NORM_PINS)
     def test_norm_bits_pinned(self, components, p, bits):
-        assert norm_p(vector(components, p=p)).hex() == bits
+        assert Vector(components, p=p).norm().hex() == bits
 
     def test_extreme_scale_no_overflow(self):
         # peak scaling keeps |z|^p out of the overflow range
-        big = vector([1e200, 1e200], p=4)
+        big = Vector([1e200, 1e200], p=4)
         assert big.norm() == pytest.approx(1e200 * 2 ** 0.25)
-        small = vector([1e-200, 1e-200], p=4)
+        small = Vector([1e-200, 1e-200], p=4)
         assert small.norm() == pytest.approx(1e-200 * 2 ** 0.25)
 
 
@@ -134,7 +130,7 @@ class TestBatchNorm:
         for p in (1.0, 2.0, 3.5):
             rows = batch_norm_p(pts, p)
             for k in range(20):
-                assert rows[k] == pytest.approx(norm_p(vector(pts[k], p=p)), rel=1e-12)
+                assert rows[k] == pytest.approx(Vector(pts[k], p=p).norm(), rel=1e-12)
 
     def test_zero_rows(self):
         out = batch_norm_p(np.zeros((3, 2), dtype=complex), 3.0)
@@ -177,10 +173,10 @@ class TestBatchNorm:
             rows = batch_norm_p(pts, p)
         limit = 2.0 ** (1000.0 / p)
         for k in range(len(pts)):
-            scalar = norm_p(vector(pts[k], p=p))
+            scalar = Vector(pts[k], p=p).norm()
             if 1.0 / limit <= rows[k] <= limit:  # summed unscaled: the last bits may differ
                 assert rows[k] == pytest.approx(scalar, rel=1e-12, abs=0.0)
-            else:  # the scaled path is norm_p's, bit for bit
+            else:  # the scaled path is Vector.norm's, bit for bit
                 assert rows[k] == scalar
 
 
@@ -190,14 +186,13 @@ class TestBatchNorm:
 WAYS_IN = [
     ("Vector", lambda a, p: Vector(a[0], p)),
     ("SeqFunction", lambda a, p: SeqFunction(0, a, p)),
-    ("AverageTrajectory", lambda a, p: AverageTrajectory(a, p, CyclicShift(2), vector([1, 0], p=2))),
+    ("AverageTrajectory", lambda a, p: AverageTrajectory(a, p, CyclicShift(2), Vector([1, 0], p=2))),
     ("RotationProduct", lambda a, p: RotationProduct(a[0].real)),
     ("DenseMatrix", lambda a, p: DenseMatrix(a[:2].real)),
     ("p_variation_along", lambda a, p: p_variation_along(a, IndexSequence((1, 3)), 2.0, p_norm=p)),
     ("max_p_variation", lambda a, p: max_p_variation(a, 2.0, p_norm=p)),
     ("count_fluctuations", lambda a, p: count_fluctuations(a, 0.5, p_norm=p)),
-    ("metastability_rate",
-     lambda a, p: metastability_rate(a, MetastabilityQuery(0.5, g_successor), p_norm=p)),
+    ("metastability_rate", lambda a, p: metastability_rate(a, 0.5, g_successor, p_norm=p)),
     ("empirical_convergence_rate", lambda a, p: empirical_convergence_rate(a, 0.5, p_norm=p)),
 ]
 _NO_EXPONENT = {"RotationProduct", "DenseMatrix"}
@@ -233,6 +228,35 @@ class TestInputGate:
                 count_fluctuations(bad, 0.5)
         with pytest.raises(InvalidInputError, match="^components must be an array of finite numbers$"):
             Vector(["a", "b"], 2.0)
+
+    # entries and factors the gate once converted: text, bytes and booleans parsed as numbers,
+    # and the imaginary part of a real operator's matrix dropped with only a warning
+    UNCONVERTED = [
+        ("text", lambda: count_fluctuations(["0", "1"], 0.5)),
+        ("bytes", lambda: count_fluctuations([b"1", b"2"], 0.5)),
+        ("booleans", lambda: count_fluctuations([True, False], 0.5)),
+        ("Vector.text", lambda: Vector(["1", "2"], p=2)),
+        ("RotationProduct.text", lambda: RotationProduct(["0.5"])),
+        ("RotationProduct.booleans", lambda: RotationProduct(np.array([True]))),
+        ("DenseMatrix.complex", lambda: DenseMatrix(np.eye(2) * (1 + 1j))),
+        ("Vector.factor.text", lambda: Vector([1.0], p=2) * "3"),
+        ("Vector.factor.boolean", lambda: Vector([1.0], p=2) * True),
+        ("SeqFunction.factor.text", lambda: SeqFunction(0, [[1.0]], 2) * "2"),
+    ]
+
+    @pytest.mark.parametrize("name, call", UNCONVERTED, ids=[w[0] for w in UNCONVERTED])
+    def test_text_bytes_booleans_and_imaginary_parts_are_rejected(self, name, call):
+        with pytest.raises(InvalidInputError, match=r"^[\w ]+ must be an array of finite numbers$"):
+            call()
+
+    def test_long_integers_and_numeric_factors_still_pass(self):
+        assert count_fluctuations([2**70, 1], 0.5).count == 1
+        v, f = Vector([1.0 + 2j, 3.0], p=2), SeqFunction(0, [[1.0 + 2j], [3.0]], 2)
+        for s in (2, 2.5, 1 - 1j, np.float32(0.1), np.complex64(0.3 + 0.1j), np.int16(-3), 2**70):
+            assert (v * s).components.tobytes() == (v.components * complex(s)).tobytes()
+            assert (s * f).values.tobytes() == (f.values * complex(s)).tobytes()
+        with pytest.raises(InvalidInputError, match="^scalar factor must be finite$"):
+            v * math.nan
 
     def test_variation_exponent_keeps_its_message(self):
         for q in (0.5, math.nan, math.inf, True, "3"):
@@ -277,14 +301,14 @@ def _bits(obj):
 
 
 _ROT = RotationProduct([0.3, 1.1])
-_X = vector([0.6, 0.8j], p=2)
+_X = Vector([0.6, 0.8j], p=2)
 _TRAJ = ergolab.ergodic_averages(_ROT, _X, 64)
 _F = SeqFunction(-3, np.arange(10.0) - 4.5j, 2.0)
 _PAR = ergolab.stability_parameters(1.0, 0.5, descriptor_preset("hilbert"))
 _N0 = ergolab.earliest_stable_start(_TRAJ, _PAR.gamma, 64)
 _DENSE = DenseMatrix([[0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
                       [0.0, 0.0, 0.5, 0.0], [0.0, 0.0, 0.0, 1.0]])
-_X4 = vector([1.0, 0.5j], p=2)
+_X4 = Vector([1.0, 0.5j], p=2)
 
 # Every integer argument of the library: (name, build(value), a valid value).
 INTEGER_WAYS_IN = [
@@ -396,8 +420,8 @@ class TestNoSideDoors:
     @pytest.mark.parametrize("probe", ["first", "skip", "conversion"])
     def test_g_values_pass_the_integer_gate(self, probe):
         pts = [0.0, 1.0, 0.0, 1.0, 0.0]
-        run = {"first": lambda bad: metastability_rate(pts, MetastabilityQuery(0.5, lambda n: bad)),
-               "skip": lambda bad: metastability_rate(pts, MetastabilityQuery(0.5, _window_then(bad))),
+        run = {"first": lambda bad: metastability_rate(pts, 0.5, lambda n: bad),
+               "skip": lambda bad: metastability_rate(pts, 0.5, _window_then(bad)),
                "conversion": lambda bad: ergolab.metastability_from_fluctuations(2, lambda n: bad)}[probe]
         n = 2 if probe == "skip" else 1
         for bad in (True, np.True_, 2.5, float(n + 1), "8", None, math.nan):
@@ -409,9 +433,9 @@ class TestNoSideDoors:
     def test_numpy_g_values_give_identical_rates(self):
         pts = np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
         for g in (g_successor, ergolab.g_double):
-            want = metastability_rate(pts, MetastabilityQuery(0.5, g))
+            want = metastability_rate(pts, 0.5, g)
             for wrap in (np.int64, np.int16, np.array):
-                assert metastability_rate(pts, MetastabilityQuery(0.5, lambda n, g=g, w=wrap: w(g(n)))) == want
+                assert metastability_rate(pts, 0.5, lambda n, g=g, w=wrap: w(g(n))) == want
             assert ergolab.metastability_from_fluctuations(3, lambda n, g=g: np.int32(g(n))) == \
                 ergolab.metastability_from_fluctuations(3, g)
 
@@ -450,7 +474,7 @@ class TestNoSideDoors:
     def test_integers_past_the_digit_limit_are_shown_by_size(self):
         size = _HUGE.bit_length()
         cases = [
-            (lambda: ergolab.ergodic_averages(RotationProduct([0.3]), vector([1.0], p=2), -_HUGE),
+            (lambda: ergolab.ergodic_averages(RotationProduct([0.3]), Vector([1.0], p=2), -_HUGE),
              f"horizon must be >= 1, got a negative {size}-bit integer"),
             (lambda: IndexSequence([1, -_HUGE]), f"index must be >= 1, got a negative {size}-bit integer"),
             (lambda: IndexSequence([1, [_HUGE]]), "index must be an integer, got a list holding an "
@@ -462,7 +486,7 @@ class TestNoSideDoors:
             (lambda: SpaceDescriptor(2, _HUGE), f"modulus coefficient must be positive, got a {size}-bit integer"),
             (lambda: count_fluctuations([0.0, 1.0], [_HUGE]),
              "separation threshold must be a real number, got a list holding an integer too long to show"),
-            (lambda: metastability_rate([0.0, 1.0], MetastabilityQuery(0.5, lambda n: _HUGE)),
+            (lambda: metastability_rate([0.0, 1.0], 0.5, lambda n: _HUGE),
              f"window [1, a {size}-bit integer] exceeds horizon 2; every n < 1 was checked and failed"),
             (lambda: ergolab.metastability_from_fluctuations(1, lambda n: _HUGE),
              f"g-iteration left the 64-bit range at a {size}-bit integer"),
@@ -485,7 +509,7 @@ REAL_WAYS_IN = [
     ("empirical_convergence_rate.eps", lambda e: empirical_convergence_rate(_PTS, e), 1),
     ("fluctuation_in_dyadic_interval.eps",
      lambda e: ergolab.fluctuation_in_dyadic_interval(_TRAJ, e, 2), 1),
-    ("MetastabilityQuery.epsilon", lambda e: MetastabilityQuery(e, ergolab.g_double), 1),
+    ("metastability_rate.eps", lambda e: metastability_rate([0, 1, 1, 1], e, ergolab.g_double), 1),
     ("stability_parameters.norm_x", lambda x: ergolab.stability_parameters(x, 0.5, _HILBERT), 1),
     ("stability_parameters.eps", lambda e: ergolab.stability_parameters(1.0, e, _HILBERT), 1),
     ("window_fluctuation_bound.norm_x", lambda x: ergolab.window_fluctuation_bound(x, 0.5, 2.0), 1),
@@ -501,8 +525,6 @@ REAL_WAYS_IN = [
     ("SpaceDescriptor.eta", lambda e: _HILBERT.eta(e), 1),
     ("clarkson_modulus.p", lambda p: clarkson_modulus(p, 1.0), 3),
     ("clarkson_modulus.eps", lambda e: clarkson_modulus(3.0, e), 1),
-    ("clarkson_lower_bound.p", lambda p: clarkson_lower_bound(p, 1.0), 3),
-    ("clarkson_lower_bound.eps", lambda e: clarkson_lower_bound(3.0, e), 1),
     ("descriptor_preset.p", lambda p: descriptor_preset("clarkson", p), 3),
     ("rotation_average_closed_form", lambda t: ergolab.rotation_average_closed_form(t, 3), 1),
     ("build_rotation_counterexample", lambda p: ergolab.build_rotation_counterexample(p, 2), 3),
@@ -533,8 +555,8 @@ class TestRealGate:
             (lambda: count_fluctuations(pts, "0.5"), "separation threshold must be a real number, got '0.5'"),
             (lambda: count_fluctuations(pts, math.inf), "separation threshold must be finite, got inf"),
             (lambda: count_fluctuations(pts, -1), "separation threshold must be > 0, got -1.0"),
-            (lambda: MetastabilityQuery(0.0, ergolab.g_double), "epsilon must be > 0, got 0.0"),
-            (lambda: MetastabilityQuery(math.inf, ergolab.g_double), "epsilon must be finite, got inf"),
+            (lambda: metastability_rate(pts, 0.0, ergolab.g_double), "epsilon must be > 0, got 0.0"),
+            (lambda: metastability_rate(pts, math.inf, ergolab.g_double), "epsilon must be finite, got inf"),
             (lambda: ergolab.stability_parameters(10**400, 0.5, _HILBERT), "||x|| must be finite, got inf"),
             (lambda: ergolab.stability_parameters(1.0, -10**400, _HILBERT), "eps must be > 0, got -inf"),
             (lambda: ergolab.window_fluctuation_bound(math.inf, 0.5, 2), "||x|| must be finite, got inf"),
@@ -547,7 +569,6 @@ class TestRealGate:
             (lambda: _HILBERT.eta(2.5), "modulus argument 2.5 outside (0, 2]"),
             (lambda: _HILBERT.eta("1"), "modulus argument must be a real number, got '1'"),
             (lambda: clarkson_modulus("3", 1), "Clarkson exponent must satisfy p >= 2, got 3"),
-            (lambda: clarkson_lower_bound(3, 0), "eps 0.0 outside (0, 2]"),
             (lambda: descriptor_preset("clarkson", 1.5), "descriptor exponent must satisfy p >= 2, got 1.5"),
             (lambda: descriptor_preset("clarkson", 1100), "modulus coefficient must be positive, got 0.0"),
             (lambda: ergolab.rotation_average_closed_form(math.nan, 3), "angle must be finite, got nan"),
@@ -622,10 +643,10 @@ class TestClarkson:
     def test_modulus_dominates_power_bound(self):
         for p in (2.0, 2.5, 3.0, 4.0, 6.0):
             for eps in np.linspace(1e-3, 2.0, 40):
-                assert clarkson_modulus(p, eps) >= clarkson_lower_bound(p, eps) - 1e-15
+                assert clarkson_modulus(p, eps) >= descriptor_preset("clarkson", p).eta(eps) - 1e-15
 
     def test_lower_bound_formula(self):
-        assert clarkson_lower_bound(3.0, 1.0) == pytest.approx((1 / 3) * 0.125)
+        assert descriptor_preset("clarkson", 3.0).eta(1.0) == pytest.approx((1 / 3) * 0.125)
 
 
 class TestConvexityAudit:

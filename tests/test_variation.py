@@ -16,7 +16,6 @@ from ergolab import (
     HorizonExhaustedError,
     IndexSequence,
     InvalidInputError,
-    MetastabilityQuery,
     RotationProduct,
     Vector,
     count_fluctuations,
@@ -29,7 +28,6 @@ from ergolab import (
     metastability_from_fluctuations,
     metastability_rate,
     p_variation_along,
-    vector,
 )
 
 from ergolab._scan import PointsView
@@ -177,7 +175,7 @@ class TestCountFluctuations:
 
     def test_trajectory_input(self):
         op = RotationProduct(np.array([math.pi]))
-        traj = ergodic_averages(op, vector([1.0], p=2), 16)
+        traj = ergodic_averages(op, Vector([1.0], p=2), 16)
         # alternates 1, 0, 1/3, 0, 1/5, ...: pairs at distance >= 1/3 chain
         rep = count_fluctuations(traj, 1.0 / 3.0)
         assert rep.count == brute_force_fluctuations(list(traj.points[:, 0]), 1.0 / 3.0)
@@ -227,7 +225,7 @@ class TestCountFluctuations:
         u = 4
         angles = rng.uniform(0.25, math.pi, u) * np.where(rng.random(u) < 0.5, -1.0, 1.0)
         z = rng.standard_normal(u) + 1j * rng.standard_normal(u)
-        traj = ergodic_averages(RotationProduct(angles), vector(z / np.linalg.norm(z), p=2), 2**16)
+        traj = ergodic_averages(RotationProduct(angles), Vector(z / np.linalg.norm(z), p=2), 2**16)
         counted = []
         distances_to = PointsView.distances_to
 
@@ -253,15 +251,15 @@ class TestGSelectors:
 class TestMetastabilityRate:
     def test_frozen_small(self):
         pts = np.array([0.0, 1.0, 0.0, 0.0, 0.0])
-        assert metastability_rate(pts, MetastabilityQuery(0.5, g_successor)) == 3
+        assert metastability_rate(pts, 0.5, g_successor) == 3
 
     def test_constant_is_one(self):
-        assert metastability_rate(np.zeros(8), MetastabilityQuery(0.1, g_double)) == 1
+        assert metastability_rate(np.zeros(8), 0.1, g_double) == 1
 
     def test_exhaustion_carries_lower_bound(self):
         pts = np.array([0.0, 1.0, 0.0, 1.0])
         with pytest.raises(HorizonExhaustedError) as info:
-            metastability_rate(pts, MetastabilityQuery(0.5, g_double))
+            metastability_rate(pts, 0.5, g_double)
         # windows [1,2] and [2,4] hold unit jumps, and the (3,4) jump also
         # sits inside [3,6], so all of n = 1..3 are verified failing even
         # though [3,6] pokes past the horizon
@@ -269,13 +267,11 @@ class TestMetastabilityRate:
 
     def test_query_validation(self):
         with pytest.raises(InvalidInputError):
-            MetastabilityQuery(0.0, g_double)
-        q = MetastabilityQuery(0.5, lambda n: n - 1)
+            metastability_rate(np.zeros(4), 0.0, g_double)
         with pytest.raises(InvalidInputError):
-            metastability_rate(np.zeros(4), q)
-        q2 = MetastabilityQuery(0.5, lambda n: float(n))
+            metastability_rate(np.zeros(4), 0.5, lambda n: n - 1)
         with pytest.raises(InvalidInputError):
-            metastability_rate(np.zeros(4), q2)
+            metastability_rate(np.zeros(4), 0.5, lambda n: float(n))
 
     def test_matches_brute_force_randomized(self):
         rng = np.random.default_rng(19)
@@ -287,7 +283,7 @@ class TestMetastabilityRate:
             g = gs[str(rng.choice(list(gs)))]
             want = brute_force_metastability(vals, eps, g)
             try:
-                got = ("found", metastability_rate(vals, MetastabilityQuery(eps, g)))
+                got = ("found", metastability_rate(vals, eps, g))
             except HorizonExhaustedError as exc:
                 got = ("exhausted", exc.verified_lower_bound)
             if want[0] == "found":
@@ -325,7 +321,7 @@ class TestConversion:
             s = count_fluctuations(vals, eps).count
             bound = metastability_from_fluctuations(s, g_successor)
             try:
-                rate = metastability_rate(vals, MetastabilityQuery(eps, g_successor))
+                rate = metastability_rate(vals, eps, g_successor)
             except HorizonExhaustedError:
                 continue
             assert rate <= bound
@@ -347,7 +343,7 @@ class TestEmpiricalConvergenceRate:
         # averages alternate 1/n and 0; [10, 100] is clean since the widest
         # gap inside is 1/11 < 0.1, while a_9 = 1/9 >= 0.1 dirties [9, 100]
         op = RotationProduct(np.array([math.pi]))
-        traj = ergodic_averages(op, vector([1.0], p=2), 100)
+        traj = ergodic_averages(op, Vector([1.0], p=2), 100)
         res = empirical_convergence_rate(traj, 0.1)
         assert (res.found, res.n) == (True, 10)
         assert res.horizon == 100
@@ -373,7 +369,7 @@ class TestEmpiricalConvergenceRate:
                 continue
             for g in (g_successor, g_double):
                 if g(res.n) <= 20:
-                    rate = metastability_rate(vals, MetastabilityQuery(0.4, g))
+                    rate = metastability_rate(vals, 0.4, g)
                     assert rate <= res.n
                     hits += 1
         assert hits > 50  # the property must actually have been exercised
