@@ -16,12 +16,17 @@ pruning never changes the answer, only skips work:
   within D + rho <= eps of every earlier candidate, and within 2 rho <= eps
   of every row skipped before it, both strictly. The ball is measured by
   displacement, which never exceeds path length, so tails that spiral in
-  are skipped in one run.
+  are skipped in one run;
+- an exact check of 2^15 floats or more evaluates only the end blocks and the
+  aligned 32-row blocks whose box reaches eps; a clean one then visits the rest
+  best-first until no box can exceed the largest distance D, which is thus exact.
 
 Indices here are 0-based; the public modules translate to 1-based.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +37,7 @@ _CHUNK = 256
 _CHUNK_FLOATS = 2**15  # cap on rows x real coordinates of one chunk
 _BALL_STEP = 16  # first slice of the ball-run search; later slices double
 _NEAR = 1.0 - 2.0**-48  # (sum |z|^p)^(1/p) rounds at most a few ulps below max |z|
+_BLOCK, _BLOCK_FLOATS = 32, 2**15  # rows of a block box; least rows x real coordinates of a check using them
 
 
 class PointsView:
@@ -59,6 +65,12 @@ class PointsView:
         """||a_i - a_j|| for i in [lo, hi)."""
         return batch_norm_p(self.pts[lo:hi] - self.pts[j], self.p)
 
+    @cached_property
+    def block_boxes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-real-coordinate min and max of each whole aligned _BLOCK-row block."""
+        rows = self.coords[: self.n - self.n % _BLOCK].reshape(-1, _BLOCK, self.coords.shape[1])
+        return rows.min(axis=1), rows.max(axis=1)
+
 
 def box_reach(lo_a, hi_a, lo_b, hi_b, p: float, eps) -> np.ndarray:
     """Row-wise bound on ||b - a|| for a, b in boxes [lo, hi] of (n, 2u) real rows.
@@ -83,6 +95,44 @@ def _ball_end(view: PointsView, centre: int, rho: float, hi: int) -> int:
             return lo + int(np.argmax(outside)) - 1
         lo, step = top, 2 * step
     return hi
+
+
+def _distances(view: PointsView, eps: float, j: int, runs: list[tuple[int, int]]) -> np.ndarray:
+    """Distances to row j of the rows of runs [(a, b), ...], near-eps ones lifted as by `box_reach`."""
+    dist = view.distances_to(j, *runs[0]) if len(runs) == 1 else \
+        np.concatenate([view.distances_to(j, a, b) for a, b in runs])
+    if view.p not in (1.0, 2.0) and (near := (dist < eps) & (dist >= eps * _NEAR)).any():  # point = box
+        at = view.coords[np.concatenate([np.arange(a, b) for a, b in runs])[near]]
+        dist[near] = box_reach(at, at, view.coords[j], view.coords[j], view.p, eps)
+    return dist
+
+
+def _runs(edges: np.ndarray, segs: np.ndarray) -> list[tuple[int, int]]:
+    """The row ranges of segments segs (ascending; segment k is [edges[k], edges[k+1])), adjacent ones merged."""
+    step = segs[1:] - segs[:-1] != 1
+    first, last = np.concatenate(([True], step)), np.concatenate((step, [True]))
+    return list(zip(edges[segs[first]].tolist(), edges[segs[last] + 1].tolist()))
+
+
+def _exact_check(view: PointsView, eps: float, anchor: int, j: int) -> tuple[int, int, int] | float:
+    """(i_first, i_last, j) for the i in [anchor, j) with ||a_i - a_j|| >= eps, else the largest distance."""
+    runs, done, order = [(anchor, j)], 0, ()
+    if (j - anchor) * view.coords.shape[1] >= _BLOCK_FLOATS:  # segment k: block k0 + k clipped to [anchor, j)
+        k0, k1, (lo, hi), row = anchor // _BLOCK, -(-j // _BLOCK), view.block_boxes, view.coords[j]
+        edges, reach = np.clip(np.arange(k0, k1 + 1) * _BLOCK, anchor, j), np.full(k1 - k0, np.inf)
+        reach[1:-1] = box_reach(lo[k0 + 1 : k1 - 1], hi[k0 + 1 : k1 - 1], row, row, view.p, eps)  # ends kept
+        order, done = np.argsort(-reach, kind="stable"), int(np.count_nonzero(reach >= eps))
+        runs = _runs(edges, np.sort(order[:done]))
+    dist = _distances(view, eps, j, runs)
+    if (valid := dist >= eps).any():
+        rows, valid = np.concatenate([np.arange(a, b) for a, b in runs]), np.flatnonzero(valid)
+        return int(rows[valid[0]]), int(rows[valid[-1]]), j
+    top, step = float(dist.max()), 1
+    while done < len(order) and reach[order[done]] > top:  # a block with reach < eps holds rows <= reach
+        segs = order[done : done + step]
+        top = max(top, float(_distances(view, eps, j, _runs(edges, np.sort(segs[reach[segs] > top]))).max()))
+        done, step = done + step, 2 * step
+    return top
 
 
 def first_violation(
@@ -115,17 +165,10 @@ def first_violation(
             chunk = min(2 * chunk, max_chunk)
             continue
         chunk = _CHUNK
-        t = int(np.argmax(alive))
-        jj = j + t
-        dist = view.distances_to(jj, anchor, jj)
-        if p not in (1.0, 2.0) and np.any((dist < eps) & (dist >= eps * _NEAR)):  # point = box
-            dist = box_reach(coords[anchor:jj], coords[anchor:jj], coords[jj], coords[jj], p, eps)
-        valid = dist >= eps
-        if valid.any():
-            where = np.flatnonzero(valid)
-            return anchor + int(where[0]), anchor + int(where[-1]), jj
-        rho = min(eps - float(dist.max()), 0.5 * eps)
-        upto = _ball_end(view, jj, rho, hi)
+        jj = j + int(np.argmax(alive))
+        if isinstance(check := _exact_check(view, eps, anchor, jj), tuple):
+            return check
+        upto = _ball_end(view, jj, min(eps - check, 0.5 * eps), hi)
         cmin = np.minimum(cmin, coords[j : upto + 1].min(axis=0))
         cmax = np.maximum(cmax, coords[j : upto + 1].max(axis=0))
         j = upto + 1

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DimensionMismatchError, InvalidInputError, PreconditionError
 from .operators import Operator
 from .averages import orbit
-from .spaces import Vector, _checked, _exponent, _frozen, _integer, _integers, _shown
+from .spaces import MAX_TRAJECTORY_SLOTS, Vector, _checked, _exponent, _frozen, _integer, _integers, _shown
 from .variation import IndexSequence
 
 __all__ = [
@@ -103,14 +103,14 @@ def lpb_norm(f: SeqFunction) -> float:
 
 
 def _blocks(f: SeqFunction, level: int) -> tuple[int, int, int]:
-    """(2^level, lo, hi): f's window widened to blocks of 2^level rows, which numpy
-    must be able to hold as complex rows. No power past 2^63 is built: one such
-    block alone is past numpy's limit on an array's bytes."""
+    """(2^level, lo, hi): f's window widened to blocks of 2^level rows, at most
+    MAX_TRAJECTORY_SLOTS complex slots. No power past 2^63 is built: one such
+    block alone is past the cap."""
     b = 1 << min(level, 63)
     lo, hi = (f.lo // b) * b, -((-f.hi) // b) * b  # floor and ceiling to block boundaries
-    if (hi - lo) * f.dim * 16 > np.iinfo(np.intp).max:
+    if (hi - lo) * f.dim > MAX_TRAJECTORY_SLOTS:
         raise InvalidInputError(f"level {_shown(level)}: blocks of 2^level rows widen the window "
-                                "past numpy's largest array")
+                                f"past the cap of {MAX_TRAJECTORY_SLOTS} complex slots")
     return b, lo, hi
 
 
@@ -199,8 +199,8 @@ def verify_decomposition_inequalities(
         ||A_(t_k) f - E_k f||^p.
     which = "short_increments": needs `ts` strictly increasing; sums
         ||A_(t_(i+1)) f - A_(t_i) f||^p over consecutive pairs that lie in a
-        single band [2^(k-1), 2^k]. With strictly increasing indices the band
-        is unique per pair; pairs spanning bands are skipped.
+        single band [2^(k-1), 2^k], unique per pair; pairs spanning bands are
+        skipped, and ts with no in-band pair is a PreconditionError.
     """
     if which == "martingale":
         if levels is None:
@@ -230,6 +230,8 @@ def verify_decomposition_inequalities(
         idx = list(IndexSequence(ts))
         # both endpoints inside [2^(k-1), 2^k], k the smallest with b <= 2^k; each A_t built once
         pairs = [(a, b) for a, b in zip(idx, idx[1:]) if a >= 1 << (max(b - 1, 1).bit_length() - 1)]
+        if not pairs:
+            raise PreconditionError(f"no consecutive pair of ts {_shown(tuple(idx))} shares a dyadic band")
         avg = {t: shift_average_at(f, t) for t in {t for pair in pairs for t in pair}}
         return _ratio_report(which, [lpb_norm(avg[b] - avg[a]) ** f.p for a, b in pairs], f)
 

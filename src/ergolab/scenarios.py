@@ -41,7 +41,7 @@ from .counterexamples import verify_metastability_lower_bound
 from .dyadic import SeqFunction, verify_decomposition_inequalities
 from .errors import ErgolabError, HorizonExhaustedError, InvalidInputError
 from .operators import RotationProduct
-from .spaces import SpaceDescriptor, Vector, _shown, check_uniform_convexity, descriptor_preset
+from .spaces import MAX_TRAJECTORY_SLOTS, SpaceDescriptor, Vector, _shown, check_uniform_convexity, descriptor_preset
 from .variation import (
     count_fluctuations,
     g_double,
@@ -82,10 +82,6 @@ _RATIO_SLACK = 1e-9  # slack on the p=2 martingale ratio bound
 _WITNESS_TOL = 1e-9  # witness must reproduce the DP value this closely
 _MONOTONE_TOL = 1e-12  # sub-sequence variation vs maximum
 
-# Cap on horizon * max(dims): a trajectory of 2^24 complex slots is 256 MiB,
-# and building one holds about three arrays of that size. The same cap bounds
-# the dyadic levels, the counterexample exponents, the audit samples and the cases.
-MAX_TRAJECTORY_SLOTS = 1 << 24
 # verify_metastability_lower_bound(p) builds u = 2^p slots over 2^u rows
 _MAX_SUITE_P = max(p for p in range(2, 6) if 2**p << 2**p <= MAX_TRAJECTORY_SLOTS)
 

@@ -28,6 +28,9 @@ __all__ = [
     "PRESETS",
 ]
 
+# Cap on the complex slots of a trajectory, a widened dyadic window, a scenario's samples and cases.
+MAX_TRAJECTORY_SLOTS = 1 << 24  # 256 MiB; building a trajectory holds about three arrays of that size
+
 
 def _checked(values, name: str, rank: int, dtype=np.complex128) -> np.ndarray:
     """values as a nonempty, finite array of the given rank, not copied; a 1-D

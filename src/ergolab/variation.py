@@ -179,14 +179,14 @@ def metastability_rate(points: PointsLike, eps: float, g: Callable[[int], int], 
     where needed; every probed value passes the integer gate.
 
     Scans n upward. A violating pair (i, j) found in [n, g(n)] rules out every
-    n' in [n, i] whose window still reaches j, so the scan jumps; skipped n'
-    are re-validated against g individually, so no monotonicity of g is
-    assumed. To make each jump maximal, the window is scanned reversed: the
-    reversed scan's earliest violation endpoint is the largest index of the
-    window that opens any separated pair, and the latest partner on the
-    reversed side is that index's smallest partner. Every window is an index
-    range of one reversed view. Runs out of horizon -> HorizonExhaustedError
-    carrying the least n the answer could still be.
+    n' in [n, i] whose window still reaches j, so the scan jumps; skipped n' are
+    re-validated against g individually unless g is a built-in (non-decreasing,
+    so every such window reaches j). To make each jump maximal, the window is
+    scanned reversed: the reversed scan's earliest violation endpoint is the
+    largest index of the window that opens any separated pair, and the latest
+    partner on the reversed side is that index's smallest partner. Every window
+    is an index range of one reversed view. Runs out of horizon ->
+    HorizonExhaustedError carrying the least n the answer could still be.
     """
     eps = _real(eps, "epsilon", 0, above=True)
     view = _points_view(points, p_norm)
@@ -204,7 +204,7 @@ def metastability_rate(points: PointsLike, eps: float, g: Callable[[int], int], 
         if hit is None:
             return n
         i1, j1 = _reversed_hit(view.n, hit)
-        n += 1
+        n = i1 + 1 if any(g is s for s in (g_successor, g_double, g_next_power_of_two)) else n + 1
         while n <= i1 and _integer(g(n), "g(n)", n) >= j1:
             n += 1
 

@@ -22,6 +22,7 @@ from ergolab import (
     verify_decomposition_inequalities,
 )
 
+from ergolab.dyadic import _blocks
 from oracles import block_average_ref, orthogonality_defect, ref_norm
 
 
@@ -109,12 +110,21 @@ class TestConditionalExpectation:
         with pytest.raises(InvalidInputError, match=r"^level must be >= 0, got -1$"):
             conditional_expectation(_delta(), -1)
 
-    @pytest.mark.parametrize("level", [62, 200])
-    def test_levels_past_numpys_largest_array_are_rejected(self, level):
+    @pytest.mark.parametrize("level", [25, 58, 62, 200])
+    def test_levels_past_the_slot_cap_are_rejected(self, level):
+        # level 58 used to reach numpy and fail allocating 4 EiB
         f = SeqFunction(0, np.arange(10.0), 2.0)
         with pytest.raises(InvalidInputError, match=rf"^level {level}: blocks of 2\^level rows widen "
-                                                    r"the window past numpy's largest array$"):
+                                                    r"the window past the cap of 16777216 complex slots$"):
             conditional_expectation(f, level)
+
+    def test_slot_cap_counts_every_value_slot(self):
+        # a widened window of 2^24 rows is at the cap with one slot, past it with two
+        assert _blocks(SeqFunction(0, np.ones(10), 2.0), 24) == (2**24, 0, 2**24)
+        with pytest.raises(InvalidInputError, match=r"^level 24: .* past the cap of 16777216 complex slots$"):
+            _blocks(SeqFunction(0, np.ones((10, 2)), 2.0), 24)
+        with pytest.raises(InvalidInputError, match=r"^level 23: .* past the cap"):
+            martingale_differences(SeqFunction(-1, np.ones((10, 2)), 2.0), 23)
 
     def test_blocks_anchor_at_zero_for_negative_windows(self):
         f = SeqFunction(-1, np.array([1.0]), 2.0)
@@ -308,10 +318,14 @@ class TestDecompositionChecks:
 
     def test_short_increments_band_filter(self):
         f = _delta()
-        # (3, 5) straddles the split at 4 and must be skipped
-        rep = verify_decomposition_inequalities(f, "short_increments", ts=(3, 5))
-        assert rep.terms == ()
-        assert rep.ratio == 0.0
+        # (3, 5) straddles the split at 4 and must be skipped; with nothing left
+        # the check would measure nothing
+        for ts, shown in (((3, 5), r"\(3, 5\)"), ((1, 3, 7), r"\(1, 3, 7\)"), ((4,), r"\(4,\)")):
+            with pytest.raises(PreconditionError, match=rf"^no consecutive pair of ts {shown} "
+                                                        r"shares a dyadic band$"):
+                verify_decomposition_inequalities(f, "short_increments", ts=ts)
+        rep = verify_decomposition_inequalities(f, "short_increments", ts=(3, 5, 6))
+        assert len(rep.terms) == 1  # (5, 6) lies in [4, 8]
         rep = verify_decomposition_inequalities(
             f, "short_increments", ts=(1, 2, 3, 4, 6, 8, 9)
         )

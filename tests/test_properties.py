@@ -8,6 +8,7 @@ with the library, not merely up to tolerance.
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from ergolab import (
     HorizonExhaustedError,
 )
 
+from ergolab import _scan
 from oracles import brute_force_fluctuations, brute_force_p_variation
 
 grid_values = st.lists(
@@ -369,3 +371,58 @@ class TestInexactSymmetries:
         for image in (pts * np.exp(1j * theta), pts[:, rng.permutation(u)]):
             got = _monotone_scans(image, eps, p)
             assert all(lo <= g <= hi for lo, g, hi in zip(lower, got, upper)), (lower, got, upper)
+
+
+def _blocked_and_plain(run):
+    """run() with every exact check block-pruned, whatever its size, and with every
+    exact check evaluated in full."""
+    with mock.patch.object(_scan, "_BLOCK_FLOATS", 1):
+        blocked = run()
+    with mock.patch.object(_scan, "_BLOCK_FLOATS", math.inf):
+        plain = run()
+    return blocked, plain
+
+
+def _full_check(view, eps, anchor, j):
+    """An exact check that evaluates every row of [anchor, j): a point is a box, so
+    `box_reach` gives each distance with its near-eps lift."""
+    c = view.coords
+    dist = _scan.box_reach(c[anchor:j], c[anchor:j], c[j], c[j], view.p, eps)
+    valid = np.flatnonzero(dist >= eps)
+    return (anchor + int(valid[0]), anchor + int(valid[-1]), j) if valid.size else float(dist.max())
+
+
+class TestBlockPrunedChecks:
+    """An exact check that skips the 32-row blocks whose box cannot reach eps, and
+    finds a clean check's largest distance best-first, returns what evaluating
+    every row returns: the same separated rows, the same maximum to the bit, and so
+    the same hits, greedy counts and rates. The checks run from one row to 2000
+    (past the 1024 rows of the benchmark's u = 16 checks), on trajectories of which
+    some repeat every row 32 times, at scales 2^-600 to 2^600, with eps drawn at
+    random, or exactly on or one ulp above the largest distance of a check: then
+    only the blocks next to eps hold a separated row, and p not in {1, 2} lifts
+    rounded norms."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 4), st.integers(1100, 2000), st.sampled_from([1.0, 1.5, 2.0, 3.0, 4.0]),
+           st.sampled_from([-600, 0, 600]), st.sampled_from(["random", "on", "above"]),
+           st.sampled_from([1, 32]), st.integers(0, 2**32 - 1))
+    def test_same_checks_hits_counts_and_rates(self, u, n, p, k, tie, repeat, seed):
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal(u) + 1j * rng.standard_normal(u)
+        op = RotationProduct(rng.uniform(-np.pi, np.pi, u))
+        pts = ergodic_averages(op, Vector(z, p), -(-n // repeat)).points / Vector(z, p).norm() * 2.0**k
+        pts = np.repeat(pts, repeat, axis=0)[:n]  # 32 repeats make each block's box a point
+        eps = float(np.exp(rng.uniform(np.log(0.01), np.log(0.3)))) * 2.0**k
+        pairs = [tuple(sorted(rng.choice(n, 2, replace=False))) for _ in range(8)]
+        if tie != "random":
+            i, j = pairs[0]
+            eps = float(batch_norm_p(pts[i:j] - pts[j], p).max())  # the largest distance of a check
+            eps = math.nextafter(eps, math.inf) if tie == "above" else eps
+        view = _scan.PointsView(pts, p)
+        checks = _blocked_and_plain(lambda: [_scan._exact_check(view, eps, i, j) for i, j in pairs])
+        assert checks[0] == checks[1] == [_full_check(view, eps, i, j) for i, j in pairs]
+        hits = _blocked_and_plain(lambda: [_scan.first_violation(view, eps, i, n - 1) for i, _ in pairs[:4]])
+        assert hits[0] == hits[1]
+        scans = _blocked_and_plain(lambda: _scans(pts, eps, p))
+        assert scans[0] == scans[1]

@@ -30,6 +30,7 @@ from ergolab import (
     p_variation_along,
 )
 
+from ergolab import variation
 from ergolab._scan import PointsView
 from oracles import (
     brute_force_convergence_rate,
@@ -216,11 +217,10 @@ class TestCountFluctuations:
         assert rep.witnesses == ((10, 11),)
         assert rep.count == brute_force_fluctuations([tuple(r) for r in pts], 1.0, p=2.0)
 
-    def test_tight_tail_costs_linear_work(self, monkeypatch):
-        # A u = 4 rotation drawn from child 8 of SeedSequence(2026).spawn(12)
-        # by the benchmark's tail-family rule: 76 fluctuations, all by index
-        # 125, then a 65k-point eps-tight tail that must be certified without
-        # a quadratic number of point distances.
+    @staticmethod
+    def _tight_tail(monkeypatch):
+        """A u = 4 rotation drawn from child 8 of SeedSequence(2026).spawn(12) by the
+        benchmark's tail-family rule, and the list of rows each exact distance call takes."""
         rng = np.random.default_rng(np.random.SeedSequence(2026).spawn(12)[8])
         u = 4
         angles = rng.uniform(0.25, math.pi, u) * np.where(rng.random(u) < 0.5, -1.0, 1.0)
@@ -234,10 +234,25 @@ class TestCountFluctuations:
             return distances_to(self, j, lo, hi)
 
         monkeypatch.setattr(PointsView, "distances_to", counting)
+        return traj, counted
+
+    def test_tight_tail_costs_linear_work(self, monkeypatch):
+        # 76 fluctuations, all by index 125, then a 65k-point eps-tight tail that
+        # must be certified without a quadratic number of point distances.
+        traj, counted = self._tight_tail(monkeypatch)
         rep = count_fluctuations(traj, 0.02)
         assert rep.count == 76
         assert rep.witnesses[-1] == (118, 125)
-        assert sum(counted) <= 2_000_000
+        assert sum(counted) <= 175_355
+
+    def test_tight_tail_rate_checks_only_blocks_that_reach_eps(self, monkeypatch):
+        # The reversed scan crosses the 65k-point tail with exact checks of up to
+        # 65k rows each: 1,772,648 distances when every row is evaluated, 76,904
+        # when only the 32-row blocks whose box reaches eps (or the largest
+        # distance so far) are.
+        traj, counted = self._tight_tail(monkeypatch)
+        assert empirical_convergence_rate(traj, 0.02) == ConvergenceRateResult(True, 121, 2**16)
+        assert sum(counted) <= 76_904
 
 
 class TestGSelectors:
@@ -272,6 +287,35 @@ class TestMetastabilityRate:
             metastability_rate(np.zeros(4), 0.5, lambda n: n - 1)
         with pytest.raises(InvalidInputError):
             metastability_rate(np.zeros(4), 0.5, lambda n: float(n))
+
+    @pytest.mark.parametrize("g", [g_successor, g_double, g_next_power_of_two])
+    def test_built_in_selectors_jump_like_the_per_n_loop(self, g, monkeypatch):
+        # A built-in g is non-decreasing, so the scan jumps past a hit's opener
+        # without probing g; a wrapper of the same g is probed at every skipped n
+        # and must give the same rate or the same exhausted bound.
+        rng = np.random.default_rng(7)
+        pts = ergodic_averages(RotationProduct(rng.uniform(-np.pi, np.pi, 3)),
+                               Vector(rng.standard_normal(3) + 0j, p=2), 4096).points
+        probes = []
+        gate = variation._integer
+
+        def counted_gate(value, name, *rest):
+            probes.append(name == "g(n)")
+            return gate(value, name, *rest)
+
+        monkeypatch.setattr(variation, "_integer", counted_gate)
+
+        def outcome(sel):
+            probes.clear()
+            try:
+                result = ("found", metastability_rate(pts, 0.05, sel))
+            except HorizonExhaustedError as exc:
+                result = ("exhausted", exc.checked_up_to)
+            return result, sum(probes)
+
+        (want, per_n), (got, jumped) = outcome(lambda n: g(n)), outcome(g)
+        assert got == want
+        assert jumped == per_n if g is g_successor else jumped < per_n  # a hit in [n, n + 1] opens at n
 
     def test_matches_brute_force_randomized(self):
         rng = np.random.default_rng(19)
