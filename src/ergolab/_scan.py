@@ -18,8 +18,8 @@ pruning never changes the answer, only skips work:
   displacement, which never exceeds path length, so tails that spiral in
   are skipped in one run;
 - an exact check of 2^15 floats or more evaluates only the end blocks and the
-  aligned 32-row blocks whose box reaches eps; a clean one then visits the rest
-  best-first until no box can exceed the largest distance D, which is thus exact.
+  aligned 32-row blocks whose box (`PointsView.boxes`) reaches eps; a clean one
+  visits the rest best-first until no box can exceed the largest distance D.
 
 Indices here are 0-based; the public modules translate to 1-based.
 """
@@ -41,7 +41,7 @@ _BLOCK, _BLOCK_FLOATS = 32, 2**15  # rows of a block box; least rows x real coor
 
 
 class PointsView:
-    """Shared precomputation over an (N, u) complex point array, checked by the caller."""
+    """An (N, u) complex point array, checked by the caller, and its scan geometry: steps, chunk, boxes."""
 
     def __init__(self, pts: np.ndarray, p: float):
         if pts.shape[1] > 1 and pts.strides[1] != pts.itemsize:
@@ -50,26 +50,32 @@ class PointsView:
         self.p = p
         self.n = pts.shape[0]
         self.coords = pts.view(np.float64)  # (Re z_1, Im z_1, ..., Re z_u, Im z_u) per row
-        self._cumdrift: np.ndarray | None = None
+        self.chunk = max(_CHUNK, _CHUNK_FLOATS // self.coords.shape[1])  # most rows bounded at once
+        self._boxes = {}  # block size -> boxes
+
+    @cached_property
+    def steps(self) -> np.ndarray:
+        """steps[t] = ||a_(t+1) - a_t||."""
+        return batch_norm_p(self.pts[1:] - self.pts[:-1], self.p)
 
     def cumdrift(self) -> np.ndarray:
         """cumdrift[t] = sum of adjacent-step distances up to index t."""
-        if self._cumdrift is None:
-            steps = batch_norm_p(self.pts[1:] - self.pts[:-1], self.p)
-            out = np.zeros(self.n, dtype=np.float64)
-            np.cumsum(steps, out=out[1:])
-            self._cumdrift = out
-        return self._cumdrift
+        return np.concatenate(([0.0], np.cumsum(self.steps)))
 
     def distances_to(self, j: int, lo: int, hi: int) -> np.ndarray:
         """||a_i - a_j|| for i in [lo, hi)."""
         return batch_norm_p(self.pts[lo:hi] - self.pts[j], self.p)
 
-    @cached_property
-    def block_boxes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-real-coordinate min and max of each whole aligned _BLOCK-row block."""
-        rows = self.coords[: self.n - self.n % _BLOCK].reshape(-1, _BLOCK, self.coords.shape[1])
-        return rows.min(axis=1), rows.max(axis=1)
+    def boxes(self, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per-real-coordinate min and max of each aligned block of `size` rows (a power of two), the short
+        last block included: folded from the cached size/2 level if any, else from the rows (same bits)."""
+        if size not in self._boxes:
+            src, k = (self._boxes[size // 2], 2) if size // 2 in self._boxes else ((self.coords,) * 2, size)
+            level = self._boxes[size] = tuple(a[::k].copy() for a in src)  # each block's first row, ...
+            for f, box, a in zip((np.minimum, np.maximum), level, src):
+                for part in (a[i::k] for i in range(1, k)):  # ... and its k - 1 others folded in
+                    f(box[: len(part)], part, out=box[: len(part)])
+        return self._boxes[size]
 
 
 def box_reach(lo_a, hi_a, lo_b, hi_b, p: float, eps) -> np.ndarray:
@@ -118,7 +124,7 @@ def _exact_check(view: PointsView, eps: float, anchor: int, j: int) -> tuple[int
     """(i_first, i_last, j) for the i in [anchor, j) with ||a_i - a_j|| >= eps, else the largest distance."""
     runs, done, order = [(anchor, j)], 0, ()
     if (j - anchor) * view.coords.shape[1] >= _BLOCK_FLOATS:  # segment k: block k0 + k clipped to [anchor, j)
-        k0, k1, (lo, hi), row = anchor // _BLOCK, -(-j // _BLOCK), view.block_boxes, view.coords[j]
+        k0, k1, (lo, hi), row = anchor // _BLOCK, -(-j // _BLOCK), view.boxes(_BLOCK), view.coords[j]
         edges, reach = np.clip(np.arange(k0, k1 + 1) * _BLOCK, anchor, j), np.full(k1 - k0, np.inf)
         reach[1:-1] = box_reach(lo[k0 + 1 : k1 - 1], hi[k0 + 1 : k1 - 1], row, row, view.p, eps)  # ends kept
         order, done = np.argsort(-reach, kind="stable"), int(np.count_nonzero(reach >= eps))
@@ -146,9 +152,7 @@ def first_violation(
     eps = _real(eps, "separation threshold", 0, above=True)
     if not 0 <= anchor <= hi < view.n:
         raise InvalidInputError(f"segment [{anchor}, {hi}] outside [0, {view.n - 1}]")
-    coords, p = view.coords, view.p
-    max_chunk = max(_CHUNK, _CHUNK_FLOATS // coords.shape[1])
-    chunk = _CHUNK
+    coords, p, chunk = view.coords, view.p, _CHUNK
 
     cmin = cmax = coords[anchor]  # the running box of the rows before j
     j = anchor + 1
@@ -161,8 +165,7 @@ def first_violation(
         alive = box_reach(bmin, bmax, block, block, p, eps) >= eps
         if not alive.any():
             cmin, cmax = np.minimum(bmin[-1], block[-1]), np.maximum(bmax[-1], block[-1])
-            j = stop
-            chunk = min(2 * chunk, max_chunk)
+            j, chunk = stop, min(2 * chunk, view.chunk)
             continue
         chunk = _CHUNK
         jj = j + int(np.argmax(alive))

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, InvalidInputError
 from .operators import Operator
-from .spaces import Vector, _exponent, _frozen, _integer, _real, batch_norm_p
+from .spaces import MAX_TRAJECTORY_SLOTS, Vector, _exponent, _frozen, _integer, _real, _shown, batch_norm_p
 
 __all__ = ["AverageTrajectory", "ergodic_averages", "orbit", "rotation_average_closed_form"]
 
@@ -69,10 +69,13 @@ class AverageTrajectory:
 
 
 def orbit(op: Operator, x: Vector, n: int) -> np.ndarray:
-    """The rows x, Tx, ..., T^(n-1) x. Closed forms for rotation and shift."""
+    """The rows x, Tx, ..., T^(n-1) x, at most MAX_TRAJECTORY_SLOTS slots. Closed forms for rotation and shift."""
     n = _integer(n, "horizon", 1)
     if x.dim != op.dim:
         raise DimensionMismatchError(f"operator dimension {op.dim} != vector dimension {x.dim}")
+    if n * op.dim > MAX_TRAJECTORY_SLOTS:
+        raise InvalidInputError(f"horizon {_shown(n)} * dimension {op.dim} exceeds the cap of "
+                                f"{MAX_TRAJECTORY_SLOTS} trajectory slots")
     return op.orbit(x.components, n)
 
 

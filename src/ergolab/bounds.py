@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._scan import _CHUNK, _CHUNK_FLOATS, PointsView, box_reach, greedy_chain
+from ._scan import PointsView, box_reach, greedy_chain
 from .averages import AverageTrajectory
 from .errors import HorizonExhaustedError, InvalidInputError, PreconditionError
 from .spaces import SpaceDescriptor, _integer, _real, _shown, batch_norm_p
@@ -119,31 +119,28 @@ def drift_bound_check(traj: AverageTrajectory) -> DriftReport:
     up front, an absent certificate is trusted to the caller. Ties go to the
     smallest m - n, then n. Exact branch and bound from the best adjacent pair,
     the incumbent: tiles I x J of index blocks, halved from one block to 4 rows,
-    are bounded by `box_reach` of their boxes less 2||x||(j0 - i1)/j0 (1-based
-    first row of J, last of I). A tile goes, unless diagonal, when its bound is
-    2^-30 (|incumbent| + |penalty|) below: far beyond rounding, so no tie is lost.
+    are bounded by `box_reach` of their `PointsView.boxes` less 2||x||(j0 - i1)/j0
+    (1-based first row of J, last of I). A tile goes, unless diagonal, when its
+    bound is 2^-30 (|incumbent| + |penalty|) below: far beyond rounding, no tie lost.
     """
     cert = getattr(traj.operator, "certificate", None)
     if cert is not None and cert.B2 > 1.0:
         raise PreconditionError(f"operator certifies B2 = {cert.B2} > 1: not nonexpansive")
-    norm_x = traj.x.norm()
-    pts, p = traj.points, traj.p
-    n, step = pts.shape[0], max(_CHUNK, _CHUNK_FLOATS // (2 * pts.shape[1]))
-    steps = batch_norm_p(pts[1:] - pts[:-1], p)
-    incumbent = float(np.max(steps - (2.0 * norm_x) / np.arange(2.0, n + 1), initial=-math.inf))
+    norm_x, view, n = traj.x.norm(), PointsView(traj.points, traj.p), traj.horizon
+    incumbent = float(np.max(view.steps - (2.0 * norm_x) / np.arange(2.0, n + 1), initial=-math.inf))
     depth = max(0, (n - 1).bit_length() - 2)  # the first block, 4 << depth rows, holds them all
-    rows = np.pad(pts.view(np.float64), ((0, (4 << depth) - n), (0, 0)), mode="edge")
+    boxes = {size: view.boxes(size) for size in (4 << k for k in range(depth + 1))}  # fine to coarse
     a = b = np.zeros(1, dtype=np.int64)
-    for size in 4 << np.arange(depth, -1, -1):
-        lo, hi = (f(rows.reshape(-1, size, rows.shape[1]), axis=1) for f in (np.min, np.max))
+    for size in reversed(boxes):
+        live = (a <= b) & (b * size < n)  # tiles below the diagonal or past the last row go before bounding
+        a, b, (lo, hi) = a[live], b[live], boxes[size]
         j0 = b * size + 1.0
         penalty = 2.0 * norm_x * (j0 - np.minimum((a + 1) * size, n)) / j0
         floor = incumbent + penalty - 2.0**-30 * (abs(incumbent) + np.abs(penalty))
         keep = a == b
-        for s in range(0, a.size, step):
-            t, cut = slice(s, s + step), floor[s : s + step]
-            keep[t] |= box_reach(lo[a[t]], hi[a[t]], lo[b[t]], hi[b[t]], p, cut) >= cut
-        keep &= (a <= b) & (b * size < n)
+        for s in range(0, a.size, view.chunk):
+            t, cut = slice(s, s + view.chunk), floor[s : s + view.chunk]
+            keep[t] |= box_reach(lo[a[t]], hi[a[t]], lo[b[t]], hi[b[t]], view.p, cut) >= cut
         a, b = a[keep], b[keep]
         if size > 4:  # the four halves of each tile
             a, b = (2 * a[:, None] + [0, 0, 1, 1]).ravel(), (2 * b[:, None] + [0, 1, 0, 1]).ravel()
@@ -151,11 +148,11 @@ def drift_bound_check(traj: AverageTrajectory) -> DriftReport:
     i, j = (size * a[:, None] + ri).ravel(), (size * b[:, None] + rj).ravel()
     i, k = i[(i < j) & (j < n)], (j - i)[(i < j) & (j < n)]
     best = (math.inf, 0, 0)  # (-excess, k, i) over the pairs of the last tiles: the least wins
-    for s in range(0, i.size, step):
-        ii, kk = i[s : s + step], k[s : s + step]
-        dist = batch_norm_p(pts[ii + kk] - pts[ii], p)
+    for s in range(0, i.size, view.chunk):
+        ii, kk = i[s : s + view.chunk], k[s : s + view.chunk]
+        dist = batch_norm_p(view.pts[ii + kk] - view.pts[ii], view.p)
         excess = dist - (2.0 * kk * norm_x) / (ii + kk + 1.0)
-        w = np.lexsort((ii, kk, -excess))[0]
+        w = np.argmin(np.where(excess == excess.max(), kk * n + ii, n * n))  # ties: least k, then i
         best = min(best, (-float(excess[w]), int(kk[w]), int(ii[w])))
     return DriftReport(-best[0], (best[2] + 1, best[2] + 1 + best[1]))
 

@@ -140,8 +140,12 @@ def martingale_differences(f: SeqFunction, n_max: int) -> list[SeqFunction]:
 
 
 def shift_average_at(f: SeqFunction, n: int) -> SeqFunction:
-    """(A_n f)(x) = (1/n) * sum_(i<n) f(x+i), windowed sums via one prefix pass."""
+    """(A_n f)(x) = (1/n) * sum_(i<n) f(x+i), windowed sums via one prefix pass; the
+    window, widened by n - 1 rows, holds at most MAX_TRAJECTORY_SLOTS complex slots."""
     n = _integer(n, "average length", 1)
+    if (f.hi - f.lo + n - 1) * f.dim > MAX_TRAJECTORY_SLOTS:
+        raise InvalidInputError(f"average length {_shown(n)} widens the window past the cap of "
+                                f"{MAX_TRAJECTORY_SLOTS} complex slots")
     if n == 1:
         return SeqFunction(f.lo, f.values, f.p)
     length = f.hi - f.lo
@@ -208,8 +212,12 @@ def verify_decomposition_inequalities(
         lvls = _integers(levels, "level", 0)
         if len(lvls) < 2 or any(b <= a for a, b in zip(lvls, lvls[1:])):
             raise InvalidInputError("levels must be >= 0, strictly increasing, length >= 2")
-        exps = [conditional_expectation(f, n) for n in lvls]
-        terms = [lpb_norm(b - a) ** f.p for a, b in zip(exps, exps[1:])]
+        _blocks(f, lvls[-1])  # the widest window, checked before any level is built
+        prev, terms = conditional_expectation(f, lvls[0]), []
+        for n in lvls[1:]:  # two levels held at a time
+            cur = conditional_expectation(f, n)
+            terms.append(lpb_norm(cur - prev) ** f.p)
+            prev = cur
         return _ratio_report(which, terms, f)
 
     if which == "average_vs_expectation":

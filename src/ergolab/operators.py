@@ -101,7 +101,9 @@ class RotationProduct(_Isometry):
         return z * np.exp(1j * (n * self.angles))
 
     def orbit(self, z: np.ndarray, n: int) -> np.ndarray:
-        return np.exp(1j * np.outer(np.arange(n, dtype=np.float64), self.angles)) * z[None, :]
+        out = np.zeros((n, self.dim), dtype=np.complex128)  # built in place: one array of the orbit's size
+        np.multiply.outer(np.arange(n, dtype=np.float64), self.angles, out=out.imag)
+        return np.multiply(np.exp(out, out=out), z, out=out)
 
 
 @dataclass(frozen=True)

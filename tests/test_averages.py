@@ -2,6 +2,8 @@
 
 import cmath
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,6 +81,39 @@ def test_overflowing_dense_orbit_is_rejected():
     # 2^1024 overflows: the orbit and its averages hold inf and NaN from about row 1,024
     with np.errstate(all="ignore"), pytest.raises(InvalidInputError, match="points must be finite"):
         ergodic_averages(DenseMatrix(2.0 * np.eye(2)), Vector([1], p=2), 1100)
+
+
+def test_rotation_averages_hold_one_orbit_sized_array():
+    # the orbit is built in place and averaged in place: no second array of its size
+    tracemalloc.start()
+    try:
+        traj = ergodic_averages(RotationProduct(np.linspace(-2.0, 3.0, 4)), Vector(np.ones(4), p=2), 2**17)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * traj.points.nbytes
+
+
+@pytest.mark.parametrize("op, n, shown", [
+    (RotationProduct([0.3]), 10**12, "1000000000000 * dimension 1"),
+    (CyclicShift(2), 2**23 + 1, "8388609 * dimension 2"),
+    (DenseMatrix(np.eye(2)), 10**5000, "a 16610-bit integer * dimension 1"),
+], ids=["rotation", "shift", "dense"])
+def test_orbits_past_the_slot_cap_are_rejected_before_any_array(op, n, shown):
+    # 10^12 rows used to reach numpy and fail allocating 7.28 TiB
+    text = f"horizon {shown} exceeds the cap of 16777216 trajectory slots"
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(text)}$"):
+        ergodic_averages(op, Vector(np.ones(op.dim), p=2), n)
+
+
+def test_an_orbit_at_the_slot_cap_is_built():
+    class Counting:  # an operator that reports the rows it was asked for instead of building them
+        dim = 2
+
+        def orbit(self, z, n):
+            return n
+
+    assert orbit(Counting(), Vector([1, 1], p=2), 2**23) == 2**23
 
 
 def test_trajectory_copies_arrays_the_caller_can_write():

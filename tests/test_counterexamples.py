@@ -141,3 +141,9 @@ class TestVerifier:
     def test_validation(self):
         with pytest.raises(InvalidInputError):
             verify_metastability_lower_bound(1)
+
+    def test_default_horizon_past_the_slot_cap_is_rejected(self):
+        # p = 5: 2^32 rows of 32 slots, which used to fail allocating 32 GiB in numpy
+        with pytest.raises(InvalidInputError, match=re.escape(
+                "horizon 4294967296 * dimension 32 exceeds the cap of 16777216 trajectory slots")):
+            verify_metastability_lower_bound(5)

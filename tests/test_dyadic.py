@@ -233,6 +233,15 @@ class TestShiftAverages:
                 np.testing.assert_allclose(an.at(x).components, want, atol=1e-12)
 
 
+    @pytest.mark.parametrize("n, dim", [(10**12, 1), (2**24 - 2, 2)])
+    def test_windows_widened_past_the_slot_cap_are_rejected(self, n, dim):
+        # 4 rows widened by n - 1: 10^12 rows used to reach numpy and fail allocating;
+        # 2^24 + 1 rows are past the cap with two slots each
+        with pytest.raises(InvalidInputError, match=rf"^average length {n} widens the window past "
+                                                    r"the cap of 16777216 complex slots$"):
+            shift_average_at(SeqFunction(0, np.ones((4, dim)), p=2), n)
+
+
 class TestShiftAndTransfer:
     def test_seq_shift_slides_window(self):
         f = SeqFunction(2, np.array([1.0, 5.0]), 2.0)
@@ -281,6 +290,21 @@ class TestDecompositionChecks:
                 f, "martingale", levels=list(range(0, 6))
             )
             assert rep.ratio <= 1.0 + 1e-9
+
+    def test_martingale_levels_past_the_slot_cap_are_rejected_before_level_0(self, monkeypatch):
+        built = []
+
+        def recorded(f, level):
+            built.append(level)
+            return conditional_expectation(f, level)
+
+        monkeypatch.setattr("ergolab.dyadic.conditional_expectation", recorded)
+        f = SeqFunction(0, np.ones((4096, 8)), 2.0)
+        with pytest.raises(InvalidInputError, match=r"^level 22: blocks of 2\^level rows widen "):
+            verify_decomposition_inequalities(f, "martingale", levels=[0, 1, 22])
+        assert built == []
+        verify_decomposition_inequalities(f, "martingale", levels=[0, 1, 12])
+        assert built == [0, 1, 12]
 
     def test_martingale_validation(self):
         f = _delta()

@@ -34,6 +34,17 @@ def test_rotation_power_closed_form():
         w = apply_power(op, 1, w)
 
 
+def test_rotation_orbit_is_the_outer_product_expression_bit_for_bit():
+    # built in place: one complex array, exp and the start vector applied to it
+    rng = np.random.default_rng(18)
+    for _ in range(200):
+        u, n = int(rng.integers(1, 6)), int(rng.integers(1, 2000))
+        angles = rng.uniform(-10.0, 10.0, u) * 10.0 ** rng.integers(-8, 4, u)
+        z = rng.standard_normal(u) + 1j * rng.standard_normal(u)
+        want = np.exp(1j * np.outer(np.arange(n, dtype=np.float64), angles)) * z[None, :]
+        assert RotationProduct(angles).orbit(z, n).tobytes() == want.tobytes()
+
+
 def test_cyclic_shift_moves_basis():
     op = CyclicShift(4)
     e1 = Vector([1, 0, 0, 0], p=1)

@@ -426,3 +426,27 @@ class TestBlockPrunedChecks:
         assert hits[0] == hits[1]
         scans = _blocked_and_plain(lambda: _scans(pts, eps, p))
         assert scans[0] == scans[1]
+
+
+class TestBoxPyramid:
+    """`PointsView.boxes(s)` is the per-coordinate min and max of each aligned block of
+    s rows, the short last block reduced as if padded with copies of the last row, to
+    the bit, whether a level is built from the rows or pairwise from the level below,
+    and in whatever order the levels are asked for."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 300), st.integers(1, 4), st.integers(0, 7),
+           st.sampled_from(["fine first", "coarse first", "shuffled"]), st.integers(0, 2**32 - 1))
+    def test_boxes_are_a_direct_reduce_of_padded_rows(self, n, u, top, order, seed):
+        rng = np.random.default_rng(seed)
+        pts = (rng.standard_normal((n, u)) + 1j * rng.standard_normal((n, u))).round(1)  # ties too
+        view = _scan.PointsView(pts, 2.0)
+        sizes = [1 << k for k in range(top + 1)]
+        asked = {"fine first": sizes, "coarse first": sizes[::-1], "shuffled": rng.permutation(sizes)}[order]
+        for size in asked:
+            view.boxes(int(size))
+        for size in sizes:
+            rows = np.pad(pts.view(np.float64), ((0, -n % size), (0, 0)), mode="edge")
+            lo, hi = view.boxes(size)
+            assert lo.tobytes() == rows.reshape(-1, size, 2 * u).min(axis=1).tobytes()
+            assert hi.tobytes() == rows.reshape(-1, size, 2 * u).max(axis=1).tobytes()
