@@ -10,16 +10,17 @@ pruning never changes the answer, only skips work:
   the row a degenerate box). The chunk of rows bounded at once doubles
   after every chunk the box prunes whole, up to a fixed number of floats,
   and drops back to its base size at the first row the box cannot prune;
-- when an exact check at an ambiguous j comes back clean, with largest
-  distance D < eps to the candidates, the scan skips the run of rows after j
-  that lie strictly within rho = min(eps - D, eps/2) of a_j. A skipped row is
-  within D + rho <= eps of every earlier candidate, and within 2 rho <= eps
-  of every row skipped before it, both strictly. The ball is measured by
-  displacement, which never exceeds path length, so tails that spiral in
-  are skipped in one run;
-- an exact check of 2^15 floats or more evaluates only the end blocks and the
-  aligned 32-row blocks whose box (`PointsView.boxes`) reaches eps; a clean one
-  visits the rest best-first until no box can exceed the largest distance D.
+- when an exact check at an ambiguous j comes back clean, with a bound D'
+  in [D, eps) on the largest distance D to the candidates, the scan skips
+  the run of rows after j that lie strictly within rho = min(eps - D', eps/2)
+  of a_j. A skipped row is within D + rho <= eps of every earlier candidate,
+  and within 2 rho <= eps of every row skipped before it, both strictly. The
+  ball is measured by displacement, which never exceeds path length, so
+  tails that spiral in are skipped in one run;
+- an exact check of 2^15 floats or more evaluates only the aligned 32-row
+  blocks whose box (`PointsView.boxes`) reaches eps, an end block's box
+  holding the rows cut off too. A clean one returns D', the most of the
+  distances evaluated and the reach left out, so no row if no box reaches.
 
 Indices here are 0-based; the public modules translate to 1-based.
 """
@@ -121,24 +122,22 @@ def _runs(edges: np.ndarray, segs: np.ndarray) -> list[tuple[int, int]]:
 
 
 def _exact_check(view: PointsView, eps: float, anchor: int, j: int) -> tuple[int, int, int] | float:
-    """(i_first, i_last, j) for the i in [anchor, j) with ||a_i - a_j|| >= eps, else the largest distance."""
-    runs, done, order = [(anchor, j)], 0, ()
+    """(i_first, i_last, j) for the i in [anchor, j) with ||a_i - a_j|| >= eps, else a bound in
+    [D, eps) on their largest distance D: the most of the distances evaluated and reach left out."""
+    runs, bound = [(anchor, j)], 0.0
     if (j - anchor) * view.coords.shape[1] >= _BLOCK_FLOATS:  # segment k: block k0 + k clipped to [anchor, j)
         k0, k1, (lo, hi), row = anchor // _BLOCK, -(-j // _BLOCK), view.boxes(_BLOCK), view.coords[j]
-        edges, reach = np.clip(np.arange(k0, k1 + 1) * _BLOCK, anchor, j), np.full(k1 - k0, np.inf)
-        reach[1:-1] = box_reach(lo[k0 + 1 : k1 - 1], hi[k0 + 1 : k1 - 1], row, row, view.p, eps)  # ends kept
-        order, done = np.argsort(-reach, kind="stable"), int(np.count_nonzero(reach >= eps))
-        runs = _runs(edges, np.sort(order[:done]))
+        reach = box_reach(lo[k0:k1], hi[k0:k1], row, row, view.p, eps)  # an end block's box holds its rows
+        far = reach >= eps
+        bound = float(reach[~far].max(initial=0.0))
+        if not far.any():
+            return bound
+        runs = _runs(np.clip(np.arange(k0, k1 + 1) * _BLOCK, anchor, j), np.flatnonzero(far))
     dist = _distances(view, eps, j, runs)
     if (valid := dist >= eps).any():
         rows, valid = np.concatenate([np.arange(a, b) for a, b in runs]), np.flatnonzero(valid)
         return int(rows[valid[0]]), int(rows[valid[-1]]), j
-    top, step = float(dist.max()), 1
-    while done < len(order) and reach[order[done]] > top:  # a block with reach < eps holds rows <= reach
-        segs = order[done : done + step]
-        top = max(top, float(_distances(view, eps, j, _runs(edges, np.sort(segs[reach[segs] > top]))).max()))
-        done, step = done + step, 2 * step
-    return top
+    return max(bound, float(dist.max()))
 
 
 def first_violation(

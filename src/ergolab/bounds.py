@@ -120,7 +120,7 @@ def drift_bound_check(traj: AverageTrajectory) -> DriftReport:
     smallest m - n, then n. Exact branch and bound from the best adjacent pair,
     the incumbent: tiles I x J of index blocks, halved from one block to 4 rows,
     are bounded by `box_reach` of their `PointsView.boxes` less 2||x||(j0 - i1)/j0
-    (1-based first row of J, last of I). A tile goes, unless diagonal, when its
+    (1-based first row of J, last of I; <= 0 on the diagonal). A tile goes when its
     bound is 2^-30 (|incumbent| + |penalty|) below: far beyond rounding, no tie lost.
     """
     cert = getattr(traj.operator, "certificate", None)
@@ -137,10 +137,10 @@ def drift_bound_check(traj: AverageTrajectory) -> DriftReport:
         j0 = b * size + 1.0
         penalty = 2.0 * norm_x * (j0 - np.minimum((a + 1) * size, n)) / j0
         floor = incumbent + penalty - 2.0**-30 * (abs(incumbent) + np.abs(penalty))
-        keep = a == b
+        keep = np.empty(a.size, dtype=bool)
         for s in range(0, a.size, view.chunk):
             t, cut = slice(s, s + view.chunk), floor[s : s + view.chunk]
-            keep[t] |= box_reach(lo[a[t]], hi[a[t]], lo[b[t]], hi[b[t]], view.p, cut) >= cut
+            keep[t] = box_reach(lo[a[t]], hi[a[t]], lo[b[t]], hi[b[t]], view.p, cut) >= cut
         a, b = a[keep], b[keep]
         if size > 4:  # the four halves of each tile
             a, b = (2 * a[:, None] + [0, 0, 1, 1]).ravel(), (2 * b[:, None] + [0, 1, 0, 1]).ravel()

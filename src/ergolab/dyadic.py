@@ -124,19 +124,22 @@ def conditional_expectation(f: SeqFunction, level: int) -> SeqFunction:
     return SeqFunction(lo, np.repeat(means, b, axis=0), f.p)
 
 
+def _differences(f: SeqFunction, levels: Sequence[int]):
+    """Yield E_a f - E_b f for consecutive levels a < b, E_0 f being f itself, two levels held
+    at a time; the widest window, at the last level, is checked before any is built."""
+    _blocks(f, levels[-1])
+    prev = f if levels[0] == 0 else conditional_expectation(f, levels[0])
+    for n in levels[1:]:
+        cur = conditional_expectation(f, n)
+        yield prev - cur
+        prev = cur
+
+
 def martingale_differences(f: SeqFunction, n_max: int) -> list[SeqFunction]:
     """[d_1 f, ..., d_n_max f] with d_1 f = f - E_1 f and
     d_n f = E_(n-1) f - E_n f; they telescope to f - E_n_max f. The widest
     window, at level n_max, is checked before any is built."""
-    n_max = _integer(n_max, "n_max", 1)
-    _blocks(f, n_max)
-    out = []
-    prev = f
-    for n in range(1, n_max + 1):
-        cur = conditional_expectation(f, n)
-        out.append(prev - cur)
-        prev = cur
-    return out
+    return list(_differences(f, range(_integer(n_max, "n_max", 1) + 1)))
 
 
 def shift_average_at(f: SeqFunction, n: int) -> SeqFunction:
@@ -212,13 +215,7 @@ def verify_decomposition_inequalities(
         lvls = _integers(levels, "level", 0)
         if len(lvls) < 2 or any(b <= a for a, b in zip(lvls, lvls[1:])):
             raise InvalidInputError("levels must be >= 0, strictly increasing, length >= 2")
-        _blocks(f, lvls[-1])  # the widest window, checked before any level is built
-        prev, terms = conditional_expectation(f, lvls[0]), []
-        for n in lvls[1:]:  # two levels held at a time
-            cur = conditional_expectation(f, n)
-            terms.append(lpb_norm(cur - prev) ** f.p)
-            prev = cur
-        return _ratio_report(which, terms, f)
+        return _ratio_report(which, [lpb_norm(d) ** f.p for d in _differences(f, lvls)], f)
 
     if which == "average_vs_expectation":
         if ts is None:

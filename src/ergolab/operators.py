@@ -102,7 +102,9 @@ class RotationProduct(_Isometry):
 
     def orbit(self, z: np.ndarray, n: int) -> np.ndarray:
         out = np.zeros((n, self.dim), dtype=np.complex128)  # built in place: one array of the orbit's size
-        np.multiply.outer(np.arange(n, dtype=np.float64), self.angles, out=out.imag)
+        for s in range(0, n, 1 << 16):  # the phases k theta, 2^16 rows at a time
+            part = out.imag[s : s + (1 << 16)]
+            np.multiply.outer(np.arange(s, s + len(part), dtype=np.float64), self.angles, out=part)
         return np.multiply(np.exp(out, out=out), z, out=out)
 
 

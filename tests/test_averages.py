@@ -83,11 +83,13 @@ def test_overflowing_dense_orbit_is_rejected():
         ergodic_averages(DenseMatrix(2.0 * np.eye(2)), Vector([1], p=2), 1100)
 
 
-def test_rotation_averages_hold_one_orbit_sized_array():
-    # the orbit is built in place and averaged in place: no second array of its size
+@pytest.mark.parametrize("u", [1, 2, 4])
+def test_rotation_averages_hold_one_orbit_sized_array(u):
+    # the orbit is built in place and averaged in place: no second array of its size, and
+    # the phases k theta come a slice at a time, so no index column of the orbit's length
     tracemalloc.start()
     try:
-        traj = ergodic_averages(RotationProduct(np.linspace(-2.0, 3.0, 4)), Vector(np.ones(4), p=2), 2**17)
+        traj = ergodic_averages(RotationProduct(np.linspace(-2.0, 3.0, u)), Vector(np.ones(u), p=2), 2**19 // u)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -304,7 +304,7 @@ class TestDecompositionChecks:
             verify_decomposition_inequalities(f, "martingale", levels=[0, 1, 22])
         assert built == []
         verify_decomposition_inequalities(f, "martingale", levels=[0, 1, 12])
-        assert built == [0, 1, 12]
+        assert built == [1, 12]  # level 0 is f itself
 
     def test_martingale_validation(self):
         f = _delta()

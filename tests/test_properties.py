@@ -393,15 +393,17 @@ def _full_check(view, eps, anchor, j):
 
 
 class TestBlockPrunedChecks:
-    """An exact check that skips the 32-row blocks whose box cannot reach eps, and
-    finds a clean check's largest distance best-first, returns what evaluating
-    every row returns: the same separated rows, the same maximum to the bit, and so
-    the same hits, greedy counts and rates. The checks run from one row to 2000
-    (past the 1024 rows of the benchmark's u = 16 checks), on trajectories of which
-    some repeat every row 32 times, at scales 2^-600 to 2^600, with eps drawn at
-    random, or exactly on or one ulp above the largest distance of a check: then
-    only the blocks next to eps hold a separated row, and p not in {1, 2} lifts
-    rounded norms."""
+    """An exact check that skips the 32-row blocks whose box cannot reach eps, the
+    partial end blocks too, finds the same separated rows as evaluating every row. A
+    clean one returns a bound on the largest distance, not the distance: the most of
+    the distances it evaluated and the reach of blocks it left out, at least the maximum
+    and below eps, so the ball skip stays strict. The plain check (no blocks) returns
+    the maximum itself, and hits, greedy counts and rates are the same either way. The
+    checks run from one row to 2000 (past the 1024 rows of the benchmark's u = 16
+    checks), on trajectories of which some repeat every row 32 times, at scales 2^-600
+    to 2^600, with eps drawn at random, or exactly on or one ulp above the largest
+    distance of a check: then only the blocks next to eps hold a separated row, and
+    p not in {1, 2} lifts rounded norms."""
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 4), st.integers(1100, 2000), st.sampled_from([1.0, 1.5, 2.0, 3.0, 4.0]),
@@ -420,12 +422,24 @@ class TestBlockPrunedChecks:
             eps = float(batch_norm_p(pts[i:j] - pts[j], p).max())  # the largest distance of a check
             eps = math.nextafter(eps, math.inf) if tie == "above" else eps
         view = _scan.PointsView(pts, p)
-        checks = _blocked_and_plain(lambda: [_scan._exact_check(view, eps, i, j) for i, j in pairs])
-        assert checks[0] == checks[1] == [_full_check(view, eps, i, j) for i, j in pairs]
+        full = [_full_check(view, eps, i, j) for i, j in pairs]
+        blocked, plain = _blocked_and_plain(lambda: [_scan._exact_check(view, eps, i, j) for i, j in pairs])
+        assert plain == full
+        for got, want in zip(blocked, full):
+            assert got == want if isinstance(want, tuple) else want <= got < eps
         hits = _blocked_and_plain(lambda: [_scan.first_violation(view, eps, i, n - 1) for i, _ in pairs[:4]])
         assert hits[0] == hits[1]
         scans = _blocked_and_plain(lambda: _scans(pts, eps, p))
         assert scans[0] == scans[1]
+
+    def test_a_check_whose_boxes_all_fall_short_evaluates_no_row(self, monkeypatch):
+        # 20,000 rows past the block threshold, 32 repeats making each block's box a point, and
+        # both ends inside a block: no box reaches past 0.0625, far below eps = 0.5
+        pts = np.repeat(np.exp(1e-4j * np.arange(625.0))[:, None], 32, axis=0)
+        view = _scan.PointsView(pts, 2.0)
+        monkeypatch.setattr(view, "distances_to", mock.Mock(side_effect=AssertionError("a row evaluated")))
+        bound = _scan._exact_check(view, 0.5, 40, 19950)
+        assert _full_check(view, 0.5, 40, 19950) <= bound < 0.5
 
 
 class TestBoxPyramid:
