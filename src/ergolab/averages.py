@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,5 +117,7 @@ def rotation_average_closed_form(theta: float, n: int) -> complex:
     if math.remainder(theta, math.tau) == 0.0:
         return complex(1.0, 0.0)
     half = 0.5 * theta
+    if n > sys.float_info.max or math.isinf(n * half):
+        raise InvalidInputError(f"n*theta/2 is not a finite double: theta = {theta!r}, n of {n.bit_length()} bits")
     magnitude = math.sin(n * half) / (n * math.sin(half))
     return magnitude * cmath.exp(1j * (n - 1) * half)

@@ -1,9 +1,13 @@
 """Quantitative fluctuation and stability bounds for nonexpansive averages.
 
-All formulas are exact integer-valued expressions (no asymptotic forms).
-Floors and ceilings of floating-point quantities are taken after rounding
-the operand to 12 significant digits, so a value that is an integer up to
-accumulated rounding is treated as that integer.
+All formulas are exact integer-valued expressions (no asymptotic forms), and
+rounding may raise a bound but never lower it. M = ceil(16||x||/eps) is exact in
+the doubles given; each floor is of its float value raised by a budget in ulps
+(2^-52): 4 for 4 ln(alpha) ||x||/eps, exact but for ln(alpha) (1 ulp, 1/2 more
+for an integer alpha), and p + 4 for ||x||/gamma = (8||x||/eps)^p / K, exact but
+for the two halves of the power (the quotient's 1/2 ulp is p/2 in the power, and
+`pow` adds 1 per half): a subnormal gamma carries more error than any budget, so
+||x||/gamma is never taken from it.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -23,8 +28,6 @@ __all__ = [
     "StabilityParameters",
     "DriftReport",
     "StabilityWindowReport",
-    "floor12",
-    "ceil12",
     "stability_parameters",
     "window_fluctuation_bound",
     "fluctuation_bound_nonexpansive",
@@ -34,18 +37,9 @@ __all__ = [
 ]
 
 
-def _round12(x: float) -> float:
-    return float(f"{x:.12g}")
-
-
-def floor12(x: float) -> int:
-    """Floor after rounding to 12 significant digits."""
-    return math.floor(_round12(x))
-
-
-def ceil12(x: float) -> int:
-    """Ceiling after rounding to 12 significant digits."""
-    return math.ceil(_round12(x))
+def _raised_floor(value: Fraction, ulps: float) -> int:
+    """floor(value * (1 + ulps * 2^-52)): never below floor(v) for a v at most `ulps` ulps above value."""
+    return math.floor(value * (1 + Fraction(ulps) / 2**52))
 
 
 @dataclass(frozen=True)
@@ -67,10 +61,10 @@ class StabilityParameters:
 
 def stability_parameters(norm_x: float, eps: float, desc: SpaceDescriptor) -> StabilityParameters:
     norm_x, eps = _real(norm_x, "||x||", 0, above=True), _real(eps, "eps", 0, above=True)
-    m = ceil12(16.0 * norm_x / eps)
     gamma = (eps / 8.0) * desc.K * (eps / (8.0 * norm_x)) ** (desc.p - 1.0)
     if gamma == 0.0 or math.isinf(norm_x / gamma):
         raise InvalidInputError(f"gamma = {gamma} underflows: ||x||/gamma is not finite")
+    m = math.ceil(16 * Fraction(norm_x) / Fraction(eps))
     return StabilityParameters(norm_x=norm_x, eps=eps, p=desc.p, K=desc.K, M=m, gamma=gamma)
 
 
@@ -85,7 +79,7 @@ def window_fluctuation_bound(norm_x: float, eps: float, alpha: float) -> int:
     alpha = _real(alpha, "alpha", 1)
     if not (0.0 < eps < 2.0 * norm_x):
         raise PreconditionError(f"need 0 < eps < 2*||x||, got eps={eps}, ||x||={norm_x}")
-    return floor12(4.0 * math.log(alpha) * norm_x / eps)
+    return _raised_floor(4 * Fraction(math.log(alpha)) * Fraction(norm_x) / Fraction(eps), 4)
 
 
 def fluctuation_bound_nonexpansive(norm_x: float, eps: float, desc: SpaceDescriptor) -> int:
@@ -99,7 +93,8 @@ def fluctuation_bound_nonexpansive(norm_x: float, eps: float, desc: SpaceDescrip
     the count of the actual sequence never exceeds it.
     """
     par = stability_parameters(norm_x, eps, desc)
-    drops = floor12(par.norm_x / par.gamma)
+    half = Fraction((8.0 * par.norm_x / par.eps) ** (par.p / 2))  # finite where ||x||/gamma is
+    drops = _raised_floor(half * half / Fraction(par.K), par.p + 4)  # ||x||/gamma = half^2 / K
     per_window = window_fluctuation_bound(par.norm_x, par.eps, 2 * par.M)
     return window_fluctuation_bound(par.norm_x, par.eps, par.M) + drops * per_window + drops
 

@@ -43,10 +43,8 @@ from .errors import ErgolabError, HorizonExhaustedError, InvalidInputError
 from .operators import RotationProduct
 from .spaces import MAX_TRAJECTORY_SLOTS, SpaceDescriptor, Vector, _shown, check_uniform_convexity, descriptor_preset
 from .variation import (
+    _SELECTORS,
     count_fluctuations,
-    g_double,
-    g_next_power_of_two,
-    g_successor,
     max_p_variation,
     metastability_from_fluctuations,
     metastability_rate,
@@ -72,11 +70,7 @@ class ConfigError(ErgolabError):
     """A scenario config failed to parse or validate."""
 
 
-G_SELECTORS: dict[str, Callable[[int], int]] = {
-    "successor": g_successor,
-    "double": g_double,
-    "next-power-of-two": g_next_power_of_two,
-}
+G_SELECTORS: dict[str, Callable[[int], int]] = dict(zip(("successor", "double", "next-power-of-two"), _SELECTORS))
 
 _RATIO_SLACK = 1e-9  # slack on the p=2 martingale ratio bound
 _WITNESS_TOL = 1e-9  # witness must reproduce the DP value this closely

@@ -101,6 +101,10 @@ def g_next_power_of_two(n: int) -> int:
     return 1 << ((int(n) - 1).bit_length() + 1)
 
 
+# The built-in window selectors: non-decreasing, with closed-form iterates from 1.
+_SELECTORS = (g_successor, g_double, g_next_power_of_two)
+
+
 def _points_view(points: PointsLike, p_norm: float | None = None) -> PointsView:
     if isinstance(points, AverageTrajectory):
         if p_norm is not None and p_norm != points.p:
@@ -204,7 +208,7 @@ def metastability_rate(points: PointsLike, eps: float, g: Callable[[int], int], 
         if hit is None:
             return n
         i1, j1 = _reversed_hit(view.n, hit)
-        n = i1 + 1 if any(g is s for s in (g_successor, g_double, g_next_power_of_two)) else n + 1
+        n = i1 + 1 if any(g is s for s in _SELECTORS) else n + 1
         while n <= i1 and _integer(g(n), "g(n)", n) >= j1:
             n += 1
 
@@ -215,13 +219,16 @@ def metastability_from_fluctuations(count: int, g: Callable[[int], int]) -> int:
     If at most `count` eps-fluctuations exist, one of the count+1 windows
     [g^i(1), g^(i+1)(1)] contains no separated pair, so the metastability
     rate is at most g^count(1). Iteration past 2^63 - 1 raises
-    CountOverflowError rather than returning silently huge values.
+    CountOverflowError rather than returning silently huge values. The
+    built-in selectors take their closed forms, count + 1 and 2^count.
     """
-    t = 1
-    for _ in range(_integer(count, "fluctuation count", 0)):
-        t = _integer(g(t), "g(n)", t)
-        if t > _COUNT_CAP:
-            raise CountOverflowError(f"g-iteration left the 64-bit range at {_shown(t)}")
+    t, count = 1, _integer(count, "fluctuation count", 0)
+    if any(g is s for s in _SELECTORS):  # held at 2^63, the first iterate past the cap
+        t, count = min(count, _COUNT_CAP) + 1 if g is g_successor else 1 << min(count, 63), 0
+    while count and t <= _COUNT_CAP:
+        t, count = _integer(g(t), "g(n)", t), count - 1
+    if t > _COUNT_CAP:
+        raise CountOverflowError(f"g-iteration left the 64-bit range at {_shown(t)}")
     return t
 
 

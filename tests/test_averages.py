@@ -157,6 +157,21 @@ def test_closed_form_full_turn_is_one():
     assert rotation_average_closed_form(-4 * math.pi, 3) == 1.0 + 0.0j
 
 
+@pytest.mark.parametrize("theta, n", [(1e300, 2**1000), (0.5, 2**2000), (0.5, 2**1024 - 1)],
+                         ids=["turn-overflows", "n-past-the-doubles", "n-rounds-past-the-doubles"])
+def test_closed_form_rejects_a_turn_past_the_doubles(theta, n):
+    # once a ValueError (sin of inf) and an OverflowError (n as a float)
+    message = f"n*theta/2 is not a finite double: theta = {theta!r}, n of {n.bit_length()} bits"
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        rotation_average_closed_form(theta, n)
+
+
+def test_closed_form_at_a_huge_n_and_finite_turn():
+    # a = n*theta/2 = 5.36...: at so small an angle the average is sin(a)/a * e^(ia)
+    a = 2**1000 * 0.5e-300
+    assert rotation_average_closed_form(1e-300, 2**1000) == pytest.approx(math.sin(a) / a * cmath.exp(1j * a), rel=1e-12)
+
+
 def test_vanishing_at_even_multiples():
     # theta = pi/k makes A_{2k} exactly 0: e^(i*2k*theta) = 1
     for k in range(1, 13):

@@ -10,8 +10,10 @@ with ||x|| = 1, eps = 1/4, p = 2, K = 1/8:
     total = 66 + 8192*77 + 8192 = 639042
 """
 
+import decimal
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,15 +28,14 @@ from ergolab import (
     InvalidInputError,
     PreconditionError,
     RotationProduct,
+    SpaceDescriptor,
     Vector,
-    ceil12,
     count_fluctuations,
     descriptor_preset,
     drift_bound_check,
     earliest_stable_start,
     ergodic_averages,
     estimate_power_bounds,
-    floor12,
     fluctuation_bound_nonexpansive,
     stability_parameters,
     stability_window_check,
@@ -45,25 +46,6 @@ from ergolab.spaces import batch_norm_p
 from oracles import ref_drift
 
 HILBERT = descriptor_preset("hilbert")
-
-
-class TestRound12:
-    def test_floor_absorbs_float_noise(self):
-        # 0.1 + 0.2 overshoots 0.3 by ~5.5e-17; after the 12-digit rounding
-        # the quotient is exactly 3
-        assert floor12((0.1 + 0.2) / 0.1) == 3
-        assert math.floor((0.1 + 0.2) / 0.1) == 3  # noise is upward here
-        assert floor12(0.29999999999999 / 0.1) == 3
-        assert math.floor(0.29999999999999 / 0.1) == 2
-
-    def test_ceil_absorbs_float_noise(self):
-        assert ceil12(64.00000000000001) == 64
-        assert math.ceil(64.00000000000001) == 65
-        assert ceil12(64.001) == 65
-
-    def test_genuine_fractions_survive(self):
-        assert floor12(2.5) == 2
-        assert ceil12(2.5) == 3
 
 
 class TestStabilityParameters:
@@ -77,7 +59,7 @@ class TestStabilityParameters:
     def test_clarkson_preset_scaling(self):
         desc = descriptor_preset("clarkson", p=3.0)
         par = stability_parameters(2.0, 0.5, desc)
-        assert par.M == ceil12(16.0 * 2.0 / 0.5) == 64
+        assert par.M == 64
         want = (0.5 / 8.0) * desc.K * (0.5 / 16.0) ** 2
         assert par.gamma == pytest.approx(want, rel=1e-15)
 
@@ -102,7 +84,7 @@ class TestWindowFluctuationBound:
     def test_frozen(self):
         assert window_fluctuation_bound(1.0, 0.5, math.e) == 8
         assert window_fluctuation_bound(1.0, 0.5, 1.0) == 0
-        assert window_fluctuation_bound(2.0, 0.5, 4.0) == floor12(16.0 * math.log(4.0))
+        assert window_fluctuation_bound(2.0, 0.5, 4.0) == 22  # floor(16 ln 4) = floor(22.18)
 
     def test_preconditions(self):
         with pytest.raises(PreconditionError):
@@ -129,9 +111,8 @@ class TestFluctuationBoundNonexpansive:
 
     def test_component_assembly(self):
         par = stability_parameters(1.0, 0.25, HILBERT)
-        drops = floor12(1.0 / par.gamma)
-        head = floor12(4.0 * math.log(par.M) / 0.25)
-        per = floor12(4.0 * math.log(2.0 * par.M) / 0.25)
+        drops = math.floor(1.0 / par.gamma)  # gamma = 2^-13 exactly
+        head, per = (window_fluctuation_bound(1.0, 0.25, alpha) for alpha in (par.M, 2 * par.M))
         assert (head, drops, per) == (66, 8192, 77)
         assert head + drops * per + drops == 639042
 
@@ -143,6 +124,82 @@ class TestFluctuationBoundNonexpansive:
         small = fluctuation_bound_nonexpansive(1.0, 1.0, HILBERT)
         large = fluctuation_bound_nonexpansive(1.0, 0.125, HILBERT)
         assert small < large
+
+
+def _floors(value, ulps, slack):
+    """(lowest, highest) floor the library may return for a value known to within
+    `slack` (relative): its floor, and the floor of it raised twice by `ulps` ulps,
+    once for the float error that budget covers and once for the raise itself."""
+    value = Fraction(value)
+    return (math.floor(value * (1 - slack)),
+            math.floor(value * (1 + Fraction(ulps) / 2**52) ** 2 * (1 + slack)))
+
+
+def _exact_terms(norm_x, eps, desc, digits=60):
+    """M, then the (lowest, highest) floors of 4 ln(M) ||x||/eps, 4 ln(2M) ||x||/eps
+    and (8||x||/eps)^p / K for the doubles given: logarithms and fractional powers
+    to `digits` digits, integer powers exactly."""
+    m, ratio = math.ceil(Fraction(norm_x) * 16 / Fraction(eps)), 8 * Fraction(norm_x) / Fraction(eps)
+    slack = Fraction(1, 10 ** (digits - 10))  # far above the rounding at that many digits
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        x, e, p, k = (decimal.Decimal(v) for v in (norm_x, eps, desc.p, desc.K))
+        head, per = (_floors(4 * decimal.Decimal(a).ln() * x / e, 4, slack) for a in (m, 2 * m))
+        drops = (_floors(ratio ** int(desc.p) / Fraction(desc.K), desc.p + 4, 0) if desc.p == int(desc.p)
+                 else _floors((8 * x / e) ** p / k, desc.p + 4, slack))
+    return m, head, per, drops
+
+
+def _total(head, per, drops):
+    """(lowest, highest) total bound head + drops * per + drops."""
+    return tuple(head[i] + drops[i] * per[i] + drops[i] for i in (0, 1))
+
+
+class TestOutwardRounding:
+    """Rounding may raise a bound but never lower it."""
+
+    def test_ceiling_is_exact(self):
+        # 16 (1 + 2^-52) / 0.5 = 32 + 2^-47; the 12-digit layer rounded M down to 32
+        assert stability_parameters(1.0000000000000002, 0.5, HILBERT).M == 33
+
+    def test_large_floor_keeps_its_digits(self):
+        # floor(||x||/gamma) = 3,236,345,679,012,345; 12 digits cut it to ...010,000
+        assert fluctuation_bound_nonexpansive(1.0, 0.003, descriptor_preset("clarkson", 4)) >= 40023887012345682057
+
+    @pytest.mark.parametrize("norm_x, eps", [(1e300, 1e-300), (1.0, 1e-310)])
+    def test_ratio_past_the_doubles(self, norm_x, eps):
+        # 16||x||/eps is no double: M is still exact, gamma underflows
+        with pytest.raises(InvalidInputError, match="^gamma = 0.0 underflows"):
+            stability_parameters(norm_x, eps, HILBERT)
+
+    def test_window_bound_at_any_scale(self):
+        # 4 ln(3) ||x||/eps ~ 4.4e600 is formed as a Fraction; as a float product it overflowed
+        got = window_fluctuation_bound(1e300, 1e-300, 3.0)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 660
+            value = 4 * decimal.Decimal(3).ln() * decimal.Decimal(1e300) / decimal.Decimal(1e-300)
+        low, high = _floors(value, 4, Fraction(1, 10**650))
+        assert isinstance(got, int) and low <= got <= high
+
+    def test_power_taken_in_halves(self):
+        # an inadmissible K = 1e300 brings (8||x||/eps)^2 = 6.4e321, past the doubles, back to 6.4e21
+        desc = SpaceDescriptor(2.0, 1e300)
+        low, high = _total(*_exact_terms(1.0, 1e-160, desc, digits=400)[1:])
+        assert low <= fluctuation_bound_nonexpansive(1.0, 1e-160, desc) <= high
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.floats(2.0**-20, 2.0**20), st.data(),
+           st.sampled_from([("hilbert", None)] + [("clarkson", p) for p in (2.0, 2.5, 3.0, 4.0, 5.0)]))
+    def test_never_below_the_exact_bound(self, norm_x, data, preset):
+        # eps >= 2^-12 ||x|| keeps every value below 10^31, so 60 digits resolve each floor
+        eps = data.draw(st.floats(norm_x * 2.0**-12, 2.0 * norm_x, exclude_max=True), label="eps")
+        desc = descriptor_preset(*preset)
+        m, head, per, drops = _exact_terms(norm_x, eps, desc)
+        assert stability_parameters(norm_x, eps, desc).M == m
+        assert head[0] <= window_fluctuation_bound(norm_x, eps, m) <= head[1]
+        assert per[0] <= window_fluctuation_bound(norm_x, eps, 2 * m) <= per[1]
+        lowest, highest = _total(head, per, drops)
+        assert lowest <= fluctuation_bound_nonexpansive(norm_x, eps, desc) <= highest
 
 
 def _rotation_traj(horizon=64):

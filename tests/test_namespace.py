@@ -20,11 +20,11 @@ PUBLIC_NAMES = ["AverageTrajectory", "ConvergenceRateResult", "CountOverflowErro
                 "PowerBoundCertificate", "PreconditionError", "RotationCounterexample",
                 "RotationProduct", "SeqFunction", "SpaceDescriptor", "StabilityParameters",
                 "StabilityWindowReport", "Vector", "apply_power", "batch_norm_p",
-                "build_cyclic_shift_counterexample", "build_rotation_counterexample", "ceil12",
+                "build_cyclic_shift_counterexample", "build_rotation_counterexample",
                 "check_uniform_convexity", "clarkson_modulus", "conditional_expectation",
                 "count_fluctuations", "descriptor_preset", "drift_bound_check",
                 "earliest_stable_start", "empirical_convergence_rate", "ergodic_averages",
-                "estimate_power_bounds", "floor12", "fluctuation_bound_nonexpansive",
+                "estimate_power_bounds", "fluctuation_bound_nonexpansive",
                 "fluctuation_in_dyadic_interval", "g_double", "g_next_power_of_two", "g_successor",
                 "lpb_norm", "martingale_differences", "max_p_variation",
                 "metastability_from_fluctuations", "metastability_rate", "orbit",

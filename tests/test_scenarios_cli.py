@@ -629,5 +629,9 @@ def test_reference_report_comparison_drops_only_the_timestamp(tmp_path, capsys):
     (tmp_path / "b" / "run" / "sweep.json").write_text(
         (tmp_path / "b" / "run" / "sweep.json").read_text().replace('"seed": 7', '"seed": 8'))
     assert tool.main(["--compare", str(tmp_path / "a"), str(tmp_path / "b")]) == 1
-    assert capsys.readouterr().out.splitlines()[-3:] == [
-        os.path.join("run", "sweep.csv"), os.path.join("run", "sweep.json"), "2 of 2 files differ"]
+    json_lines = (tmp_path / "a" / "run" / "sweep.json").read_text().splitlines()
+    seed_line = 1 + next(k for k, line in enumerate(json_lines) if '"seed": 7' in line)
+    assert capsys.readouterr().out.splitlines()[-5:] == [
+        f"{os.path.join('run', 'sweep.csv')}: only under {tmp_path / 'a'}",  # one side only
+        f"{os.path.join('run', 'sweep.json')}, line {seed_line}:",  # the first line that differs, each side
+        f'  {tmp_path / "a"}:     "seed": 7,', f'  {tmp_path / "b"}:     "seed": 8,', "2 of 2 files differ"]

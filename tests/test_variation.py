@@ -6,6 +6,7 @@ exhaustively on the full length-8 grid.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -348,6 +349,26 @@ class TestConversion:
     def test_overflow_guard(self):
         with pytest.raises(CountOverflowError):
             metastability_from_fluctuations(64, g_double)
+
+    def test_built_in_selectors_take_their_closed_forms(self):
+        assert metastability_from_fluctuations(10**6, g_successor) == 10**6 + 1
+        for count in (2**63 - 1, 10**30):  # the loop would take 2^63 steps
+            with pytest.raises(CountOverflowError, match="^g-iteration left the 64-bit range at 9223372036854775808$"):
+                metastability_from_fluctuations(count, g_successor)
+        assert metastability_from_fluctuations(2**63 - 2, g_successor) == 2**63 - 1
+
+    @pytest.mark.parametrize("g", [g_successor, g_double, g_next_power_of_two])
+    def test_closed_forms_match_the_loop(self, g):
+        def as_callable(n):  # the same selector, not recognised, so iterated
+            return g(n)
+        for count in range(70):
+            try:
+                want = metastability_from_fluctuations(count, as_callable)
+            except CountOverflowError as exc:
+                with pytest.raises(CountOverflowError, match=f"^{re.escape(str(exc))}$"):
+                    metastability_from_fluctuations(count, g)
+            else:
+                assert metastability_from_fluctuations(count, g) == want
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):

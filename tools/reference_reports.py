@@ -11,7 +11,8 @@ traced round of each benchmark workload at seed 1, from
 `perfbench/run.py --workload W --seed 1 --seconds 0 --trace 1`; writing exits 1
 when such a run is not `correct`. The library, the configs and the benchmark
 come from the checkout this script sits in. Two checkouts give the same answers
-when --compare, which drops each report's `timestamp` line, lists no file; it
+when --compare, which ignores each report's `timestamp` line, lists no file. For
+each file that differs it prints the first differing line from each side; it
 exits 1 when some file differs or exists on one side only.
 """
 
@@ -87,19 +88,30 @@ def _files(root: str) -> set[str]:
             for where, _, names in os.walk(root) for name in names}
 
 
-def _body(path: str) -> list[str]:
+def _body(path: str) -> list[str] | None:
+    """The file's lines, each `timestamp` line blanked; None when there is no such file."""
+    if not os.path.isfile(path):
+        return None
     with open(path, encoding="utf-8", newline="") as fh:
-        return [line for line in fh if '"timestamp":' not in line]
+        return ["" if '"timestamp":' in line else line for line in fh]
 
 
 def compare(a: str, b: str) -> int:
     names = sorted(_files(a) | _files(b))
-    differ = [name for name in names
-              if not all(os.path.isfile(os.path.join(root, name)) for root in (a, b))
-              or _body(os.path.join(a, name)) != _body(os.path.join(b, name))]
-    for name in differ:
-        print(name)
-    print(f"{len(differ)} of {len(names)} files differ")
+    differ = 0
+    for name in names:
+        sides = [_body(os.path.join(root, name)) for root in (a, b)]
+        if sides[0] == sides[1]:
+            continue
+        differ += 1
+        if None in sides:
+            print(f"{name}: only under {b if sides[0] is None else a}")
+            continue
+        k = next((k for k, (x, y) in enumerate(zip(*sides)) if x != y), min(map(len, sides)))
+        print(f"{name}, line {k + 1}:")
+        for root, lines in zip((a, b), sides):
+            print(f"  {root}: {lines[k].rstrip() if k < len(lines) else '(end of file)'}")
+    print(f"{differ} of {len(names)} files differ")
     return 1 if differ else 0
 
 
