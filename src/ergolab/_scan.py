@@ -8,19 +8,33 @@ pruning never changes the answer, only skips work:
 - a running per-real-coordinate bounding box of the candidate prefix gives a
   certified upper bound on the best distance at each j (`box_reach`, with
   the row a degenerate box). The chunk of rows bounded at once doubles
-  after every chunk the box prunes whole, up to a fixed number of floats,
-  and drops back to its base size at the first row the box cannot prune;
+  after every chunk the box prunes whole, and drops back to its base size
+  at the first row the box cannot prune;
+- after a chunk pruned whole, the next chunk is first bounded as one box:
+  its span S (`_span`, the per-column min and max) against the hull W of the
+  running box and S. A bound below eps skips the chunk with no row norm, W
+  becomes the running box and the chunk doubles without limit; otherwise
+  its first rows, 2^15 floats' worth but at least 256, are bounded row by
+  row. Rounded subtraction, abs, powers, sums, roots and the near-eps lift
+  are monotone, so no row's bound exceeds its chunk's: a skipped chunk is
+  one the rows would have pruned, and the first row left alive, which
+  depends only on the rows before it, is the same;
 - when an exact check at an ambiguous j comes back clean, with a bound D'
   in [D, eps) on the largest distance D to the candidates, the scan skips
   the run of rows after j that lie strictly within rho = min(eps - D', eps/2)
   of a_j. A skipped row is within D + rho <= eps of every earlier candidate,
   and within 2 rho <= eps of every row skipped before it, both strictly. The
   ball is measured by displacement, which never exceeds path length, so
-  tails that spiral in are skipped in one run;
+  tails that spiral in are skipped in one run. The run is searched in
+  doubling slices; a slice of more than 16 rows is skipped whole when the
+  bound from a_j to its span is below rho, else evaluated row by row if it
+  has at most a chunk's rows, else halved;
 - an exact check of 2^15 floats or more evaluates only the aligned 32-row
   blocks whose box (`PointsView.boxes`) reaches eps, an end block's box
   holding the rows cut off too. A clean one returns D', the most of the
   distances evaluated and the reach left out, so no row if no box reaches.
+  Distances are evaluated at most a chunk's rows at a time into one array,
+  so a check over N rows holds N distances and one chunk's temporaries.
 
 Indices here are 0-based; the public modules translate to 1-based.
 """
@@ -64,8 +78,14 @@ class PointsView:
         return np.concatenate(([0.0], np.cumsum(self.steps)))
 
     def distances_to(self, j: int, lo: int, hi: int) -> np.ndarray:
-        """||a_i - a_j|| for i in [lo, hi)."""
-        return batch_norm_p(self.pts[lo:hi] - self.pts[j], self.p)
+        """||a_i - a_j|| for i in [lo, hi), evaluated `chunk` rows at a time into one array."""
+        if hi - lo <= self.chunk:  # one slice: returned as the kernel gives it, not copied
+            return batch_norm_p(self.pts[lo:hi] - self.pts[j], self.p)
+        out = np.empty(hi - lo)
+        for a in range(lo, hi, self.chunk):
+            b = min(hi, a + self.chunk)
+            out[a - lo : b - lo] = batch_norm_p(self.pts[a:b] - self.pts[j], self.p)
+        return out
 
     def boxes(self, size: int) -> tuple[np.ndarray, np.ndarray]:
         """Per-real-coordinate min and max of each aligned block of `size` rows (a power of two), the short
@@ -77,6 +97,20 @@ class PointsView:
                 for part in (a[i::k] for i in range(1, k)):  # ... and its k - 1 others folded in
                     f(box[: len(part)], part, out=box[: len(part)])
         return self._boxes[size]
+
+
+def _span(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column min and max of (n, w) rows, as (1, w) rows, without a copy: a reversed view is read
+    forward, and C-contiguous rows are reduced 64 to a line of 64 w floats, then folded (exact)."""
+    if rows.strides[0] < 0:
+        rows = rows[::-1]
+    n, w = rows.shape
+    if not rows.flags.c_contiguous or n < 64:
+        return rows.min(axis=0, keepdims=True), rows.max(axis=0, keepdims=True)
+    k = n - n % 64
+    lines = rows[:k].reshape(-1, 64 * w)
+    return (np.concatenate((lines.min(axis=0).reshape(64, w), rows[k:])).min(axis=0, keepdims=True),
+            np.concatenate((lines.max(axis=0).reshape(64, w), rows[k:])).max(axis=0, keepdims=True))
 
 
 def box_reach(lo_a, hi_a, lo_b, hi_b, p: float, eps) -> np.ndarray:
@@ -94,9 +128,16 @@ def box_reach(lo_a, hi_a, lo_b, hi_b, p: float, eps) -> np.ndarray:
 
 def _ball_end(view: PointsView, centre: int, rho: float, hi: int) -> int:
     """Largest t <= hi with every row of (centre, t] strictly within rho of centre."""
-    lo, step = centre + 1, _BALL_STEP
+    lo, step, row = centre + 1, _BALL_STEP, view.coords[centre]
     while lo <= hi:
         top = min(hi + 1, lo + step)
+        if top - lo > _BALL_STEP:  # a slice whose box lies within rho is skipped; too long a slice is halved
+            if box_reach(row, row, *_span(view.coords[lo:top]), view.p, rho)[0] < rho:
+                lo, step = top, 2 * step
+                continue
+            if top - lo > view.chunk:
+                step //= 2
+                continue
         outside = view.distances_to(centre, lo, top) >= rho
         if outside.any():
             return lo + int(np.argmax(outside)) - 1
@@ -156,7 +197,14 @@ def first_violation(
     cmin = cmax = coords[anchor]  # the running box of the rows before j
     j = anchor + 1
     while j <= hi:
-        stop = min(hi + 1, j + chunk)
+        if chunk > _CHUNK:  # the last chunk was pruned whole: try the next one as one box
+            stop = min(hi + 1, j + chunk)
+            smin, smax = _span(coords[j:stop])
+            wmin, wmax = np.minimum(cmin, smin), np.maximum(cmax, smax)
+            if box_reach(wmin, wmax, smin, smax, p, eps)[0] < eps:
+                cmin, cmax, j, chunk = wmin, wmax, stop, 2 * chunk
+                continue
+        stop = min(hi + 1, j + min(chunk, view.chunk))
         block = coords[j:stop]
         # Row t's candidates are [anchor, j+t-1]: the running box widened by rows j-1 .. j+t-1.
         bmin = np.minimum(np.minimum.accumulate(coords[j - 1 : stop - 1], axis=0), cmin)
@@ -164,16 +212,15 @@ def first_violation(
         alive = box_reach(bmin, bmax, block, block, p, eps) >= eps
         if not alive.any():
             cmin, cmax = np.minimum(bmin[-1], block[-1]), np.maximum(bmax[-1], block[-1])
-            j, chunk = stop, min(2 * chunk, view.chunk)
+            j, chunk = stop, 2 * min(chunk, view.chunk)  # > _CHUNK: this chunk was pruned whole
             continue
         chunk = _CHUNK
         jj = j + int(np.argmax(alive))
         if isinstance(check := _exact_check(view, eps, anchor, jj), tuple):
             return check
         upto = _ball_end(view, jj, min(eps - check, 0.5 * eps), hi)
-        cmin = np.minimum(cmin, coords[j : upto + 1].min(axis=0))
-        cmax = np.maximum(cmax, coords[j : upto + 1].max(axis=0))
-        j = upto + 1
+        smin, smax = _span(coords[j : upto + 1])
+        cmin, cmax, j = np.minimum(cmin, smin), np.maximum(cmax, smax), upto + 1
     return None
 
 

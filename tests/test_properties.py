@@ -7,6 +7,7 @@ with the library, not merely up to tolerance.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ergolab import (
+    ConvergenceRateResult,
     CyclicShift,
     DenseMatrix,
     RotationProduct,
@@ -117,9 +119,22 @@ def _greedy_witnesses(pts, eps, p):
     return tuple(out)
 
 
+def _direct_rate(pts, eps, p):
+    """Empirical convergence rate by direct search: the largest index opening a
+    separated pair, stepped past; a pair opened by the second-to-last index is
+    no rate within the horizon."""
+    n = len(pts)
+    for i in range(n - 2, -1, -1):
+        if (np.sum(np.abs(pts[i + 1 :] - pts[i]) ** p, axis=1) ** (1.0 / p) >= eps).any():
+            return ConvergenceRateResult(i < n - 2, i + 2 if i < n - 2 else None, n)
+    return ConvergenceRateResult(True, 1, n)
+
+
 class TestLongSequencesAgainstDirectSearch:
     """Sequences long enough for the scan's ball skips and grown chunks to fire:
-    tails that spiral or decay into an eps-ball, and slow random walks."""
+    tails that spiral or decay into an eps-ball, and slow random walks. From
+    1,024 rows on, settled tails are pruned whole chunks and long ball slices
+    at a time by one box bound."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(["rotation", "decaying", "walk"]), st.integers(300, 1500),
@@ -128,6 +143,22 @@ class TestLongSequencesAgainstDirectSearch:
         pts, eps = _long_sequence(kind, n, u, np.random.default_rng(seed))
         rep = count_fluctuations(pts, eps, p_norm=p)
         assert rep.witnesses == _greedy_witnesses(pts, eps, p)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(["rotation", "decaying", "walk"]), st.integers(1024, 4096),
+           st.integers(1, 3), st.sampled_from([1.0, 1.5, 2.0, 3.0, 4.0]),
+           st.sampled_from([-600, 0, 600]), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_box_pruned_tails_match_at_every_scale_and_stride(self, kind, n, u, p, k, strided, seed):
+        # Scaling by 2^k is exact, so the direct searches run on the unscaled points;
+        # a strided input is every other row of a larger array, scanned without a copy.
+        pts, eps = _long_sequence(kind, n, u, np.random.default_rng(seed))
+        scaled = pts * 2.0**k
+        if strided:
+            big = np.zeros((2 * n, u), dtype=np.complex128)
+            big[::2] = scaled
+            scaled = big[::2]
+        assert count_fluctuations(scaled, eps * 2.0**k, p_norm=p).witnesses == _greedy_witnesses(pts, eps, p)
+        assert empirical_convergence_rate(scaled, eps * 2.0**k, p_norm=p) == _direct_rate(pts, eps, p)
 
 
 def _operator_and_orbit(kind, u, n, rng):
@@ -464,3 +495,47 @@ class TestBoxPyramid:
             lo, hi = view.boxes(size)
             assert lo.tobytes() == rows.reshape(-1, size, 2 * u).min(axis=1).tobytes()
             assert hi.tobytes() == rows.reshape(-1, size, 2 * u).max(axis=1).tobytes()
+
+
+class TestSlicedDistances:
+    """`PointsView.distances_to` evaluates a chunk of rows at a time; the norm kernel
+    works row by row, so the distances keep their bits across slice edges."""
+
+    @pytest.mark.parametrize("u", [1, 3])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_equal_one_kernel_call(self, u, p, reverse):
+        rng = np.random.default_rng(u)
+        pts = rng.standard_normal((40_000, u)) + 1j * rng.standard_normal((40_000, u))
+        view = _scan.PointsView(pts[::-1] if reverse else pts, p)
+        assert view.n > 2 * view.chunk + 7
+        want = batch_norm_p(view.pts[7:-2] - view.pts[3], p)
+        assert view.distances_to(3, 7, view.n - 2).tobytes() == want.tobytes()
+
+
+class TestSpan:
+    """`_scan._span` is the per-column min and max of rows to the bit (as one row), for rows
+    forward, reversed and taken every other row, on either side of its 64-row lines;
+    a reversed view is read in place, not copied."""
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 4097])
+    @pytest.mark.parametrize("layout", ["forward", "reversed", "strided"])
+    def test_equals_a_direct_reduce(self, n, layout):
+        rng = np.random.default_rng(n)
+        rows = rng.standard_normal((2 * n, 6)).round(1) + 0.0  # ties, and no negative zeros
+        rows = {"forward": rows[:n], "reversed": rows[:n][::-1], "strided": rows[::2]}[layout]
+        rows[0], rows[-1] = (np.tile([9.0, -9.0], 3) * sign for sign in (1, -1))  # extremes at both ends
+        lo, hi = _scan._span(rows)
+        assert lo.tobytes() == rows.min(axis=0).tobytes()
+        assert hi.tobytes() == rows.max(axis=0).tobytes()
+
+    def test_reads_a_reversed_view_in_place(self):
+        rows = np.random.default_rng(0).standard_normal((2**16, 32))[::-1]
+        tracemalloc.start()
+        try:
+            lo, hi = _scan._span(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rows.nbytes / 16
+        assert lo.tobytes() == rows.min(axis=0).tobytes() and hi.tobytes() == rows.max(axis=0).tobytes()

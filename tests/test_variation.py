@@ -7,6 +7,7 @@ exhaustively on the full length-8 grid.
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from ergolab import (
     p_variation_along,
 )
 
-from ergolab import variation
+from ergolab import _scan, variation
 from ergolab._scan import PointsView
 from oracles import (
     brute_force_convergence_rate,
@@ -254,6 +255,43 @@ class TestCountFluctuations:
         traj, counted = self._tight_tail(monkeypatch)
         assert empirical_convergence_rate(traj, 0.02) == ConvergenceRateResult(True, 121, 2**16)
         assert sum(counted) <= 76_904
+
+    def test_settled_tail_is_pruned_by_chunk_boxes(self, monkeypatch):
+        # A u = 2 rotation of 999,999 rows, settled at eps = 0.5 after row 4: the scan
+        # certifies the tail by the boxes of doubling chunks, so about a thousand rows,
+        # not one per row of the tail, pass through the norm kernel.
+        rng = np.random.default_rng(2026)
+        z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        traj = ergodic_averages(RotationProduct(rng.uniform(0.25, math.pi, 2)),
+                                Vector(z / np.linalg.norm(z), p=2), 999_999)
+        rows = []
+        norm = _scan.batch_norm_p
+
+        def counting(points, p):
+            rows.append(len(points))
+            return norm(points, p)
+
+        monkeypatch.setattr(_scan, "batch_norm_p", counting)
+        rep = count_fluctuations(traj, 0.5)
+        assert rep.witnesses == ((1, 2), (2, 4))
+        assert sum(rows) <= 4096
+
+    def test_exact_check_memory_is_bounded_by_the_trajectory(self):
+        # The reversed scan makes one exact check, of the first row against the 2^17 - 1
+        # others, all of them separated from it: the distances are evaluated a chunk at a
+        # time into one array, not all at once (2.3 times the trajectory's bytes).
+        rng = np.random.default_rng(7)
+        z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        traj = ergodic_averages(RotationProduct(rng.uniform(0.25, math.pi, 2)),
+                                Vector(z / np.linalg.norm(z), p=2), 2**17)
+        tracemalloc.start()
+        try:
+            rate = empirical_convergence_rate(traj, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rate == ConvergenceRateResult(True, 2, 2**17)
+        assert peak < traj.points.nbytes
 
 
 class TestGSelectors:
