@@ -6,7 +6,9 @@
 
 computed from one pass over the orbit (a running sum divided by n). Each
 operator kind builds its own orbit (see `operators`); for rotation products
-it comes from the closed form e^(i*n*theta), and
+rows n < 2^16 come from the closed form e^(i*n*theta) and later rows from a
+2^16-row table of it, e^(i*r*theta) * (e^(i*s*theta) x) for n = s + r; slot j
+of such a row is within (2^-51 |n*theta_j| + 2^-50) |x_j| of e^(i*n*theta_j) x_j.
 `rotation_average_closed_form` gives the scalar average directly so the two
 routes can be checked against each other.
 
@@ -36,6 +38,7 @@ from .spaces import MAX_TRAJECTORY_SLOTS, Vector, _exponent, _frozen, _integer, 
 __all__ = ["AverageTrajectory", "ergodic_averages", "orbit", "rotation_average_closed_form"]
 
 _SUM_BLOCK = 1 << 16  # rows per block of the running sum
+_DIV_SLICE = 1 << 12  # rows divided at a time
 
 
 @dataclass(frozen=True)
@@ -90,7 +93,9 @@ def _running_averages(rows: np.ndarray) -> None:
         y = block[-1] - carry  # the block's own sum, taken before the offset
         if start:
             block += total
-        block /= np.arange(start + 1, start + 1 + block.shape[0], dtype=np.float64)[:, None]
+        for i in range(0, block.shape[0], _DIV_SLICE):  # divisors a slice at a time: no block-sized column
+            part = block[i:i + _DIV_SLICE]
+            part /= np.arange(start + i + 1, start + i + 1 + part.shape[0], dtype=np.float64)[:, None]
         t = total + y
         carry = (t - total) - y
         total = t

@@ -5,7 +5,13 @@ array), `orbit` (the rows z, Tz, ..., T^(n-1) z) and `estimate_power_bounds`.
 The module functions below only validate and delegate.
 
 - RotationProduct(angles): componentwise scalar rotation z_j -> e^(i*theta_j) z_j;
-  the n-th power multiplies by e^(i*n*theta_j) in closed form.
+  the n-th power multiplies by e^(i*n*theta_j) in closed form. Its orbit keeps
+  rows r < 2^16 as a phase table, e^(i*r*theta) z bit for bit; row s + r of each
+  later 2^16-row block is e^(i*r*theta) * (e^(i*s*theta) z), one complex exp per
+  table entry and per block. Against the direct e^(i*k*theta_j) z_j such a row
+  errs by the rounding of the phases s*theta and r*theta, together at most about
+  2^-53 |k*theta_j| as for k*theta_j itself, plus a few ulps of |z_j| from the
+  exps and products: within (2^-51 |k*theta_j| + 2^-50) |z_j|.
 - CyclicShift(dim): wrap-around right shift (z_1, ..., z_u) -> (z_u, z_1, ..., z_(u-1)).
 
 Both are isometries by construction and carry the exact certificate
@@ -41,6 +47,7 @@ __all__ = [
 ]
 
 _ORBIT_BLOCK = 64  # rows per block of a DenseMatrix orbit
+_PHASE_SLICE = 1 << 12  # rows of the table's phase column written at a time
 
 
 @dataclass(frozen=True)
@@ -102,10 +109,16 @@ class RotationProduct(_Isometry):
 
     def orbit(self, z: np.ndarray, n: int) -> np.ndarray:
         out = np.zeros((n, self.dim), dtype=np.complex128)  # built in place: one array of the orbit's size
-        for s in range(0, n, 1 << 16):  # the phases k theta, 2^16 rows at a time
-            part = out.imag[s : s + (1 << 16)]
+        table = out[:1 << 16]  # e^(i r theta), r < 2^16: the phases r theta a slice at a time, then exp
+        for s in range(0, len(table), _PHASE_SLICE):
+            part = table.imag[s : s + _PHASE_SLICE]
             np.multiply.outer(np.arange(s, s + len(part), dtype=np.float64), self.angles, out=part)
-        return np.multiply(np.exp(out, out=out), z, out=out)
+        np.exp(table, out=table)
+        # row s + r of a later block: e^(i r theta) * (e^(i s theta) z), a few ulps from e^(i (s + r) theta) z
+        for s in range(len(table), n, len(table)):
+            np.multiply(table[:n - s], np.exp(1j * (s * self.angles)) * z, out=out[s : s + len(table)])
+        np.multiply(table, z, out=table)
+        return out
 
 
 @dataclass(frozen=True)

@@ -83,13 +83,14 @@ def test_overflowing_dense_orbit_is_rejected():
         ergodic_averages(DenseMatrix(2.0 * np.eye(2)), Vector([1], p=2), 1100)
 
 
-@pytest.mark.parametrize("u", [1, 2, 4])
-def test_rotation_averages_hold_one_orbit_sized_array(u):
-    # the orbit is built in place and averaged in place: no second array of its size, and
-    # the phases k theta come a slice at a time, so no index column of the orbit's length
+@pytest.mark.parametrize("u, n", [(1, 2**19), (2, 2**18), (4, 2**17), (1, 2**17), (2, 2**17)])
+def test_rotation_averages_hold_one_orbit_sized_array(u, n):
+    # the orbit is built in place and averaged in place: no second array of its size; the
+    # table's phases r theta and the running sum's divisors come 2^12 rows at a time, and each
+    # later block is one product written into the orbit, so no column of even a block's length
     tracemalloc.start()
     try:
-        traj = ergodic_averages(RotationProduct(np.linspace(-2.0, 3.0, u)), Vector(np.ones(u), p=2), 2**19 // u)
+        traj = ergodic_averages(RotationProduct(np.linspace(-2.0, 3.0, u)), Vector(np.ones(u), p=2), n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -34,15 +34,36 @@ def test_rotation_power_closed_form():
         w = apply_power(op, 1, w)
 
 
+def _direct_orbit(angles, z, n):
+    return np.exp(1j * np.outer(np.arange(n, dtype=np.float64), angles)) * z[None, :]
+
+
 def test_rotation_orbit_is_the_outer_product_expression_bit_for_bit():
-    # built in place: one complex array, exp and the start vector applied to it
+    # built in place: one complex array, exp and the start vector applied to it; past 2^16
+    # rows the table rows 0 .. 2^16 - 1 keep these bits
     rng = np.random.default_rng(18)
-    for _ in range(200):
+    for long in [None] * 200 + [2**16, 2**16 + 1, 2**17 - 1, 2**17, 2**17 + 1, 3 * 2**16 + 5]:
         u, n = int(rng.integers(1, 6)), int(rng.integers(1, 2000))
+        n = long or n
         angles = rng.uniform(-10.0, 10.0, u) * 10.0 ** rng.integers(-8, 4, u)
         z = rng.standard_normal(u) + 1j * rng.standard_normal(u)
-        want = np.exp(1j * np.outer(np.arange(n, dtype=np.float64), angles)) * z[None, :]
-        assert RotationProduct(angles).orbit(z, n).tobytes() == want.tobytes()
+        want = _direct_orbit(angles, z, min(n, 2**16))
+        assert RotationProduct(angles).orbit(z, n)[:2**16].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("u", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("theta", [0.0, 2 * math.pi, -2 * math.pi, 1e-8, -1e-8, 0.7, -3.0, 1e4, -1e4])
+def test_rotation_orbit_rows_past_the_table_are_within_a_few_ulps(u, theta):
+    # row s + r is the table's e^(i r theta) times e^(i s theta) z: against the direct
+    # e^(i k theta) z the rounded phases differ by at most 2^-52 |k theta|, and the exps and
+    # products add a few ulps of the row; every row is checked, each block edge +-1 included
+    rng = np.random.default_rng(22)
+    n = 3 * 2**16 + 5
+    angles = np.concatenate([[theta], rng.choice([-1.0, 1.0], u - 1) * 10.0 ** rng.uniform(-8, 4, u - 1)])
+    z = rng.standard_normal(u) + 1j * rng.standard_normal(u)
+    err = np.abs(RotationProduct(angles).orbit(z, n) - _direct_orbit(angles, z, n))
+    phase = np.abs(np.outer(np.arange(n, dtype=np.float64), angles))
+    assert np.all(err <= (2.0**-51 * phase + 2.0**-50) * np.abs(z))
 
 
 def test_cyclic_shift_moves_basis():

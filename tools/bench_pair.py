@@ -3,11 +3,12 @@
     python3 tools/bench_pair.py PARENT CHANGE --workload tail-scan --runs 10 --out BENCH_16.json
 
 PARENT and CHANGE are checkouts of the repository (for example two `git archive`
-copies). For each workload, pair k runs `perfbench/run.py --workload W --seed k
---seconds S` once in each checkout, from its root; the side that goes first
-alternates from pair to pair, so a drift of the machine hits both alike. S, the
-end-to-end metrics, their directions and their bounds come from CHANGE's
-BENCHMARK.json (`run_seconds`, `end_to_end`).
+copies). For each workload, pair k (k = 0 .. runs - 1) runs `perfbench/run.py
+--workload W --seed F+k --seconds S` once in each checkout, from its root; F is
+--first-seed (default 1), so the seeds a change was developed on can be kept out
+of its BENCH file. The side that goes first alternates from pair to pair, so a
+drift of the machine hits both alike. S, the end-to-end metrics, their directions
+and their bounds come from CHANGE's BENCHMARK.json (`run_seconds`, `end_to_end`).
 
 The output holds, per workload and side, every run's metrics with their median
 and quartiles, the runs that were not `correct` and the failed operations; per
@@ -84,6 +85,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("change", help="checkout of the change")
     ap.add_argument("--workload", action="append", required=True, help="a workload; repeat for more")
     ap.add_argument("--runs", type=int, default=10, help="pairs of runs per workload")
+    ap.add_argument("--first-seed", type=int, default=1, help="seed of the first pair; pair k runs seed first + k")
     ap.add_argument("--labels", nargs=2, metavar=("PARENT", "CHANGE"),
                     help="names recorded for the two checkouts (default: their directory names)")
     ap.add_argument("--out", required=True, help="the BENCH_<n>.json file to write")
@@ -95,7 +97,7 @@ def main(argv: list[str] | None = None) -> int:
     metrics, seconds = {m["name"]: m for m in bench["end_to_end"]}, bench["run_seconds"]
 
     result = {"checkouts": labels, "runs": args.runs, "seconds": seconds,
-              "seeds": list(range(1, args.runs + 1)), "workloads": {}}
+              "seeds": list(range(args.first_seed, args.first_seed + args.runs)), "workloads": {}}
     bad = False
     for workload in args.workload:
         runs = {"parent": [], "change": []}
