@@ -4,7 +4,7 @@ Finite-dimensional complex sequence spaces with a p-norm, iteration
 operators with power-bound certificates, ergodic averages, fluctuation
 counting and p-variation, metastability rates, dyadic martingale
 decompositions, explicit fluctuation bounds, and the counterexample
-families that show those bounds are not vacuous.
+family that shows those bounds are not vacuous.
 
 Each module's `__all__` is its public API; the package re-exports all of them.
 """

@@ -1,18 +1,11 @@
 """Constructions witnessing that the quantitative bounds are not vacuous.
 
-Two families:
-
-* a product of plane rotations by angles pi/2^(j-1) applied to the
-  normalized all-ones vector, whose averages fluctuate once per dyadic
-  index interval, and
-* the cyclic coordinate shift applied to a basis vector in the 1-norm,
-  whose averages at powers of two stay 1-separated.
-
-Both are exact isometries, so every average can be evaluated in closed
-form or by cheap recurrences, and the measured fluctuation counts and
-metastability rates grow with the dimension. The verifier below runs the
-rotation family at u = 2^p coordinates and confirms the measured rate and
-count at eps = 1/4 reach 2^p.
+The family is a product of plane rotations by angles pi/2^(j-1) applied to
+the normalized all-ones vector, whose averages fluctuate once per dyadic
+index interval. It is an exact isometry, so every average can be evaluated
+in closed form, and the measured fluctuation counts and metastability rates
+grow with the dimension. The verifier below runs the family at u = 2^p
+coordinates and confirms the measured rate and count at eps = 1/4 reach 2^p.
 """
 
 from __future__ import annotations
@@ -25,7 +18,7 @@ import numpy as np
 from ._scan import PointsView, first_violation
 from .averages import AverageTrajectory, ergodic_averages
 from .errors import HorizonExhaustedError
-from .operators import CyclicShift, RotationProduct
+from .operators import RotationProduct
 from .spaces import Vector, _exponent, _integer, _shown
 from .variation import count_fluctuations, g_next_power_of_two, metastability_rate
 
@@ -33,7 +26,6 @@ __all__ = [
     "RotationCounterexample",
     "LowerBoundResult",
     "build_rotation_counterexample",
-    "build_cyclic_shift_counterexample",
     "fluctuation_in_dyadic_interval",
     "verify_metastability_lower_bound",
 ]
@@ -63,19 +55,6 @@ def build_rotation_counterexample(p: float, u: int) -> RotationCounterexample:
     x = Vector(np.full(u, scale, dtype=np.complex128), p=p)
     eps = 1.0 / (2.0 * u ** (1.0 / p))
     return RotationCounterexample(RotationProduct(angles), x, eps)
-
-
-def build_cyclic_shift_counterexample(u: int) -> tuple[CyclicShift, Vector]:
-    """Cyclic shift on u coordinates in the 1-norm, started at e_1.
-
-    The 2^k-th average spreads mass 2^(-k) over the first 2^k coordinates
-    (for 2^k <= u), so consecutive power-of-two averages differ by exactly
-    1 in the 1-norm.
-    """
-    u = _integer(u, "u", 1)
-    e1 = np.zeros(u, dtype=np.complex128)
-    e1[0] = 1.0
-    return CyclicShift(u), Vector(e1, p=1.0)
 
 
 def fluctuation_in_dyadic_interval(traj: AverageTrajectory, eps: float, k: int) -> bool:

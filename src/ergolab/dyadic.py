@@ -33,7 +33,6 @@ __all__ = [
     "conditional_expectation",
     "martingale_differences",
     "shift_average_at",
-    "seq_shift",
     "transfer_embed",
     "verify_decomposition_inequalities",
 ]
@@ -160,11 +159,6 @@ def shift_average_at(f: SeqFunction, n: int) -> SeqFunction:
     a = np.clip(xs - f.lo, 0, length)
     b = np.clip(xs + n - f.lo, 0, length)
     return SeqFunction(f.lo - n + 1, (prefix[b] - prefix[a]) / n, f.p)
-
-
-def seq_shift(f: SeqFunction, steps: int = 1) -> SeqFunction:
-    """(T^k f)(x) = f(x + k): the window slides left, values unchanged."""
-    return SeqFunction(f.lo - _integer(steps, "steps"), f.values, f.p)
 
 
 def transfer_embed(op: Operator, x: Vector, n: int) -> SeqFunction:

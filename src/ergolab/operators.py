@@ -1,40 +1,41 @@
 """Linear operators on l^p_u(C) with power-bound certificates.
 
-Every operator kind owns its arithmetic: `power` (T^n on a component
-array), `orbit` (the rows z, Tz, ..., T^(n-1) z) and `estimate_power_bounds`.
-The module functions below only validate and delegate.
+Every operator kind provides the three members of `Operator`: `certificate`
+(its power bounds, or None), `dim` (its complex slots) and `orbit` (the rows
+z, Tz, ..., T^(n-1) z, built by the kind's own arithmetic).
 
-- RotationProduct(angles): componentwise scalar rotation z_j -> e^(i*theta_j) z_j;
-  the n-th power multiplies by e^(i*n*theta_j) in closed form. Its orbit keeps
-  rows r < 2^16 as a phase table, e^(i*r*theta) z bit for bit; row s + r of each
-  later 2^16-row block is e^(i*r*theta) * (e^(i*s*theta) z), one complex exp per
-  table entry and per block. Against the direct e^(i*k*theta_j) z_j such a row
-  errs by the rounding of the phases s*theta and r*theta, together at most about
-  2^-53 |k*theta_j| as for k*theta_j itself, plus a few ulps of |z_j| from the
-  exps and products: within (2^-51 |k*theta_j| + 2^-50) |z_j|.
+- RotationProduct(angles): componentwise scalar rotation z_j -> e^(i*theta_j) z_j.
+  Its orbit keeps rows r < 2^16 as a phase table, e^(i*r*theta) z bit for bit;
+  row s + r of each later 2^16-row block is e^(i*r*theta) * (e^(i*s*theta) z),
+  one complex exp per table entry and per block. Against the direct
+  e^(i*k*theta_j) z_j such a row errs by the rounding of the phases s*theta and
+  r*theta, together at most about 2^-53 |k*theta_j| as for k*theta_j itself,
+  plus a few ulps of |z_j| from the exps and products: within
+  (2^-51 |k*theta_j| + 2^-50) |z_j|.
 - CyclicShift(dim): wrap-around right shift (z_1, ..., z_u) -> (z_u, z_1, ..., z_(u-1)).
+  Its orbit gathers at most one period, min(n, u) rows, and repeats it.
 
-Both are isometries by construction and carry the exact certificate
-(B1, B2, n_max) = (1, 1, inf).
+Both are isometries by construction, and their certificate is the class
+constant (B1, B2, n_max) = (1, 1, inf).
 
 DenseMatrix wraps an arbitrary real matrix over the 2u real coordinates
 (Re z_1, Im z_1, ..., Re z_u, Im z_u), the float64 view of a contiguous
-complex array, powered by iterated multiplication. Its orbit is built 64
-rows at a time: single steps for the first block, then each block is T^64
-(formed by iterated multiplication) times the one before it. Its power
-bounds are not known a priori; `estimate_power_bounds` samples them.
+complex array. Its orbit is built 64 rows at a time: single steps for the
+first block, then each block is T^64 (formed by iterated multiplication)
+times the one before it. Its certificate is the caller's stated hypothesis,
+or None; nothing here measures or checks it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol
+from typing import ClassVar, Protocol
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidInputError
-from .spaces import Vector, _exponent, _frozen, _integer, _real, _unit_sphere_sample, batch_norm_p
+from .errors import InvalidInputError
+from .spaces import _frozen, _integer, _real
 
 __all__ = [
     "PowerBoundCertificate",
@@ -42,8 +43,6 @@ __all__ = [
     "CyclicShift",
     "DenseMatrix",
     "Operator",
-    "apply_power",
-    "estimate_power_bounds",
 ]
 
 _ORBIT_BLOCK = 64  # rows per block of a DenseMatrix orbit
@@ -76,26 +75,15 @@ class Operator(Protocol):
     @property
     def dim(self) -> int: ...
 
-    def power(self, z: np.ndarray, n: int) -> np.ndarray: ...
-
     def orbit(self, z: np.ndarray, n: int) -> np.ndarray: ...
-
-    def estimate_power_bounds(self, n_max: int, trials: int, seed: int,
-                              p: float) -> PowerBoundCertificate: ...
-
-
-class _Isometry:
-    def estimate_power_bounds(self, n_max, trials, seed, p) -> PowerBoundCertificate:
-        """The exact certificate; nothing is sampled."""
-        return self.certificate
 
 
 @dataclass(frozen=True)
-class RotationProduct(_Isometry):
+class RotationProduct:
     """Product of scalar rotations, one angle per complex slot."""
 
     angles: np.ndarray
-    certificate: PowerBoundCertificate = _ISOMETRY_CERT
+    certificate: ClassVar[PowerBoundCertificate] = _ISOMETRY_CERT
 
     def __post_init__(self):
         object.__setattr__(self, "angles", _frozen(self.angles, "angles", 1, np.float64))
@@ -103,9 +91,6 @@ class RotationProduct(_Isometry):
     @property
     def dim(self) -> int:
         return self.angles.shape[0]
-
-    def power(self, z: np.ndarray, n: int) -> np.ndarray:
-        return z * np.exp(1j * (n * self.angles))
 
     def orbit(self, z: np.ndarray, n: int) -> np.ndarray:
         out = np.zeros((n, self.dim), dtype=np.complex128)  # built in place: one array of the orbit's size
@@ -122,21 +107,20 @@ class RotationProduct(_Isometry):
 
 
 @dataclass(frozen=True)
-class CyclicShift(_Isometry):
+class CyclicShift:
     """Coordinate permutation shifting every slot one place right, wrapping."""
 
     dim: int
-    certificate: PowerBoundCertificate = _ISOMETRY_CERT
+    certificate: ClassVar[PowerBoundCertificate] = _ISOMETRY_CERT
 
     def __post_init__(self):
         object.__setattr__(self, "dim", _integer(self.dim, "dimension", 1))
 
-    def power(self, z: np.ndarray, n: int) -> np.ndarray:
-        return np.roll(z, n % self.dim)
-
     def orbit(self, z: np.ndarray, n: int) -> np.ndarray:
         u = self.dim
-        period = z[(np.arange(u)[None, :] - np.arange(u)[:, None]) % u]  # z, Tz, ..., T^(u-1) z
+        period = z[(np.arange(u) - np.arange(min(n, u))[:, None]) % u]  # z, Tz, ..., at most one period
+        if n <= u:
+            return period
         out = np.empty((n, u), dtype=np.complex128)
         whole = n - n % u
         out[:whole].reshape(-1, u, u)[:] = period  # rows repeat with period u
@@ -161,14 +145,6 @@ class DenseMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0] // 2
 
-    def power(self, z: np.ndarray, n: int) -> np.ndarray:
-        """Iterated multiplication: cost grows linearly with n by design
-        (no eigendecomposition shortcuts)."""
-        coords = z.view(np.float64)
-        for _ in range(n):
-            coords = self.matrix @ coords
-        return coords.view(np.complex128)
-
     def orbit(self, z: np.ndarray, n: int) -> np.ndarray:
         out = np.empty((n, self.dim), dtype=np.complex128)
         coords = out.view(np.float64)
@@ -184,42 +160,3 @@ class DenseMatrix:
                 np.matmul(coords[start - _ORBIT_BLOCK:stop - _ORBIT_BLOCK], power.T,
                           out=coords[start:stop])
         return out
-
-    def estimate_power_bounds(self, n_max, trials, seed, p) -> PowerBoundCertificate:
-        rng = np.random.default_rng(seed)
-        coords = _unit_sphere_sample(rng, trials, self.dim, p).view(np.float64)
-
-        lo, hi = math.inf, 0.0
-        for _ in range(n_max):
-            coords = coords @ self.matrix.T
-            norms = batch_norm_p(coords.view(np.complex128), p)
-            lo = min(lo, float(norms.min()))
-            hi = max(hi, float(norms.max()))
-        if lo <= 0.0:
-            raise InvalidInputError("sampled a vector annihilated by the matrix; bounds are degenerate")
-        return PowerBoundCertificate(lo, hi, n_max)
-
-
-def apply_power(op: Operator, n: int, v: Vector) -> Vector:
-    """T^n applied to v; closed form where the kind admits one."""
-    n = _integer(n, "power", 0)
-    if v.dim != op.dim:
-        raise DimensionMismatchError(f"operator dimension {op.dim} != vector dimension {v.dim}")
-    return Vector(op.power(v.components, n), v.p)
-
-
-def estimate_power_bounds(
-    op: Operator,
-    n_max: int = 64,
-    trials: int = 32,
-    seed: int = 0,
-    p: float = 2.0,
-) -> PowerBoundCertificate:
-    """Measure (B1, B2) as min/max of ||T^n y|| over sampled unit vectors.
-
-    Powers range over 1 <= n <= n_max. Isometry kinds return their exact
-    certificate without sampling. The result is a measurement, not a proof:
-    it is never attached to the operator automatically.
-    """
-    return op.estimate_power_bounds(_integer(n_max, "n_max", 1), _integer(trials, "trials", 1), seed,
-                                    _exponent(p))

@@ -301,7 +301,7 @@ def check_uniform_convexity(
     are skipped as vacuous.
     """
     dim, trials = _integer(dim, "dimension", 1), _integer(trials, "trials", 1)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer(seed, "seed", 0))
     p = desc.p
 
     x = _unit_sphere_sample(rng, trials, dim, p)

@@ -3,7 +3,8 @@
 Everything here is deliberately naive: plain Python loops over explicitly
 enumerated candidates, with its own norm arithmetic. Nothing imports the
 package under test, so agreement between these and the library is a real
-two-route check, not a tautology. The exception is `ref_drift`, which pins
+two-route check, not a tautology. `ref_orbit` reads an operator's defining
+array or size and nothing else of it. The exception is `ref_drift`, which pins
 bits rather than values: it is the plain all-pairs loop over m - n, and the
 caller hands it the package's row norm.
 """
@@ -25,6 +26,23 @@ def ref_norm(point, p):
     if isinstance(point, (int, float, complex)):
         return abs(point)
     return max(sum(abs(z) ** p for z in point) ** (1.0 / p), max(abs(z) for z in point))
+
+
+def ref_orbit(op, z, n):
+    """Rows T^k z for k < n, from the operator's definition alone: the per-power
+    closed form e^(i k theta) z of a rotation (`op.angles`), the index shift
+    z_(j - k mod u) of a cyclic shift (`op.dim`), and one matrix step at a time on
+    the interleaved real coordinates of a dense matrix (`op.matrix`)."""
+    z = np.asarray(z, dtype=np.complex128)
+    if hasattr(op, "angles"):
+        return np.exp(1j * (np.arange(n)[:, None] * op.angles)) * z
+    if hasattr(op, "matrix"):
+        coords = np.empty((n, 2 * len(z)))
+        coords[0] = np.column_stack((z.real, z.imag)).ravel()
+        for k in range(1, n):
+            coords[k] = op.matrix @ coords[k - 1]
+        return coords.view(np.complex128)
+    return z[(np.arange(op.dim) - np.arange(n)[:, None]) % op.dim]
 
 
 def _dist(points, i, j, p):

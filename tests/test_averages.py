@@ -16,18 +16,20 @@ from ergolab import (
     InvalidInputError,
     RotationProduct,
     Vector,
-    apply_power,
     ergodic_averages,
     orbit,
     rotation_average_closed_form,
 )
 
+from oracles import ref_orbit
+
 
 def _naive_averages(op, x, n):
+    rows = ref_orbit(op, x.components, n)
     acc = np.zeros((n, x.dim), dtype=complex)
     running = np.zeros(x.dim, dtype=complex)
     for i in range(n):
-        running = running + apply_power(op, i, x).components
+        running = running + rows[i]
         acc[i] = running / (i + 1)
     return acc
 

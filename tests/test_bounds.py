@@ -26,6 +26,7 @@ from ergolab import (
     DriftReport,
     HorizonExhaustedError,
     InvalidInputError,
+    PowerBoundCertificate,
     PreconditionError,
     RotationProduct,
     SpaceDescriptor,
@@ -35,7 +36,6 @@ from ergolab import (
     drift_bound_check,
     earliest_stable_start,
     ergodic_averages,
-    estimate_power_bounds,
     fluctuation_bound_nonexpansive,
     stability_parameters,
     stability_window_check,
@@ -220,9 +220,8 @@ class TestDriftBoundCheck:
             assert 1 <= i < j <= traj.horizon
 
     def test_rejects_expansive_certificate(self):
-        mat = np.diag([2.0, 2.0]).astype(np.float64)
-        cert = estimate_power_bounds(DenseMatrix(mat), n_max=8)
-        op = DenseMatrix(mat, cert)
+        # the exact certificate of diag(2) up to n_max = 8: ||T^n y|| = 2^n ||y||
+        op = DenseMatrix(np.diag([2.0, 2.0]), PowerBoundCertificate(2.0, 2.0**8, 8))
         traj = ergodic_averages(op, Vector([1.0], p=2), 8)
         with pytest.raises(PreconditionError):
             drift_bound_check(traj)

@@ -10,7 +10,7 @@ from ergolab import (
     CyclicShift,
     HorizonExhaustedError,
     InvalidInputError,
-    build_cyclic_shift_counterexample,
+    Vector,
     build_rotation_counterexample,
     ergodic_averages,
     fluctuation_in_dyadic_interval,
@@ -84,24 +84,27 @@ class TestDyadicIntervalFluctuation:
             fluctuation_in_dyadic_interval(traj, 0.25, k)
 
 
+def _shift_at_e1(u):
+    """The cyclic shift on u coordinates and e_1 in the 1-norm."""
+    e1 = np.zeros(u, dtype=np.complex128)
+    e1[0] = 1.0
+    return CyclicShift(u), Vector(e1, p=1.0)
+
+
 class TestCyclicShiftFamily:
-    def test_builder(self):
-        op, x = build_cyclic_shift_counterexample(8)
-        assert isinstance(op, CyclicShift) and op.dim == 8
-        assert x.p == 1.0
-        assert x.norm() == 1.0
-        with pytest.raises(InvalidInputError):
-            build_cyclic_shift_counterexample(0)
+    """The 2^k-th average spreads mass 2^(-k) over the first 2^k coordinates
+    (for 2^k <= u), so consecutive power-of-two averages differ by exactly 1
+    in the 1-norm: no u-independent variation constant exists in l^1."""
 
     def test_power_of_two_averages_stay_separated(self):
-        op, x = build_cyclic_shift_counterexample(16)
+        op, x = _shift_at_e1(16)
         traj = ergodic_averages(op, x, 16)
         for k in range(0, 4):
             d = traj.point(2 ** (k + 1)) - traj.point(2**k)
             assert d.norm() == pytest.approx(1.0, abs=1e-12)
 
     def test_average_values(self):
-        op, x = build_cyclic_shift_counterexample(8)
+        op, x = _shift_at_e1(8)
         traj = ergodic_averages(op, x, 8)
         np.testing.assert_allclose(
             traj.point(4).components, [0.25] * 4 + [0.0] * 4, atol=1e-15

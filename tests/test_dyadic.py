@@ -12,18 +12,16 @@ from ergolab import (
     RotationProduct,
     SeqFunction,
     Vector,
-    apply_power,
     conditional_expectation,
     lpb_norm,
     martingale_differences,
-    seq_shift,
     shift_average_at,
     transfer_embed,
     verify_decomposition_inequalities,
 )
 
 from ergolab.dyadic import _blocks
-from oracles import block_average_ref, orthogonality_defect, ref_norm
+from oracles import block_average_ref, orthogonality_defect, ref_norm, ref_orbit
 
 
 def _delta(p=2.0):
@@ -243,21 +241,15 @@ class TestShiftAverages:
 
 
 class TestShiftAndTransfer:
-    def test_seq_shift_slides_window(self):
-        f = SeqFunction(2, np.array([1.0, 5.0]), 2.0)
-        g = seq_shift(f, 3)
-        assert (g.lo, g.hi) == (-1, 1)
-        np.testing.assert_allclose(g.values, f.values)
-        assert complex(g.at(-1).components[0]) == 1.0
-
     def test_transfer_embed_lays_out_orbit(self):
         op = RotationProduct(np.array([math.pi / 3]))
         x = Vector([1.0 + 0.0j], p=2)
         f = transfer_embed(op, x, 6)
         assert (f.lo, f.hi) == (0, 6)
+        rows = ref_orbit(op, x.components, 6)
         for i in range(6):
             got = complex(f.at(i).components[0])
-            want = complex(apply_power(op, i, x).components[0])
+            want = complex(rows[i, 0])
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_transfer_isometry_norm_identity(self):

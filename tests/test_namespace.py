@@ -19,23 +19,38 @@ PUBLIC_NAMES = ["AverageTrajectory", "ConvergenceRateResult", "CountOverflowErro
                 "InvalidInputError", "LowerBoundResult", "Operator", "PRESETS",
                 "PowerBoundCertificate", "PreconditionError", "RotationCounterexample",
                 "RotationProduct", "SeqFunction", "SpaceDescriptor", "StabilityParameters",
-                "StabilityWindowReport", "Vector", "apply_power", "batch_norm_p",
-                "build_cyclic_shift_counterexample", "build_rotation_counterexample",
+                "StabilityWindowReport", "Vector", "batch_norm_p", "build_rotation_counterexample",
                 "check_uniform_convexity", "clarkson_modulus", "conditional_expectation",
                 "count_fluctuations", "descriptor_preset", "drift_bound_check",
                 "earliest_stable_start", "empirical_convergence_rate", "ergodic_averages",
-                "estimate_power_bounds", "fluctuation_bound_nonexpansive",
-                "fluctuation_in_dyadic_interval", "g_double", "g_next_power_of_two", "g_successor",
-                "lpb_norm", "martingale_differences", "max_p_variation",
-                "metastability_from_fluctuations", "metastability_rate", "orbit",
-                "p_variation_along", "rotation_average_closed_form", "seq_shift",
-                "shift_average_at", "stability_parameters", "stability_window_check",
-                "transfer_embed", "verify_decomposition_inequalities",
-                "verify_metastability_lower_bound", "window_fluctuation_bound"]
+                "fluctuation_bound_nonexpansive", "fluctuation_in_dyadic_interval", "g_double",
+                "g_next_power_of_two", "g_successor", "lpb_norm", "martingale_differences",
+                "max_p_variation", "metastability_from_fluctuations", "metastability_rate", "orbit",
+                "p_variation_along", "rotation_average_closed_form", "shift_average_at",
+                "stability_parameters", "stability_window_check", "transfer_embed",
+                "verify_decomposition_inequalities", "verify_metastability_lower_bound",
+                "window_fluctuation_bound"]
+
+# What the library reads of an operator; each kind adds only its defining data to these.
+OPERATOR_MEMBERS = {"certificate", "dim", "orbit"}
 
 
 def test_public_names_are_pinned():
+    assert len(PUBLIC_NAMES) == 56
     assert sorted(ergolab.__all__) == PUBLIC_NAMES
+
+
+def test_operator_protocol_members_are_pinned():
+    protocol = ergolab.Operator
+    assert set(protocol.__annotations__) | {name for name in vars(protocol) if not name.startswith("_")} \
+        == OPERATOR_MEMBERS
+
+
+@pytest.mark.parametrize("op, data", [(ergolab.RotationProduct([0.1]), {"angles"}), (ergolab.CyclicShift(2), set()),
+                                      (ergolab.DenseMatrix([[1.0, 0.0], [0.0, 1.0]]), {"matrix"})],
+                         ids=["rotation", "shift", "dense"])
+def test_operator_kinds_expose_the_protocol_and_their_data_only(op, data):
+    assert {name for name in dir(op) if not name.startswith("_")} == OPERATOR_MEMBERS | data
 
 
 def test_all_is_the_union_of_the_module_lists():

@@ -1,6 +1,8 @@
-"""Operator construction, powers, and power-bound certificates."""
+"""Operator construction, orbits against an independent reference, and power-bound certificates."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,34 +10,48 @@ import pytest
 from ergolab import (
     CyclicShift,
     DenseMatrix,
+    DimensionMismatchError,
     InvalidInputError,
     PowerBoundCertificate,
     RotationProduct,
     Vector,
-    apply_power,
-    estimate_power_bounds,
+    orbit,
 )
 
+from ergolab.spaces import MAX_TRAJECTORY_SLOTS
+from oracles import ref_orbit
 
-def test_rotation_apply_frozen():
+_KINDS = ["rotation", "shift", "dense"]
+
+
+def _operator(kind, u, rng):
+    if kind == "rotation":
+        return RotationProduct(rng.uniform(-math.pi, math.pi, u))
+    if kind == "shift":
+        return CyclicShift(u)
+    g = rng.standard_normal((2 * u, 2 * u))
+    return DenseMatrix(0.95 * g / np.linalg.norm(g, 2))
+
+
+def test_rotation_orbit_frozen():
     op = RotationProduct(np.array([math.pi, math.pi / 2]))
-    v = Vector([1.0, 1.0], p=2)
-    out = apply_power(op, 1, v)
-    assert np.allclose(out.components, [-1.0, 1j], atol=1e-15)
+    rows = orbit(op, Vector([1.0, 1.0], p=2), 2)
+    assert np.allclose(rows[1], [-1.0, 1j], atol=1e-15)
 
 
-def test_rotation_power_closed_form():
-    op = RotationProduct(np.array([0.3, -1.1]))
-    v = Vector([1.0 + 0.5j, 2.0], p=2)
-    w = v
-    for n in range(5):
-        got = apply_power(op, n, v)
-        assert np.allclose(got.components, w.components, atol=1e-12)
-        w = apply_power(op, 1, w)
-
-
-def _direct_orbit(angles, z, n):
-    return np.exp(1j * np.outer(np.arange(n, dtype=np.float64), angles)) * z[None, :]
+@pytest.mark.parametrize("n", [1, 2, 4, 5, 6, 63, 64, 65, 128, 3 * 64 + 5])
+def test_orbit_rows_match_the_reference(n):
+    # the rotation and the shift bit for bit, the shift past its period u = 5; the dense
+    # matrices past their 64-row blocks, within the rounding of T^64 against single steps
+    rng = np.random.default_rng(23)
+    u = 5
+    z = rng.standard_normal(u) + 1j * rng.standard_normal(u)
+    q, r = np.linalg.qr(rng.standard_normal((2 * u, 2 * u)))
+    g = rng.standard_normal((2 * u, 2 * u))
+    for op in (RotationProduct(rng.uniform(-math.pi, math.pi, u)), CyclicShift(u)):
+        assert op.orbit(z, n).tobytes() == ref_orbit(op, z, n).tobytes()
+    for op in (DenseMatrix(q * np.sign(np.diag(r))), DenseMatrix(0.95 * g / np.linalg.norm(g, 2))):
+        assert np.abs(op.orbit(z, n) - ref_orbit(op, z, n)).max() <= 1e-12 * np.abs(z).max()
 
 
 def test_rotation_orbit_is_the_outer_product_expression_bit_for_bit():
@@ -45,10 +61,9 @@ def test_rotation_orbit_is_the_outer_product_expression_bit_for_bit():
     for long in [None] * 200 + [2**16, 2**16 + 1, 2**17 - 1, 2**17, 2**17 + 1, 3 * 2**16 + 5]:
         u, n = int(rng.integers(1, 6)), int(rng.integers(1, 2000))
         n = long or n
-        angles = rng.uniform(-10.0, 10.0, u) * 10.0 ** rng.integers(-8, 4, u)
+        op = RotationProduct(rng.uniform(-10.0, 10.0, u) * 10.0 ** rng.integers(-8, 4, u))
         z = rng.standard_normal(u) + 1j * rng.standard_normal(u)
-        want = _direct_orbit(angles, z, min(n, 2**16))
-        assert RotationProduct(angles).orbit(z, n)[:2**16].tobytes() == want.tobytes()
+        assert op.orbit(z, n)[:2**16].tobytes() == ref_orbit(op, z, min(n, 2**16)).tobytes()
 
 
 @pytest.mark.parametrize("u", [1, 2, 3, 4, 5])
@@ -59,21 +74,67 @@ def test_rotation_orbit_rows_past_the_table_are_within_a_few_ulps(u, theta):
     # products add a few ulps of the row; every row is checked, each block edge +-1 included
     rng = np.random.default_rng(22)
     n = 3 * 2**16 + 5
-    angles = np.concatenate([[theta], rng.choice([-1.0, 1.0], u - 1) * 10.0 ** rng.uniform(-8, 4, u - 1)])
+    op = RotationProduct(np.concatenate([[theta], rng.choice([-1.0, 1.0], u - 1) * 10.0 ** rng.uniform(-8, 4, u - 1)]))
     z = rng.standard_normal(u) + 1j * rng.standard_normal(u)
-    err = np.abs(RotationProduct(angles).orbit(z, n) - _direct_orbit(angles, z, n))
-    phase = np.abs(np.outer(np.arange(n, dtype=np.float64), angles))
+    err = np.abs(op.orbit(z, n) - ref_orbit(op, z, n))
+    phase = np.abs(np.outer(np.arange(n, dtype=np.float64), op.angles))
     assert np.all(err <= (2.0**-51 * phase + 2.0**-50) * np.abs(z))
 
 
+@pytest.mark.parametrize("kind", _KINDS)
+def test_orbit_restarts_from_any_row(kind):
+    # T^(k + r) z = T^r (T^k z): an orbit restarted from row k is the tail of the whole
+    # orbit, across DenseMatrix's 64-row blocks and past CyclicShift's period u = 5
+    rng = np.random.default_rng(24)
+    u, n = 5, 3 * 64 + 5
+    op = _operator(kind, u, rng)
+    z = rng.standard_normal(u) + 1j * rng.standard_normal(u)
+    rows = op.orbit(z, n)
+    for k in (1, 4, 5, 63, 64, 65, 130):
+        tail = op.orbit(rows[k].copy(), n - k)
+        assert np.abs(tail - rows[k:]).max() <= 1e-12 * np.abs(z).max()
+        if kind == "shift":
+            assert tail.tobytes() == rows[k:].tobytes()
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_dimension_checks(kind):
+    op = _operator(kind, 3, np.random.default_rng(0))
+    with pytest.raises(DimensionMismatchError, match=r"^operator dimension 3 != vector dimension 2$"):
+        orbit(op, Vector([1.0, 2.0], p=1), 1)
+
+
+def test_orbit_slot_cap():
+    # refused before anything is allocated, whatever the kind
+    n = MAX_TRAJECTORY_SLOTS // 4 + 1
+    message = f"^horizon {n} \\* dimension 4 exceeds the cap of {MAX_TRAJECTORY_SLOTS} trajectory slots$"
+    for kind in _KINDS:
+        with pytest.raises(InvalidInputError, match=message):
+            orbit(_operator(kind, 4, np.random.default_rng(0)), Vector(np.ones(4), p=2), n)
+
+
 def test_cyclic_shift_moves_basis():
-    op = CyclicShift(4)
-    e1 = Vector([1, 0, 0, 0], p=1)
-    out = apply_power(op, 1, e1)
-    assert np.allclose(out.components, [0, 1, 0, 0])
+    rows = orbit(CyclicShift(4), Vector([1, 0, 0, 0], p=1), 7)
+    assert np.array_equal(rows[1], [0, 1, 0, 0])
     # wraps around after dim steps
-    assert np.allclose(apply_power(op, 4, e1).components, e1.components)
-    assert np.allclose(apply_power(op, 6, e1).components, [0, 0, 1, 0])
+    assert np.array_equal(rows[4], [1, 0, 0, 0])
+    assert np.array_equal(rows[6], [0, 0, 1, 0])
+
+
+def test_cyclic_shift_orbit_builds_only_the_rows_it_needs():
+    # the period table was u x u whatever n was: a 2-row orbit at u = 1024 peaked at 25 MB
+    u = 1024
+    op = CyclicShift(u)
+    z = np.arange(u) * (1.0 + 0.5j)
+    for n in (1, 2, u - 1, u, u + 1, 3 * u + 5):
+        assert op.orbit(z, n).tobytes() == ref_orbit(op, z, n).tobytes()
+    tracemalloc.start()
+    try:
+        rows = op.orbit(z, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * rows.nbytes
 
 
 def test_isometries_preserve_norm():
@@ -81,18 +142,23 @@ def test_isometries_preserve_norm():
     rot = RotationProduct(rng.uniform(-math.pi, math.pi, 3))
     shift = CyclicShift(5)
     for p in (1.0, 2.0, 3.0):
-        z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        v = Vector(z, p=p)
-        assert apply_power(rot, 1, v).norm() == pytest.approx(v.norm(), rel=1e-12)
-        w = Vector(rng.standard_normal(5) + 0j, p=p)
-        assert apply_power(shift, 1, w).norm() == pytest.approx(w.norm(), rel=1e-12)
+        for op in (rot, shift):
+            v = Vector(rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim), p=p)
+            for row in orbit(op, v, 7)[1:]:
+                assert Vector(row, p=p).norm() == pytest.approx(v.norm(), rel=1e-12)
 
 
-def test_isometry_certificates():
-    rot = RotationProduct(np.array([0.1]))
-    assert rot.certificate.B1 == 1.0 and rot.certificate.B2 == 1.0
-    assert math.isinf(rot.certificate.n_max)
-    assert CyclicShift(3).certificate.B1 == 1.0
+def test_isometry_certificates_are_class_constants():
+    exact = PowerBoundCertificate(1.0, 1.0, math.inf)
+    for op in (RotationProduct(np.array([0.1])), CyclicShift(3)):
+        assert op.certificate == exact
+        assert "certificate" not in {field.name for field in dataclasses.fields(op)}
+    # no caller can state another certificate for an isometry
+    false = PowerBoundCertificate(0.5, 0.5, 1)
+    with pytest.raises(TypeError):
+        RotationProduct(np.array([0.1]), certificate=false)
+    with pytest.raises(TypeError):
+        CyclicShift(3, false)
 
 
 def test_certificate_validation():
@@ -108,39 +174,22 @@ class TestDenseMatrix:
     def test_real_representation_multiplies_complex(self):
         # matrix i*I on one complex coordinate: ((0,-1),(1,0)) on (Re, Im)
         m = DenseMatrix(np.array([[0.0, -1.0], [1.0, 0.0]]))
-        v = Vector([1.0 + 2.0j], p=2)
-        out = apply_power(m, 1, v)
-        assert np.allclose(out.components, [1j * (1 + 2j)])
+        rows = orbit(m, Vector([1.0 + 2.0j], p=2), 2)
+        assert np.allclose(rows[1], [1j * (1 + 2j)])
 
-    def test_power_by_iteration(self):
+    def test_orbit_by_iteration(self):
         m = DenseMatrix(np.diag([0.5, 0.5]))
-        v = Vector([4.0], p=2)
-        assert np.allclose(apply_power(m, 3, v).components, [0.5])
+        assert np.allclose(orbit(m, Vector([4.0], p=2), 4)[3], [0.5])
+
+    def test_certificate_is_the_callers(self):
+        cert = PowerBoundCertificate(0.5, 0.5, 1)
+        assert DenseMatrix(np.eye(2), cert).certificate is cert
+        assert DenseMatrix(np.eye(2)).certificate is None
 
     def test_odd_size_rejected(self):
         with pytest.raises(InvalidInputError):
             DenseMatrix(np.zeros((3, 3)))
 
-    def test_estimate_power_bounds_contraction(self):
-        # diag(1/2): every power of the sampled range [1, n_max] contracts
-        # by at least 1/2^n_max and at most 1/2
-        m = DenseMatrix(np.diag([0.5, 0.5]))
-        cert = estimate_power_bounds(m, n_max=4, trials=16, seed=0)
-        assert cert.n_max == 4
-        assert cert.B1 == pytest.approx(0.5**4, rel=1e-9)
-        assert cert.B2 == pytest.approx(0.5, rel=1e-9)
-
-    def test_estimate_power_bounds_isometry_shortcut(self):
-        rot = RotationProduct(np.array([0.2, 0.4]))
-        assert estimate_power_bounds(rot) is rot.certificate
-
-    def test_singular_matrix_rejected(self):
-        m = DenseMatrix(np.zeros((2, 2)))
-        with pytest.raises(InvalidInputError):
-            estimate_power_bounds(m, n_max=2, trials=4, seed=0)
-
-
-def test_dimension_checks():
-    from ergolab import DimensionMismatchError
-    with pytest.raises(DimensionMismatchError):
-        apply_power(CyclicShift(3), 1, Vector([1.0, 2.0], p=1))
+    def test_non_square_rejected(self):
+        with pytest.raises(InvalidInputError, match="^matrix must be square with even size 2u$"):
+            DenseMatrix(np.zeros((2, 4)))

@@ -38,7 +38,7 @@ from ergolab import (
 )
 
 from ergolab import _scan
-from oracles import brute_force_fluctuations, brute_force_p_variation
+from oracles import brute_force_fluctuations, brute_force_p_variation, ref_orbit
 
 grid_values = st.lists(
     st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), min_size=1, max_size=8
@@ -162,26 +162,22 @@ class TestLongSequencesAgainstDirectSearch:
 
 
 def _operator_and_orbit(kind, u, n, rng):
-    """(operator, x, rows) with rows[k] = T^k x, built without ergolab's
-    orbit: the per-power closed forms of rotation and shift, and one matrix
-    step at a time for the dense kinds."""
+    """(operator, x, rows) with rows[k] = T^k x from `oracles.ref_orbit`, not
+    from ergolab's orbit."""
     x = rng.standard_normal(u) + 1j * rng.standard_normal(u)
     if kind == "rotation":
-        angles = rng.uniform(-np.pi, np.pi, u)
-        return RotationProduct(angles), x, x * np.exp(1j * (np.arange(n)[:, None] * angles))
-    if kind == "cyclic":
-        return CyclicShift(u), x, x[(np.arange(u) - np.arange(n)[:, None]) % u]
-    g = rng.standard_normal((2 * u, 2 * u))
-    if kind == "dense-orthogonal":
-        q, r = np.linalg.qr(g)
-        mat = q * np.sign(np.diag(r))
-    else:  # non-normal, spectral norm 0.95
-        mat = 0.95 * g / np.linalg.norm(g, 2)
-    coords = np.empty((n, 2 * u))
-    coords[0] = np.column_stack((x.real, x.imag)).ravel()
-    for k in range(1, n):
-        coords[k] = mat @ coords[k - 1]
-    return DenseMatrix(mat), x, coords.view(np.complex128)
+        op = RotationProduct(rng.uniform(-np.pi, np.pi, u))
+    elif kind == "cyclic":
+        op = CyclicShift(u)
+    else:
+        g = rng.standard_normal((2 * u, 2 * u))
+        if kind == "dense-orthogonal":
+            q, r = np.linalg.qr(g)
+            mat = q * np.sign(np.diag(r))
+        else:  # non-normal, spectral norm 0.95
+            mat = 0.95 * g / np.linalg.norm(g, 2)
+        op = DenseMatrix(mat)
+    return op, x, ref_orbit(op, x, n)
 
 
 def _exact_averages(rows, ms):

@@ -306,9 +306,6 @@ _TRAJ = ergolab.ergodic_averages(_ROT, _X, 64)
 _F = SeqFunction(-3, np.arange(10.0) - 4.5j, 2.0)
 _PAR = ergolab.stability_parameters(1.0, 0.5, descriptor_preset("hilbert"))
 _N0 = ergolab.earliest_stable_start(_TRAJ, _PAR.gamma, 64)
-_DENSE = DenseMatrix([[0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
-                      [0.0, 0.0, 0.5, 0.0], [0.0, 0.0, 0.0, 1.0]])
-_X4 = Vector([1.0, 0.5j], p=2)
 
 # Every integer argument of the library: (name, build(value), a valid value).
 INTEGER_WAYS_IN = [
@@ -318,18 +315,11 @@ INTEGER_WAYS_IN = [
     ("AverageTrajectory.truncated", lambda m: _TRAJ.truncated(m), 3),
     ("rotation_average_closed_form", lambda n: ergolab.rotation_average_closed_form(0.3, n), 5),
     ("CyclicShift", lambda dim: CyclicShift(dim), 3),
-    ("apply_power", lambda n: ergolab.apply_power(_ROT, n, _X), 3),
-    ("estimate_power_bounds.n_max", lambda n: ergolab.estimate_power_bounds(_DENSE, n, 4), 3),
-    ("estimate_power_bounds.trials", lambda t: ergolab.estimate_power_bounds(_DENSE, 3, t), 4),
-    ("estimate_power_bounds.n_max.isometry", lambda n: ergolab.estimate_power_bounds(_ROT, n), 3),
-    ("estimate_power_bounds.trials.isometry",
-     lambda t: ergolab.estimate_power_bounds(CyclicShift(2), 3, t), 4),
     ("SeqFunction.lo", lambda lo: SeqFunction(lo, _F.values, 2.0), -2),
     ("SeqFunction.at", lambda x: _F.at(x), 1),
     ("conditional_expectation", lambda level: ergolab.conditional_expectation(_F, level), 2),
     ("martingale_differences", lambda n: ergolab.martingale_differences(_F, n), 2),
     ("shift_average_at", lambda n: ergolab.shift_average_at(_F, n), 3),
-    ("seq_shift", lambda k: ergolab.seq_shift(_F, k), 2),
     ("verify_decomposition_inequalities.levels",
      lambda level: ergolab.verify_decomposition_inequalities(_F, "martingale", levels=[0, level]), 2),
     ("IndexSequence", lambda i: IndexSequence([1, i]), 3),
@@ -339,7 +329,6 @@ INTEGER_WAYS_IN = [
     ("stability_window_check.u", lambda u: ergolab.stability_window_check(_TRAJ, _PAR, _N0, u), 64),
     ("earliest_stable_start", lambda u: ergolab.earliest_stable_start(_TRAJ, _PAR.gamma, u), 64),
     ("build_rotation_counterexample", lambda u: ergolab.build_rotation_counterexample(2.0, u), 3),
-    ("build_cyclic_shift_counterexample", lambda u: ergolab.build_cyclic_shift_counterexample(u), 3),
     ("fluctuation_in_dyadic_interval",
      lambda k: ergolab.fluctuation_in_dyadic_interval(_TRAJ, 0.1, k), 2),
     ("verify_metastability_lower_bound.p", lambda p: ergolab.verify_metastability_lower_bound(p), 2),
@@ -349,6 +338,8 @@ INTEGER_WAYS_IN = [
      lambda dim: check_uniform_convexity(SpaceDescriptor(2.0, 0.125), dim, trials=50), 2),
     ("check_uniform_convexity.trials",
      lambda t: check_uniform_convexity(SpaceDescriptor(2.0, 0.125), 2, trials=t), 50),
+    ("check_uniform_convexity.seed",
+     lambda s: check_uniform_convexity(SpaceDescriptor(2.0, 0.125), 2, trials=50, seed=s), 3),
 ]
 
 
@@ -371,10 +362,6 @@ class TestIntegerGate:
             (lambda: _TRAJ.point(65), "index 65 outside [1, 64]"),
             (lambda: _TRAJ.truncated(0), "prefix length 0 outside [1, 64]"),
             (lambda: CyclicShift(0), "dimension must be >= 1, got 0"),
-            (lambda: ergolab.apply_power(_ROT, -1, _X), "power must be >= 0, got -1"),
-            (lambda: ergolab.estimate_power_bounds(_ROT, n_max=-5, trials=0),
-             "n_max must be >= 1, got -5"),
-            (lambda: ergolab.estimate_power_bounds(_DENSE, trials=0), "trials must be >= 1, got 0"),
             (lambda: ergolab.conditional_expectation(_F, -1), "level must be >= 0, got -1"),
             (lambda: ergolab.verify_decomposition_inequalities(_F, "martingale", levels=[-1, 2]),
              "level must be >= 0, got -1"),
@@ -387,6 +374,7 @@ class TestIntegerGate:
             (lambda: ergolab.earliest_stable_start(_TRAJ, 0.0, 65), "u 65 outside [1, 64]"),
             (lambda: ergolab.verify_metastability_lower_bound(1), "p must be >= 2, got 1"),
             (lambda: check_uniform_convexity(SpaceDescriptor(2.0, 0.125), 0), "dimension must be >= 1, got 0"),
+            (lambda: check_uniform_convexity(SpaceDescriptor(2.0, 0.125), 2, seed=-1), "seed must be >= 0, got -1"),
             (lambda: IndexSequence(5), "index sequence must be iterable, got 5"),
             (lambda: IndexSequence(None), "index sequence must be iterable, got None"),
             (lambda: ergolab.verify_decomposition_inequalities(_F, "martingale", levels=3),
@@ -450,8 +438,6 @@ class TestNoSideDoors:
         for good in (1, 5, np.int64(5), _HUGE):
             built = cert(1, 1, good)
             assert type(built.n_max) is int and built.n_max == good
-        measured = ergolab.estimate_power_bounds(_DENSE, n_max=np.int16(3), trials=4)
-        assert type(measured.n_max) is int and measured.n_max == 3
 
     def test_a_hand_built_stability_pack_is_gated(self):
         want = ergolab.stability_window_check(_TRAJ, _PAR, _N0, 64)
@@ -530,8 +516,6 @@ REAL_WAYS_IN = [
     ("build_rotation_counterexample", lambda p: ergolab.build_rotation_counterexample(p, 2), 3),
     ("PowerBoundCertificate.B1", lambda b: ergolab.PowerBoundCertificate(b, 2.0, math.inf), 1),
     ("PowerBoundCertificate.B2", lambda b: ergolab.PowerBoundCertificate(1.0, b, math.inf), 2),
-    ("estimate_power_bounds.p", lambda p: ergolab.estimate_power_bounds(_DENSE, 3, 4, p=p), 2),
-    ("estimate_power_bounds.p.isometry", lambda p: ergolab.estimate_power_bounds(_ROT, p=p), 2),
 ]
 
 
@@ -576,10 +560,6 @@ class TestRealGate:
              "counterexample exponent must satisfy p >= 2, got nan"),
             (lambda: cert(0, 1, math.inf), "B1 must be > 0, got 0.0"),
             (lambda: cert(2, 1, math.inf), "B2 must be >= 2.0, got 1.0"),
-            (lambda: ergolab.estimate_power_bounds(DenseMatrix(np.eye(4)), n_max=2, trials=2, p=0.5),
-             "norm exponent must satisfy p >= 1, got 0.5"),
-            (lambda: ergolab.estimate_power_bounds(_ROT, p=math.nan),
-             "norm exponent must satisfy p >= 1, got nan"),
             (lambda: Vector([1.0], None), "norm exponent must satisfy p >= 1, got None"),
         ]
         for call, message in cases:
