@@ -268,8 +268,7 @@ def _variation_case(idx: int, rng: np.random.Generator, par: Mapping[str, Any]) 
     horizon = par["horizon"]
     sub = [2**k for k in range(horizon.bit_length())]  # dyadic times 1, 2, 4, ... <= horizon
     rows = []
-    for q in par["q_grid"]:
-        value, witness = max_p_variation(traj, q)
+    for q, (value, witness) in zip(par["q_grid"], max_p_variation(traj, par["q_grid"])):
         realized = p_variation_along(traj, list(witness), q)
         along_dyadic = p_variation_along(traj, sub, q)
         passed = (abs(realized - value) <= _WITNESS_TOL * max(1.0, value)

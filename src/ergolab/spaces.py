@@ -178,16 +178,28 @@ def batch_norm_p(points: np.ndarray, p: float) -> np.ndarray:
     """Row-wise norm of an (n, u) complex array: the package's row-norm kernel.
 
     One slot gives its modulus exactly; (|z|^p)^(1/p) can round below |z|.
-    Otherwise rows are summed unscaled. A row whose norm lies in
+    Otherwise rows are summed unscaled. Below 8 slots the powers are added
+    column by column, left to right: numpy's row sum is that same loop below 8
+    terms, so the bits are its bits, at a fraction of the cost of summing
+    short rows. From 8 terms on numpy sums in blocks, which columns do not
+    reproduce bit for bit, so `sum(axis=1)` stays. A row whose norm lies in
     [2^(-1000/p), 2^(1000/p)] has a power sum in [2^-1000, 2^1000], so no
     p-th power overflows and underflow loses nothing that shows; the other
     rows, zero rows included, are recomputed scaled by their largest modulus.
     """
     moduli = np.abs(points)
-    if moduli.shape[1] == 1:
+    u = moduli.shape[1]
+    if u == 1:
         return moduli.ravel()
     with np.errstate(over="ignore"):
-        out = (moduli**p).sum(axis=1) ** (1.0 / p)
+        powers = moduli**p  # on the whole contiguous array: a strided power can round differently
+        if u < 8:
+            out = powers[:, 0] + powers[:, 1]
+            for k in range(2, u):
+                out += powers[:, k]
+        else:
+            out = powers.sum(axis=1)
+        out = out ** (1.0 / p)
     limit = 2.0 ** (1000.0 / p)
     odd = ~((out >= 1.0 / limit) & (out <= limit))
     if odd.any():

@@ -125,23 +125,40 @@ def p_variation_along(points: PointsLike, ts: IndexSequence, q: float, *,
     return float(np.sum(steps**q))
 
 
-def max_p_variation(points: PointsLike, q: float, *,
-                    p_norm: float | None = None) -> tuple[float, IndexSequence]:
-    """Maximum of p_variation_along over all increasing index sequences.
+def max_p_variation(points: PointsLike, q: float | Sequence[float], *, p_norm: float | None = None
+                    ) -> tuple[float, IndexSequence] | list[tuple[float, IndexSequence]]:
+    """Maximum of p_variation_along over all increasing index sequences, and a witness.
 
     Quadratic dynamic program: V[j] = max(0, max_(i<j) V[i] + ||a_j - a_i||^q),
-    with backpointers for the witness. Ties fall to the smallest index.
+    with backpointers for the witness. Ties fall to the smallest index. For a
+    sequence of exponents q (a list, tuple or 1-D array) it returns a list, one
+    (value, witness) per exponent, in order, each bit for bit its own call's:
+    one pass of distances per row j serves every exponent.
     """
-    view, q = _points_view(points, p_norm), _exponent(q, "variation exponent", "q")
+    view = _points_view(points, p_norm)
+    if isinstance(q, np.ndarray) and q.ndim == 0:
+        q = q[()]
+    grid = isinstance(q, (Sequence, np.ndarray)) and not isinstance(q, (str, bytes))
+    qs = [_exponent(v, "variation exponent", "q") for v in (q if grid else [q])]
+    if not qs:
+        raise InvalidInputError("variation exponent sequence must be nonempty")
     n = view.n
-    best = np.zeros(n, dtype=np.float64)
-    back = np.full(n, -1, dtype=np.int64)
+    best = np.zeros((len(qs), n), dtype=np.float64)
+    back = np.full((len(qs), n), -1, dtype=np.int64)
     for j in range(1, n):
-        scores = best[:j] + view.distances_to(j, 0, j) ** q
-        i = int(np.argmax(scores))
-        if scores[i] > 0.0:
-            best[j] = scores[i]
-            back[j] = i
+        dist = view.distances_to(j, 0, j)
+        for k, qk in enumerate(qs):
+            scores = best[k, :j] + dist**qk
+            i = int(np.argmax(scores))
+            if scores[i] > 0.0:
+                best[k, j] = scores[i]
+                back[k, j] = i
+    out = [_witness(best[k], back[k]) for k in range(len(qs))]
+    return out if grid else out[0]
+
+
+def _witness(best: np.ndarray, back: np.ndarray) -> tuple[float, IndexSequence]:
+    """The DP's largest value and the 1-based chain of backpointers ending there."""
     end = int(np.argmax(best))
     if best[end] == 0.0:
         return 0.0, IndexSequence((1,))

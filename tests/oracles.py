@@ -4,9 +4,10 @@ Everything here is deliberately naive: plain Python loops over explicitly
 enumerated candidates, with its own norm arithmetic. Nothing imports the
 package under test, so agreement between these and the library is a real
 two-route check, not a tautology. `ref_orbit` reads an operator's defining
-array or size and nothing else of it. The exception is `ref_drift`, which pins
-bits rather than values: it is the plain all-pairs loop over m - n, and the
-caller hands it the package's row norm.
+array or size and nothing else of it. Two references pin bits rather than
+values: `ref_drift` is the plain all-pairs loop over m - n, and the caller hands
+it the package's row norm; `ref_row_norms` repeats the norm kernel's numpy
+arithmetic but sums each row in a Python loop.
 """
 
 from __future__ import annotations
@@ -26,6 +27,33 @@ def ref_norm(point, p):
     if isinstance(point, (int, float, complex)):
         return abs(point)
     return max(sum(abs(z) ** p for z in point) ** (1.0 / p), max(abs(z) for z in point))
+
+
+def ref_row_norms(points, p):
+    """Row p-norms of an (n, u) complex array in the norm kernel's arithmetic, rows
+    of fewer than 8 slots: numpy's `np.abs` and array power, each row's powers
+    summed left to right in a Python loop, then numpy's array root. A norm outside
+    [2^(-1000/p), 2^(1000/p)] is taken again from the moduli scaled by the row's
+    peak (1 for a zero row), with a scalar root. One slot gives its modulus."""
+    moduli = np.abs(np.asarray(points, dtype=np.complex128))
+    if moduli.shape[1] == 1:
+        return moduli[:, 0]
+    with np.errstate(over="ignore"):
+        out = np.array([_left_to_right(row) for row in (moduli**p).tolist()]) ** (1.0 / p)
+    limit = 2.0 ** (1000.0 / p)
+    for r, norm in enumerate(out.tolist()):
+        if not 1.0 / limit <= norm <= limit:
+            peak = float(moduli[r].max()) or 1.0
+            total = _left_to_right(((moduli[r] / peak) ** p).tolist())
+            out[r] = peak * (total ** (1.0 / p) if total > 0.0 else 0.0)
+    return out
+
+
+def _left_to_right(terms):
+    total = terms[0]
+    for t in terms[1:]:
+        total += t
+    return total
 
 
 def ref_orbit(op, z, n):

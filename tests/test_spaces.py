@@ -8,6 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ergolab
 from ergolab import (
@@ -32,7 +33,8 @@ from ergolab import (
     p_variation_along,
 )
 
-from oracles import ref_norm
+from ergolab.spaces import _scaled_norms
+from oracles import ref_norm, ref_row_norms
 
 
 class TestVector:
@@ -178,6 +180,37 @@ class TestBatchNorm:
                 assert rows[k] == pytest.approx(scalar, rel=1e-12, abs=0.0)
             else:  # the scaled path is Vector.norm's, bit for bit
                 assert rows[k] == scalar
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.integers(1, 12), st.sampled_from([1.0, 1.5, 2.0, 3.0, 4.0]))
+    def test_row_sums_keep_their_bits(self, data, u, p):
+        # random rows at 2^-600, 1 and 2^600, zero rows, and [1, t, t, ...] with t^p about
+        # 2^-53, whose sum shows the order of the additions
+        rows = []
+        for kind in data.draw(st.lists(st.sampled_from(["random", "zero", "order"]), min_size=1, max_size=6)):
+            scale = 2.0 ** data.draw(st.sampled_from([-600, 0, 600]))
+            parts = st.floats(-1.0, 1.0)
+            rows.append([0j] * u if kind == "zero" else
+                        [scale] + [scale * 2.0 ** (-53.0 / p)] * (u - 1) if kind == "order" else
+                        [scale * complex(data.draw(parts), data.draw(parts)) for _ in range(u)])
+        pts = np.array(rows, dtype=complex)
+        out = batch_norm_p(pts, p)
+        if u < 8:  # summed column by column, which is left to right
+            assert out.tobytes() == ref_row_norms(pts, p).tobytes()
+        assert out.tobytes() == _summed_by_rows(pts, p).tobytes()  # fails if numpy changes its order
+
+
+def _summed_by_rows(points, p):
+    """The norm kernel as numpy's row sums `sum(axis=1)` give it, the scaled rows included."""
+    moduli = np.abs(points)
+    if moduli.shape[1] == 1:
+        return moduli.ravel()
+    with np.errstate(over="ignore"):
+        out = (moduli**p).sum(axis=1) ** (1.0 / p)
+    limit = 2.0 ** (1000.0 / p)
+    odd = ~((out >= 1.0 / limit) & (out <= limit))
+    out[odd] = _scaled_norms(moduli[odd], p)
+    return out
 
 
 # Every way a point array or a norm exponent enters the package: (name, build(values, p)), with

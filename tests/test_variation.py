@@ -113,6 +113,40 @@ class TestMaxPVariation:
             assert cur >= prev - 1e-12
             prev = cur
 
+    @pytest.mark.parametrize("u", [1, 2, 3, 4])
+    def test_grid_matches_one_call_per_exponent(self, u):
+        rng = np.random.default_rng(40 + u)
+        z = Vector(rng.standard_normal(u) + 1j * rng.standard_normal(u), p=1.0 + u / 2)
+        traj = ergodic_averages(RotationProduct(rng.uniform(0.0, 2.0 * np.pi, u)), z, 300)
+        qs = [1.0, 1.5, 2.0, 3.0, 2.0]
+        want = [max_p_variation(traj, q) for q in qs]
+        for grid in (qs, tuple(qs), np.array(qs)):
+            got = max_p_variation(traj, grid)
+            assert [(v.hex(), w) for v, w in got] == [(v.hex(), w) for v, w in want]
+
+    def test_grid_of_a_constant_or_one_point(self):
+        qs = [1.0, 1.5, 2.0, 3.0]
+        for pts in (np.zeros((6, 2)), np.array([[1.0 + 2.0j, 3.0]] * 4), [0.5]):
+            assert max_p_variation(pts, qs) == [(0.0, IndexSequence((1,)))] * len(qs)
+
+    def test_grid_exponents_pass_the_exponent_gate(self):
+        pts = np.array([0.0, 1.0, 0.0])
+        for empty in ([], (), np.array([])):
+            with pytest.raises(InvalidInputError, match="^variation exponent sequence must be nonempty$"):
+                max_p_variation(pts, empty)
+        for bad in (0.5, True, "2"):
+            with pytest.raises(InvalidInputError) as alone:
+                max_p_variation(pts, bad)
+            with pytest.raises(InvalidInputError) as in_grid:
+                max_p_variation(pts, [2.0, bad])
+            assert str(in_grid.value) == str(alone.value) == f"variation exponent must satisfy q >= 1, got {bad}"
+
+    def test_zero_dimensional_array_is_one_exponent(self):
+        pts = np.array([0.0, 1.0, 0.25, 0.75])
+        assert max_p_variation(pts, np.array(2.0)) == max_p_variation(pts, 2.0)
+        with pytest.raises(InvalidInputError, match="^variation exponent must satisfy q >= 1, got True$"):
+            max_p_variation(pts, np.array(True))
+
 
 class TestCountFluctuations:
     def test_frozen_alternating(self):
