@@ -33,8 +33,9 @@ pruning never changes the answer, only skips work:
   blocks whose box (`PointsView.boxes`) reaches eps, an end block's box
   holding the rows cut off too. A clean one returns D', the most of the
   distances evaluated and the reach left out, so no row if no box reaches.
-  Distances are evaluated at most a chunk's rows at a time into one array,
-  so a check over N rows holds N distances and one chunk's temporaries.
+- an exact check evaluates its rows a chunk at a time, in order, and stops at
+  the first chunk that holds a separated row: its least separated i is the
+  answer, so a check holds one chunk's distances, not one per candidate.
 
 Indices here are 0-based; the public modules translate to 1-based.
 """
@@ -78,14 +79,8 @@ class PointsView:
         return np.concatenate(([0.0], np.cumsum(self.steps)))
 
     def distances_to(self, j: int, lo: int, hi: int) -> np.ndarray:
-        """||a_i - a_j|| for i in [lo, hi), evaluated `chunk` rows at a time into one array."""
-        if hi - lo <= self.chunk:  # one slice: returned as the kernel gives it, not copied
-            return batch_norm_p(self.pts[lo:hi] - self.pts[j], self.p)
-        out = np.empty(hi - lo)
-        for a in range(lo, hi, self.chunk):
-            b = min(hi, a + self.chunk)
-            out[a - lo : b - lo] = batch_norm_p(self.pts[a:b] - self.pts[j], self.p)
-        return out
+        """||a_i - a_j|| for i in [lo, hi), in one kernel call."""
+        return batch_norm_p(self.pts[lo:hi] - self.pts[j], self.p)
 
     def boxes(self, size: int) -> tuple[np.ndarray, np.ndarray]:
         """Per-real-coordinate min and max of each aligned block of `size` rows (a power of two), the short
@@ -145,16 +140,6 @@ def _ball_end(view: PointsView, centre: int, rho: float, hi: int) -> int:
     return hi
 
 
-def _distances(view: PointsView, eps: float, j: int, runs: list[tuple[int, int]]) -> np.ndarray:
-    """Distances to row j of the rows of runs [(a, b), ...], near-eps ones lifted as by `box_reach`."""
-    dist = view.distances_to(j, *runs[0]) if len(runs) == 1 else \
-        np.concatenate([view.distances_to(j, a, b) for a, b in runs])
-    if view.p not in (1.0, 2.0) and (near := (dist < eps) & (dist >= eps * _NEAR)).any():  # point = box
-        at = view.coords[np.concatenate([np.arange(a, b) for a, b in runs])[near]]
-        dist[near] = box_reach(at, at, view.coords[j], view.coords[j], view.p, eps)
-    return dist
-
-
 def _runs(edges: np.ndarray, segs: np.ndarray) -> list[tuple[int, int]]:
     """The row ranges of segments segs (ascending; segment k is [edges[k], edges[k+1])), adjacent ones merged."""
     step = segs[1:] - segs[:-1] != 1
@@ -162,32 +147,37 @@ def _runs(edges: np.ndarray, segs: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(edges[segs[first]].tolist(), edges[segs[last] + 1].tolist()))
 
 
-def _exact_check(view: PointsView, eps: float, anchor: int, j: int) -> tuple[int, int, int] | float:
-    """(i_first, i_last, j) for the i in [anchor, j) with ||a_i - a_j|| >= eps, else a bound in
-    [D, eps) on their largest distance D: the most of the distances evaluated and reach left out."""
-    runs, bound = [(anchor, j)], 0.0
+def _exact_check(view: PointsView, eps: float, anchor: int, j: int) -> tuple[int | None, float]:
+    """(the least i in [anchor, j) with ||a_i - a_j|| >= eps, or None; D'). When no i is separated, D' is
+    a bound in [D, eps) on their largest distance D: the most of the distances evaluated and reach left out.
+    Rows are evaluated a chunk at a time, and the first chunk that holds a separated row ends the check."""
+    runs, bound, p, row = [(anchor, j)], 0.0, view.p, view.coords[j]
     if (j - anchor) * view.coords.shape[1] >= _BLOCK_FLOATS:  # segment k: block k0 + k clipped to [anchor, j)
-        k0, k1, (lo, hi), row = anchor // _BLOCK, -(-j // _BLOCK), view.boxes(_BLOCK), view.coords[j]
-        reach = box_reach(lo[k0:k1], hi[k0:k1], row, row, view.p, eps)  # an end block's box holds its rows
+        k0, k1, (lo, hi) = anchor // _BLOCK, -(-j // _BLOCK), view.boxes(_BLOCK)
+        reach = box_reach(lo[k0:k1], hi[k0:k1], row, row, p, eps)  # an end block's box holds its rows
         far = reach >= eps
         bound = float(reach[~far].max(initial=0.0))
         if not far.any():
-            return bound
+            return None, bound
         runs = _runs(np.clip(np.arange(k0, k1 + 1) * _BLOCK, anchor, j), np.flatnonzero(far))
-    dist = _distances(view, eps, j, runs)
-    if (valid := dist >= eps).any():
-        rows, valid = np.concatenate([np.arange(a, b) for a, b in runs]), np.flatnonzero(valid)
-        return int(rows[valid[0]]), int(rows[valid[-1]]), j
-    return max(bound, float(dist.max()))
+    for a, b in runs:
+        for c in range(a, b, view.chunk):
+            d = min(b, c + view.chunk)
+            dist = view.distances_to(j, c, d)
+            if p not in (1.0, 2.0) and (near := (dist < eps) & (dist >= eps * _NEAR)).any():  # point = box
+                at = view.coords[c:d][near]
+                dist[near] = box_reach(at, at, row, row, p, eps)
+            if (valid := dist >= eps).any():
+                return c + int(np.argmax(valid)), bound
+            bound = max(bound, float(dist.max()))
+    return None, bound
 
 
-def first_violation(
-    view: PointsView, eps: float, anchor: int, hi: int
-) -> tuple[int, int, int] | None:
+def first_violation(view: PointsView, eps: float, anchor: int, hi: int) -> tuple[int, int] | None:
     """Earliest j in (anchor, hi] with some i in [anchor, j) at distance >= eps.
 
-    Returns (i_first, i_last, j): the smallest and largest admissible i for
-    that j. Returns None when the whole segment [anchor, hi] is eps-tight.
+    Returns (i, j), i the smallest admissible i for that j, or None when the
+    whole segment [anchor, hi] is eps-tight.
     """
     eps = _real(eps, "separation threshold", 0, above=True)
     if not 0 <= anchor <= hi < view.n:
@@ -216,9 +206,10 @@ def first_violation(
             continue
         chunk = _CHUNK
         jj = j + int(np.argmax(alive))
-        if isinstance(check := _exact_check(view, eps, anchor, jj), tuple):
-            return check
-        upto = _ball_end(view, jj, min(eps - check, 0.5 * eps), hi)
+        i, bound = _exact_check(view, eps, anchor, jj)
+        if i is not None:
+            return i, jj
+        upto = _ball_end(view, jj, min(eps - bound, 0.5 * eps), hi)
         smin, smax = _span(coords[j : upto + 1])
         cmin, cmax, j = np.minimum(cmin, smin), np.maximum(cmax, smax), upto + 1
     return None
@@ -231,9 +222,6 @@ def greedy_chain(view: PointsView, eps: float, anchor: int, hi: int):
     admissible i, and the next pair is searched from j on.
     """
     eps = _real(eps, "separation threshold", 0, above=True)  # also for a segment too short to scan
-    while anchor < hi:
-        hit = first_violation(view, eps, anchor, hi)
-        if hit is None:
-            return
-        yield hit[0], hit[2]
-        anchor = hit[2]
+    while anchor < hi and (hit := first_violation(view, eps, anchor, hi)) is not None:
+        yield hit
+        anchor = hit[1]

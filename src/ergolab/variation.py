@@ -184,12 +184,12 @@ def count_fluctuations(points: PointsLike, eps: float, *,
     return FluctuationReport(len(witnesses), witnesses, float(eps))
 
 
-def _reversed_hit(n: int, hit: tuple[int, int, int]) -> tuple[int, int]:
-    """A hit of `first_violation` on the reversed view of n points, where 1-based
-    index k sits at row n - k, as (the largest index opening a separated pair,
-    its least partner)."""
-    _, i_last, j = hit
-    return n - j, n - i_last
+def _reversed_hit(n: int, hit: tuple[int, int]) -> tuple[int, int]:
+    """A hit (i, j) of `first_violation` on the reversed view of n points, where
+    1-based index k sits at row n - k, as (the largest index opening a separated
+    pair, its largest partner)."""
+    i, j = hit
+    return n - j, n - i
 
 
 def metastability_rate(points: PointsLike, eps: float, g: Callable[[int], int], *,
@@ -204,9 +204,10 @@ def metastability_rate(points: PointsLike, eps: float, g: Callable[[int], int], 
     re-validated against g individually unless g is a built-in (non-decreasing,
     so every such window reaches j). To make each jump maximal, the window is
     scanned reversed: the reversed scan's earliest violation endpoint is the
-    largest index of the window that opens any separated pair, and the latest
-    partner on the reversed side is that index's smallest partner. Every window
-    is an index range of one reversed view. Runs out of horizon ->
+    largest index i of the window that opens any separated pair, and its least
+    partner on the reversed side is i's largest partner j, the one the
+    re-validation reads (so a skipped n' must reach that j). Every window is an
+    index range of one reversed view. Runs out of horizon ->
     HorizonExhaustedError carrying the least n the answer could still be.
     """
     eps = _real(eps, "epsilon", 0, above=True)

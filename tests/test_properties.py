@@ -411,18 +411,28 @@ def _blocked_and_plain(run):
 
 
 def _full_check(view, eps, anchor, j):
-    """An exact check that evaluates every row of [anchor, j): a point is a box, so
-    `box_reach` gives each distance with its near-eps lift."""
+    """An exact check that evaluates every row of [anchor, j): (the least separated i or None,
+    the largest distance D). A point is a box, so `box_reach` gives each distance with its
+    near-eps lift."""
     c = view.coords
     dist = _scan.box_reach(c[anchor:j], c[anchor:j], c[j], c[j], view.p, eps)
     valid = np.flatnonzero(dist >= eps)
-    return (anchor + int(valid[0]), anchor + int(valid[-1]), j) if valid.size else float(dist.max())
+    return (anchor + int(valid[0]) if valid.size else None), float(dist.max())
+
+
+def _assert_checks_agree(blocked, plain, full, eps):
+    """Blocked and plain checks find the full check's least separated i; a clean blocked check
+    bounds the largest distance D by D <= D' < eps, and a clean plain check returns D itself."""
+    for (bi, bd), (pi, pd), (fi, fd) in zip(blocked, plain, full):
+        assert bi == pi == fi
+        if fi is None:
+            assert pd == fd and fd <= bd < eps
 
 
 class TestBlockPrunedChecks:
     """An exact check that skips the 32-row blocks whose box cannot reach eps, the
-    partial end blocks too, finds the same separated rows as evaluating every row. A
-    clean one returns a bound on the largest distance, not the distance: the most of
+    partial end blocks too, finds the same least separated row as evaluating every row.
+    A clean one returns a bound on the largest distance, not the distance: the most of
     the distances it evaluated and the reach of blocks it left out, at least the maximum
     and below eps, so the ball skip stays strict. The plain check (no blocks) returns
     the maximum itself, and hits, greedy counts and rates are the same either way. The
@@ -448,16 +458,43 @@ class TestBlockPrunedChecks:
             i, j = pairs[0]
             eps = float(batch_norm_p(pts[i:j] - pts[j], p).max())  # the largest distance of a check
             eps = math.nextafter(eps, math.inf) if tie == "above" else eps
+            assume(eps > 0.0)  # on a check inside one run of 32 repeats, 0 is no threshold
         view = _scan.PointsView(pts, p)
         full = [_full_check(view, eps, i, j) for i, j in pairs]
-        blocked, plain = _blocked_and_plain(lambda: [_scan._exact_check(view, eps, i, j) for i, j in pairs])
-        assert plain == full
-        for got, want in zip(blocked, full):
-            assert got == want if isinstance(want, tuple) else want <= got < eps
+        _assert_checks_agree(*_blocked_and_plain(lambda: [_scan._exact_check(view, eps, i, j) for i, j in pairs]),
+                             full, eps)
         hits = _blocked_and_plain(lambda: [_scan.first_violation(view, eps, i, n - 1) for i, _ in pairs[:4]])
         assert hits[0] == hits[1]
         scans = _blocked_and_plain(lambda: _scans(pts, eps, p))
         assert scans[0] == scans[1]
+
+    @pytest.mark.parametrize("u", [1, 3])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_first_separated_row_in_a_later_chunk(self, u, p, reverse):
+        # 40,000 candidates, more than two chunks of rows. Rows up to the third chunk sit at
+        # distance 0.8 from a_j = 0, in every direction, so their blocks' boxes reach past 1;
+        # the first row at distance 1 comes 5 rows into the third chunk, later ones at 1.5.
+        # With eps on that row's distance from one kernel call over all rows, the checks,
+        # evaluated a chunk at a time, must find it, so the distances keep their bits across
+        # chunk edges; with eps twice the largest distance, they come back clean with it.
+        rng = np.random.default_rng(u)
+        n = 40_002
+
+        def sphere(radius, rows):
+            return radius / u ** (1 / p) * np.exp(2j * np.pi * rng.random((rows, u)))
+
+        anchor, j = 1, n - 1
+        first = anchor + 2 * _scan.PointsView(np.zeros((1, u), complex), p).chunk + 5
+        pts = np.concatenate((sphere(0.8, first), sphere(1.0, 1), sphere(1.5, n - first - 2), [[0.0] * u]))
+        view = _scan.PointsView(pts[::-1].copy()[::-1] if reverse else pts, p)  # reversed: read backwards
+        dist = batch_norm_p(view.pts[anchor:j] - view.pts[j], p)
+        assert dist[: first - anchor].max() < dist[first - anchor]
+        for eps in (float(dist[first - anchor]), 2.0 * float(dist.max())):
+            blocked, plain = _blocked_and_plain(lambda: [_scan._exact_check(view, eps, anchor, j)])
+            want = (first if eps < dist.max() else None), float(dist.max())
+            assert _full_check(view, eps, anchor, j) == want
+            _assert_checks_agree(blocked, plain, [want], eps)
 
     def test_a_check_whose_boxes_all_fall_short_evaluates_no_row(self, monkeypatch):
         # 20,000 rows past the block threshold, 32 repeats making each block's box a point, and
@@ -465,8 +502,8 @@ class TestBlockPrunedChecks:
         pts = np.repeat(np.exp(1e-4j * np.arange(625.0))[:, None], 32, axis=0)
         view = _scan.PointsView(pts, 2.0)
         monkeypatch.setattr(view, "distances_to", mock.Mock(side_effect=AssertionError("a row evaluated")))
-        bound = _scan._exact_check(view, 0.5, 40, 19950)
-        assert _full_check(view, 0.5, 40, 19950) <= bound < 0.5
+        i, bound = _scan._exact_check(view, 0.5, 40, 19950)
+        assert i is None and _full_check(view, 0.5, 40, 19950)[1] <= bound < 0.5
 
 
 class TestBoxPyramid:
@@ -491,22 +528,6 @@ class TestBoxPyramid:
             lo, hi = view.boxes(size)
             assert lo.tobytes() == rows.reshape(-1, size, 2 * u).min(axis=1).tobytes()
             assert hi.tobytes() == rows.reshape(-1, size, 2 * u).max(axis=1).tobytes()
-
-
-class TestSlicedDistances:
-    """`PointsView.distances_to` evaluates a chunk of rows at a time; the norm kernel
-    works row by row, so the distances keep their bits across slice edges."""
-
-    @pytest.mark.parametrize("u", [1, 3])
-    @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_equal_one_kernel_call(self, u, p, reverse):
-        rng = np.random.default_rng(u)
-        pts = rng.standard_normal((40_000, u)) + 1j * rng.standard_normal((40_000, u))
-        view = _scan.PointsView(pts[::-1] if reverse else pts, p)
-        assert view.n > 2 * view.chunk + 7
-        want = batch_norm_p(view.pts[7:-2] - view.pts[3], p)
-        assert view.distances_to(3, 7, view.n - 2).tobytes() == want.tobytes()
 
 
 class TestSpan:

@@ -609,7 +609,7 @@ class TestFlaggedRows:
         assert all(row["note"].startswith("PreconditionError") for row in flagged)
 
 
-def test_reference_report_comparison_drops_only_the_timestamp(tmp_path, capsys):
+def _reference_reports_tool():
     import importlib.util
     import pathlib
 
@@ -617,6 +617,11 @@ def test_reference_report_comparison_drops_only_the_timestamp(tmp_path, capsys):
     spec = importlib.util.spec_from_file_location("reference_reports", script)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_reference_report_comparison_drops_only_the_timestamp(tmp_path, capsys):
+    tool = _reference_reports_tool()
     report = run_scenario(scenario_from_mapping(_sweep_doc(horizon=8, cases=1)))
     for side in ("a", "b"):
         for fmt in ("json", "csv"):
@@ -635,3 +640,18 @@ def test_reference_report_comparison_drops_only_the_timestamp(tmp_path, capsys):
         f"{os.path.join('run', 'sweep.csv')}: only under {tmp_path / 'a'}",  # one side only
         f"{os.path.join('run', 'sweep.json')}, line {seed_line}:",  # the first line that differs, each side
         f'  {tmp_path / "a"}:     "seed": 7,', f'  {tmp_path / "b"}:     "seed": 8,', "2 of 2 files differ"]
+
+
+def test_reference_report_comparison_lists_every_differing_count(tmp_path, capsys):
+    tool = _reference_reports_tool()
+    counts = {"long-orbit": {"scan.calls": 5}, "tail-scan": {"scan.calls": 9, "spaces.norm_calls": 20,
+                                                             "spaces.norm_rows": 300}}
+    changed = {"long-orbit": {"scan.calls": 5, "scan.hits": 1},
+               "tail-scan": {"scan.calls": 9, "spaces.norm_calls": 19, "spaces.norm_rows": 250}}
+    for side, doc in (("a", counts), ("b", changed)):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "traced-counts.json").write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    assert tool.main(["--compare", str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "traced-counts.json:", "  long-orbit scan.hits: (none) -> 1", "  tail-scan spaces.norm_calls: 20 -> 19",
+        "  tail-scan spaces.norm_rows: 300 -> 250", "1 of 1 files differ"]

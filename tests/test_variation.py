@@ -310,10 +310,29 @@ class TestCountFluctuations:
         assert rep.witnesses == ((1, 2), (2, 4))
         assert sum(rows) <= 4096
 
+    def test_settled_rate_stops_at_the_first_chunk_with_a_separated_row(self, monkeypatch):
+        # The reversed scan's last exact check sets the first row against the 2^17 - 1 others,
+        # all of them separated from it: it ends in the first chunk that holds one, so
+        # fewer than two chunks' rows pass through the norm kernel, not every row.
+        rng = np.random.default_rng(7)
+        z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        traj = ergodic_averages(RotationProduct(rng.uniform(0.25, math.pi, 2)),
+                                Vector(z / np.linalg.norm(z), p=2), 2**17)
+        rows = []
+        norm = _scan.batch_norm_p
+
+        def counting(points, p):
+            rows.append(len(points))
+            return norm(points, p)
+
+        monkeypatch.setattr(_scan, "batch_norm_p", counting)
+        assert empirical_convergence_rate(traj, 0.5) == ConvergenceRateResult(True, 2, 2**17)
+        assert sum(rows) < 2 * PointsView(traj.points, 2.0).chunk == 16_384
+
     def test_exact_check_memory_is_bounded_by_the_trajectory(self):
         # The reversed scan makes one exact check, of the first row against the 2^17 - 1
-        # others, all of them separated from it: the distances are evaluated a chunk at a
-        # time into one array, not all at once (2.3 times the trajectory's bytes).
+        # others, all of them separated from it: it holds one chunk's distances, not all
+        # of them at once (2.3 times the trajectory's bytes).
         rng = np.random.default_rng(7)
         z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         traj = ergodic_averages(RotationProduct(rng.uniform(0.25, math.pi, 2)),
@@ -391,9 +410,12 @@ class TestMetastabilityRate:
         assert jumped == per_n if g is g_successor else jumped < per_n  # a hit in [n, n + 1] opens at n
 
     def test_matches_brute_force_randomized(self):
+        # The last two selectors are not built in, so skipped window starts are probed:
+        # one is not monotone (g(1) = 4, g(2) = 3), one wraps g_double.
         rng = np.random.default_rng(19)
-        gs = {"succ": g_successor, "dbl": g_double, "pow2": g_next_power_of_two}
-        for _ in range(300):
+        gs = {"succ": g_successor, "dbl": g_double, "pow2": g_next_power_of_two,
+              "zigzag": lambda k: k + 1 + 2 * (k % 2), "dbl-wrapped": lambda k: g_double(k)}
+        for _ in range(500):
             n = int(rng.integers(1, 16))
             vals = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], size=n)
             eps = float(rng.choice([0.25, 0.5, 1.0]))

@@ -12,8 +12,9 @@ traced round of each benchmark workload at seed 1, from
 when such a run is not `correct`. The library, the configs and the benchmark
 come from the checkout this script sits in. Two checkouts give the same answers
 when --compare, which ignores each report's `timestamp` line, lists no file. For
-each file that differs it prints the first differing line from each side; it
-exits 1 when some file differs or exists on one side only.
+each report that differs it prints the first differing line from each side, and
+for traced-counts.json every count that differs, as `workload metric: A -> B`;
+it exits 1 when some file differs or exists on one side only.
 """
 
 from __future__ import annotations
@@ -106,6 +107,15 @@ def compare(a: str, b: str) -> int:
         differ += 1
         if None in sides:
             print(f"{name}: only under {b if sides[0] is None else a}")
+            continue
+        if name == "traced-counts.json":
+            print(f"{name}:")
+            x, y = (json.loads("".join(lines)) for lines in sides)
+            for workload in sorted(x.keys() | y.keys()):
+                xw, yw = x.get(workload, {}), y.get(workload, {})
+                for metric in sorted(xw.keys() | yw.keys()):
+                    if xw.get(metric) != yw.get(metric):
+                        print(f"  {workload} {metric}: {xw.get(metric, '(none)')} -> {yw.get(metric, '(none)')}")
             continue
         k = next((k for k, (x, y) in enumerate(zip(*sides)) if x != y), min(map(len, sides)))
         print(f"{name}, line {k + 1}:")
