@@ -19,23 +19,33 @@ pruning never changes the answer, only skips work:
   are monotone, so no row's bound exceeds its chunk's: a skipped chunk is
   one the rows would have pruned, and the first row left alive, which
   depends only on the rows before it, is the same;
-- when an exact check at an ambiguous j comes back clean, with a bound D'
-  in [D, eps) on the largest distance D to the candidates, the scan skips
-  the run of rows after j that lie strictly within rho = min(eps - D', eps/2)
-  of a_j. A skipped row is within D + rho <= eps of every earlier candidate,
-  and within 2 rho <= eps of every row skipped before it, both strictly. The
-  ball is measured by displacement, which never exceeds path length, so
-  tails that spiral in are skipped in one run. The run is searched in
-  doubling slices; a slice of more than 16 rows is skipped whole when the
-  bound from a_j to its span is below rho, else evaluated row by row if it
-  has at most a chunk's rows, else halved;
-- an exact check of 2^15 floats or more evaluates only the aligned 32-row
-  blocks whose box (`PointsView.boxes`) reaches eps, an end block's box
-  holding the rows cut off too. A clean one returns D', the most of the
+- the first k rows t_1 < ... < t_k that a chunk's boxes leave alive take one
+  exact check, the k x (t_k - anchor) distances in one kernel call, each
+  row's candidates ending before it. The distances are elementwise, so each
+  has its one-row bits, and the first row that holds a separated candidate
+  gives the answer. k is 1 at the start of a scan and doubles after each
+  clean check, but k (t_k - anchor) rows of candidates hold at most 2^15
+  floats, so a batch fits one chunk; where only one row fits, the check is
+  the one-row check below. Rows near their anchor batch, far ones do not;
+- when an exact check comes back clean, with a bound D' in [D, eps) on the
+  largest distance D from each of its rows to that row's candidates, the
+  scan skips past its last row, and from the row j with the widest ball
+  (the last of equals) the run of rows after j that lie strictly within
+  rho = min(eps - D', eps/2) of a_j. A skipped row is within D + rho <= eps
+  of every earlier candidate, and within 2 rho <= eps of every row skipped
+  before it, both strictly. The ball is measured by displacement, which
+  never exceeds path length, so tails that spiral in are skipped in one run.
+  The run is searched in doubling slices; a slice of more than 16 rows is
+  skipped whole when the bound from a_j to its span is below rho, else
+  evaluated row by row if it has at most a chunk's rows, else halved;
+- a one-row exact check of 2^15 floats or more evaluates only the aligned
+  32-row blocks whose box (`PointsView.boxes`) reaches eps, an end block's
+  box holding the rows cut off too. A clean one returns D', the most of the
   distances evaluated and the reach left out, so no row if no box reaches.
-- an exact check evaluates its rows a chunk at a time, in order, and stops at
-  the first chunk that holds a separated row: its least separated i is the
-  answer, so a check holds one chunk's distances, not one per candidate.
+- an exact check evaluates its candidates a chunk at a time, in order, and
+  stops at the first chunk that holds a separated pair: its least separated
+  i is the answer, so a check holds one chunk's distances, not one per
+  candidate.
 
 Indices here are 0-based; the public modules translate to 1-based.
 """
@@ -78,9 +88,10 @@ class PointsView:
         """cumdrift[t] = sum of adjacent-step distances up to index t."""
         return np.concatenate(([0.0], np.cumsum(self.steps)))
 
-    def distances_to(self, j: int, lo: int, hi: int) -> np.ndarray:
-        """||a_i - a_j|| for i in [lo, hi), in one kernel call."""
-        return batch_norm_p(self.pts[lo:hi] - self.pts[j], self.p)
+    def distances_to(self, j: int | np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """||a_i - a_j|| for i in [lo, hi), in one kernel call; an array j of k rows gives (k, hi - lo)."""
+        diff = self.pts[lo:hi] - self.pts[j, None]  # elementwise, so each distance has its one-row bits
+        return batch_norm_p(diff.reshape(-1, diff.shape[-1]), self.p).reshape(diff.shape[:-1])
 
     def boxes(self, size: int) -> tuple[np.ndarray, np.ndarray]:
         """Per-real-coordinate min and max of each aligned block of `size` rows (a power of two), the short
@@ -147,29 +158,37 @@ def _runs(edges: np.ndarray, segs: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(edges[segs[first]].tolist(), edges[segs[last] + 1].tolist()))
 
 
-def _exact_check(view: PointsView, eps: float, anchor: int, j: int) -> tuple[int | None, float]:
-    """(the least i in [anchor, j) with ||a_i - a_j|| >= eps, or None; D'). When no i is separated, D' is
-    a bound in [D, eps) on their largest distance D: the most of the distances evaluated and reach left out.
-    Rows are evaluated a chunk at a time, and the first chunk that holds a separated row ends the check."""
-    runs, bound, p, row = [(anchor, j)], 0.0, view.p, view.coords[j]
-    if (j - anchor) * view.coords.shape[1] >= _BLOCK_FLOATS:  # segment k: block k0 + k clipped to [anchor, j)
+def _exact_check(view: PointsView, eps: float, anchor: int,
+                 rows: np.ndarray) -> tuple[tuple[int, int] | None, np.ndarray]:
+    """((i, j) for the first j of the ascending rows with some i in [anchor, j) at ||a_i - a_j|| >= eps, i the
+    least such, or None; D'). When no pair is separated, D'[r] is a bound in [D, eps) on the largest distance D
+    from rows[r] to its candidates: the most of the distances evaluated and reach left out. Candidates are
+    evaluated a chunk at a time, and the first chunk that holds a separated pair ends the check, so the rows
+    of a batch (more than one row) must have their candidates in one chunk."""
+    j, p, row = int(rows[-1]), view.p, view.coords[rows]
+    runs, bound = [(anchor, j)], np.zeros(len(rows))
+    if len(rows) == 1 and (j - anchor) * view.coords.shape[1] >= _BLOCK_FLOATS:
+        # segment k: block k0 + k clipped to [anchor, j)
         k0, k1, (lo, hi) = anchor // _BLOCK, -(-j // _BLOCK), view.boxes(_BLOCK)
         reach = box_reach(lo[k0:k1], hi[k0:k1], row, row, p, eps)  # an end block's box holds its rows
         far = reach >= eps
-        bound = float(reach[~far].max(initial=0.0))
+        bound = reach[~far].max(initial=0.0, keepdims=True)
         if not far.any():
             return None, bound
         runs = _runs(np.clip(np.arange(k0, k1 + 1) * _BLOCK, anchor, j), np.flatnonzero(far))
     for a, b in runs:
         for c in range(a, b, view.chunk):
             d = min(b, c + view.chunk)
-            dist = view.distances_to(j, c, d)
+            dist = view.distances_to(rows, c, d)  # (k, d - c)
+            if len(rows) > 1:
+                dist[rows[:, None] <= np.arange(c, d)] = 0.0  # a row's candidates end before it
             if p not in (1.0, 2.0) and (near := (dist < eps) & (dist >= eps * _NEAR)).any():  # point = box
-                at = view.coords[c:d][near]
-                dist[near] = box_reach(at, at, row, row, p, eps)
+                r, i = np.nonzero(near)
+                dist[r, i] = box_reach(view.coords[c + i], view.coords[c + i], row[r], row[r], p, eps)
             if (valid := dist >= eps).any():
-                return c + int(np.argmax(valid)), bound
-            bound = max(bound, float(dist.max()))
+                t = int(np.argmax(valid.any(axis=1)))
+                return (c + int(np.argmax(valid[t])), int(rows[t])), bound
+            bound = np.maximum(bound, dist.max(axis=1))
     return None, bound
 
 
@@ -182,7 +201,7 @@ def first_violation(view: PointsView, eps: float, anchor: int, hi: int) -> tuple
     eps = _real(eps, "separation threshold", 0, above=True)
     if not 0 <= anchor <= hi < view.n:
         raise InvalidInputError(f"segment [{anchor}, {hi}] outside [0, {view.n - 1}]")
-    coords, p, chunk = view.coords, view.p, _CHUNK
+    coords, p, chunk, k = view.coords, view.p, _CHUNK, 1
 
     cmin = cmax = coords[anchor]  # the running box of the rows before j
     j = anchor + 1
@@ -197,19 +216,25 @@ def first_violation(view: PointsView, eps: float, anchor: int, hi: int) -> tuple
         stop = min(hi + 1, j + min(chunk, view.chunk))
         block = coords[j:stop]
         # Row t's candidates are [anchor, j+t-1]: the running box widened by rows j-1 .. j+t-1.
-        bmin = np.minimum(np.minimum.accumulate(coords[j - 1 : stop - 1], axis=0), cmin)
-        bmax = np.maximum(np.maximum.accumulate(coords[j - 1 : stop - 1], axis=0), cmax)
+        bmin = np.minimum(np.fmin.accumulate(coords[j - 1 : stop - 1], axis=0), cmin)
+        bmax = np.maximum(np.fmax.accumulate(coords[j - 1 : stop - 1], axis=0), cmax)
         alive = box_reach(bmin, bmax, block, block, p, eps) >= eps
         if not alive.any():
             cmin, cmax = np.minimum(bmin[-1], block[-1]), np.maximum(bmax[-1], block[-1])
             j, chunk = stop, 2 * min(chunk, view.chunk)  # > _CHUNK: this chunk was pruned whole
             continue
         chunk = _CHUNK
-        jj = j + int(np.argmax(alive))
-        i, bound = _exact_check(view, eps, anchor, jj)
-        if i is not None:
-            return i, jj
-        upto = _ball_end(view, jj, min(eps - bound, 0.5 * eps), hi)
+        # The first k rows left alive, fewer where k rows of candidates pass 2^15 floats: a batch fits a chunk.
+        rows = j + np.flatnonzero(alive)[:k]
+        fits = np.arange(1, len(rows) + 1) * (rows - anchor) * coords.shape[1] <= _CHUNK_FLOATS
+        rows = rows[: max(1, int(np.count_nonzero(fits)))]  # the product rises, so the fits are a prefix
+        hit, bound = _exact_check(view, eps, anchor, rows)
+        if hit is not None:
+            return hit
+        k *= 2
+        rho = np.minimum(eps - bound, 0.5 * eps)
+        c = len(rows) - 1 - int(np.argmax(rho[::-1]))  # the widest ball, the last of equals
+        upto = max(_ball_end(view, int(rows[c]), float(rho[c]), hi), int(rows[-1]))
         smin, smax = _span(coords[j : upto + 1])
         cmin, cmax, j = np.minimum(cmin, smin), np.maximum(cmax, smax), upto + 1
     return None

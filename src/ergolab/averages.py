@@ -13,13 +13,13 @@ of such a row is within (2^-51 |n*theta_j| + 2^-50) |x_j| of e^(i*n*theta_j) x_j
 routes can be checked against each other.
 
 The running sum is blocked: each block of 2^16 rows is summed in order by
-`np.cumsum` and offset by the total of the earlier blocks, which is carried
-with Kahan compensation; up to 2^16 rows this is exactly `np.cumsum`. To
-first order in the unit roundoff, each real and imaginary part of every
-computed A_n x is within (2^16 + 3) * 2^-53 * R ~= 7.3e-12 * R of the exact
-average of the computed orbit rows, R being the largest coordinate magnitude
-among x, ..., T^(n-1) x (R <= ||x|| for the isometries). A plain running sum
-only guarantees (n - 1) * 2^-53 * R.
+`np.cumsum`, a cache-sized piece at a time, and offset by the total of the
+earlier blocks, which is carried with Kahan compensation; up to 2^16 rows
+this is exactly `np.cumsum`. To first order in the unit roundoff, each real
+and imaginary part of every computed A_n x is within (2^16 + 3) * 2^-53 * R
+~= 7.3e-12 * R of the exact average of the computed orbit rows, R being the
+largest coordinate magnitude among x, ..., T^(n-1) x (R <= ||x|| for the
+isometries). A plain running sum only guarantees (n - 1) * 2^-53 * R.
 """
 
 from __future__ import annotations
@@ -84,12 +84,19 @@ def orbit(op: Operator, x: Vector, n: int) -> np.ndarray:
 
 
 def _running_averages(rows: np.ndarray) -> None:
-    """rows[i] <- (rows[0] + ... + rows[i]) / (i + 1), in place, one block per step."""
+    """rows[i] <- (rows[0] + ... + rows[i]) / (i + 1), in place, one block per step. A block is summed a
+    cache-sized piece at a time, 2^15 floats but at least 256 rows, each piece's first row first taking the
+    row before it: per column that is np.cumsum's own left fold, so the bits are its bits."""
     total = np.zeros(rows.shape[1], dtype=rows.dtype)
     carry = np.zeros_like(total)
+    piece = max(256, 2**14 // rows.shape[1])  # complex rows: 2u floats each
     for start in range(0, rows.shape[0], _SUM_BLOCK):
         block = rows[start:start + _SUM_BLOCK]
-        np.cumsum(block, axis=0, out=block)
+        for i in range(0, block.shape[0], piece):
+            part = block[i:i + piece]
+            if i:
+                part[0] += block[i - 1]
+            np.cumsum(part, axis=0, out=part)
         y = block[-1] - carry  # the block's own sum, taken before the offset
         if start:
             block += total

@@ -199,10 +199,10 @@ def batch_norm_p(points: np.ndarray, p: float) -> np.ndarray:
                 out += powers[:, k]
         else:
             out = powers.sum(axis=1)
-        out = out ** (1.0 / p)
+        out **= 1.0 / p
     limit = 2.0 ** (1000.0 / p)
-    odd = ~((out >= 1.0 / limit) & (out <= limit))
-    if odd.any():
+    if out.size and not (out.min() >= 1.0 / limit and out.max() <= limit):  # the mask only when a row is out
+        odd = ~((out >= 1.0 / limit) & (out <= limit))
         out[odd] = _scaled_norms(moduli[odd], p)
     return out
 

@@ -21,6 +21,7 @@ from ergolab import (
     rotation_average_closed_form,
 )
 
+from ergolab import averages
 from oracles import ref_orbit
 
 
@@ -202,6 +203,34 @@ def test_one_block_is_plain_cumsum_bit_for_bit():
             rows = orbit(op, x, n)
             want = np.cumsum(rows, axis=0) / np.arange(1, n + 1, dtype=np.float64)[:, None]
             assert np.array_equal(ergodic_averages(op, x, n).points, want)
+
+
+def _one_cumsum_per_block(rows):
+    """`averages._running_averages` with each 2^16-row block summed by one np.cumsum."""
+    total = carry = np.zeros(rows.shape[1], dtype=complex)
+    for start in range(0, rows.shape[0], 2**16):
+        block = rows[start:start + 2**16]
+        np.cumsum(block, axis=0, out=block)
+        y = block[-1] - carry
+        if start:
+            block += total
+        block /= np.arange(start + 1, start + 1 + block.shape[0], dtype=np.float64)[:, None]
+        t = total + y
+        total, carry = t, (t - total) - y
+
+
+@pytest.mark.parametrize("u", [1, 2, 3, 16, 64])
+def test_pieces_of_a_block_sum_as_one_cumsum_bit_for_bit(u):
+    # A block is summed in pieces of max(256, 2^14 / u) rows; horizons end on either side
+    # of piece edges and, up to u = 16, past the first block edge.
+    piece = max(256, 2**14 // u)
+    rng = np.random.default_rng(u)
+    for n in (piece - 1, piece, piece + 1, 3 * piece + 2, *([2**16 + piece + 1] if u <= 16 else [])):
+        rows = rng.standard_normal((n, u)) + 1j * rng.standard_normal((n, u))
+        want = rows.copy()
+        _one_cumsum_per_block(want)
+        averages._running_averages(rows)
+        assert rows.tobytes() == want.tobytes(), n
 
 
 def test_blocked_sum_matches_closed_form_across_blocks():

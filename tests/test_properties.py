@@ -28,6 +28,7 @@ from ergolab import (
     empirical_convergence_rate,
     ergodic_averages,
     g_double,
+    g_next_power_of_two,
     g_successor,
     lpb_norm,
     martingale_differences,
@@ -410,18 +411,47 @@ def _blocked_and_plain(run):
     return blocked, plain
 
 
+def _batched_and_single(run):
+    """run() with exact checks of as many alive rows as 2^20 floats hold, and with one row per
+    check. The budget also sets the chunk of the views that run() builds, so each batch fits one."""
+    with mock.patch.object(_scan, "_CHUNK_FLOATS", 2**20):
+        batched = run()
+    with mock.patch.object(_scan, "_CHUNK_FLOATS", 0):
+        single = run()
+    return batched, single
+
+
+def _selector_scans(pts, eps, p):
+    """Witnesses, empirical rate and the metastability rates of the three built-in selectors and
+    of a non-monotone g, each rate or where its scan ran out of horizon."""
+    def rate(g):
+        try:
+            return metastability_rate(pts, eps, g, p_norm=p)
+        except HorizonExhaustedError as exc:
+            return "exhausted", exc.checked_up_to
+
+    return (count_fluctuations(pts, eps, p_norm=p).witnesses, empirical_convergence_rate(pts, eps, p_norm=p),
+            *(rate(g) for g in (g_successor, g_double, g_next_power_of_two, lambda n: n + 1 + 5 * (n % 3))))
+
+
 def _full_check(view, eps, anchor, j):
-    """An exact check that evaluates every row of [anchor, j): (the least separated i or None,
+    """An exact check that evaluates every row of [anchor, j): ((the least separated i, j) or None,
     the largest distance D). A point is a box, so `box_reach` gives each distance with its
     near-eps lift."""
     c = view.coords
     dist = _scan.box_reach(c[anchor:j], c[anchor:j], c[j], c[j], view.p, eps)
     valid = np.flatnonzero(dist >= eps)
-    return (anchor + int(valid[0]) if valid.size else None), float(dist.max())
+    return ((anchor + int(valid[0]), j) if valid.size else None), float(dist.max())
+
+
+def _check(view, eps, anchor, j):
+    """The exact check of the one row j: (its hit or None, its D')."""
+    hit, bound = _scan._exact_check(view, eps, anchor, np.array([j]))
+    return hit, float(bound[0])
 
 
 def _assert_checks_agree(blocked, plain, full, eps):
-    """Blocked and plain checks find the full check's least separated i; a clean blocked check
+    """Blocked and plain checks find the full check's hit (least separated i, j); a clean blocked check
     bounds the largest distance D by D <= D' < eps, and a clean plain check returns D itself."""
     for (bi, bd), (pi, pd), (fi, fd) in zip(blocked, plain, full):
         assert bi == pi == fi
@@ -440,7 +470,10 @@ class TestBlockPrunedChecks:
     checks), on trajectories of which some repeat every row 32 times, at scales 2^-600
     to 2^600, with eps drawn at random, or exactly on or one ulp above the largest
     distance of a check: then only the blocks next to eps hold a separated row, and
-    p not in {1, 2} lifts rounded norms."""
+    p not in {1, 2} lifts rounded norms. A batch of rows in one exact check finds the
+    first row's hit and bounds each clean row by its own D, and scans that check runs
+    of up to 2^20 floats find the same hits, witnesses and rates as scans that check
+    one row at a time, for the three built-in selectors and a non-monotone g."""
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 4), st.integers(1100, 2000), st.sampled_from([1.0, 1.5, 2.0, 3.0, 4.0]),
@@ -461,12 +494,26 @@ class TestBlockPrunedChecks:
             assume(eps > 0.0)  # on a check inside one run of 32 repeats, 0 is no threshold
         view = _scan.PointsView(pts, p)
         full = [_full_check(view, eps, i, j) for i, j in pairs]
-        _assert_checks_agree(*_blocked_and_plain(lambda: [_scan._exact_check(view, eps, i, j) for i, j in pairs]),
+        _assert_checks_agree(*_blocked_and_plain(lambda: [_check(view, eps, i, j) for i, j in pairs]),
                              full, eps)
         hits = _blocked_and_plain(lambda: [_scan.first_violation(view, eps, i, n - 1) for i, _ in pairs[:4]])
         assert hits[0] == hits[1]
         scans = _blocked_and_plain(lambda: _scans(pts, eps, p))
         assert scans[0] == scans[1]
+        # A batch of rows after the anchor, the tie's row among them: its hit is the first row's
+        # with a separated candidate, and a clean batch bounds each row by that row's D.
+        anchor, j = pairs[0]
+        rows = np.unique(np.append(rng.integers(anchor + 1, n, 5), j))
+        full = [_full_check(view, eps, anchor, int(t)) for t in rows]
+        hit, bound = _scan._exact_check(view, eps, anchor, rows)
+        assert hit == next((f for f, _ in full if f is not None), None)
+        assert hit is not None or bound.tolist() == [d for _, d in full]
+        batched = _batched_and_single(lambda: [_scan.first_violation(_scan.PointsView(pts, p), eps, i, n - 1)
+                                              for i, _ in pairs[:4]])
+        assert batched[0] == batched[1] == hits[0]
+        batched = _batched_and_single(lambda: _selector_scans(pts, eps, p))
+        assert batched[0] == batched[1]
+        assert batched[0][:2] + batched[0][3:4] == scans[0]  # witnesses, empirical rate, g_double's rate
 
     @pytest.mark.parametrize("u", [1, 3])
     @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
@@ -491,10 +538,25 @@ class TestBlockPrunedChecks:
         dist = batch_norm_p(view.pts[anchor:j] - view.pts[j], p)
         assert dist[: first - anchor].max() < dist[first - anchor]
         for eps in (float(dist[first - anchor]), 2.0 * float(dist.max())):
-            blocked, plain = _blocked_and_plain(lambda: [_scan._exact_check(view, eps, anchor, j)])
-            want = (first if eps < dist.max() else None), float(dist.max())
+            blocked, plain = _blocked_and_plain(lambda: [_check(view, eps, anchor, j)])
+            want = ((first, j) if eps < dist.max() else None), float(dist.max())
             assert _full_check(view, eps, anchor, j) == want
             _assert_checks_agree(blocked, plain, [want], eps)
+
+    @pytest.mark.parametrize("u", [1, 2, 3, 7, 8, 16])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0])
+    def test_batched_distances_keep_their_bits(self, u, p):
+        # Rows against one run of candidates in one kernel call, some of the rows among the
+        # candidates (a zero distance): each row's distances are its own call's to the bit,
+        # also at scales where the kernel rescales rows.
+        rng = np.random.default_rng(u)
+        for k in (-600, 0, 600):
+            pts = (rng.standard_normal((300, u)) + 1j * rng.standard_normal((300, u))) * 2.0**k
+            view = _scan.PointsView(pts, p)
+            rows = np.sort(rng.choice(300, 9, replace=False))
+            batch = view.distances_to(rows, 17, 290)
+            for r, t in enumerate(rows.tolist()):
+                assert batch[r].tobytes() == view.distances_to(t, 17, 290).tobytes()
 
     def test_a_check_whose_boxes_all_fall_short_evaluates_no_row(self, monkeypatch):
         # 20,000 rows past the block threshold, 32 repeats making each block's box a point, and
@@ -502,8 +564,8 @@ class TestBlockPrunedChecks:
         pts = np.repeat(np.exp(1e-4j * np.arange(625.0))[:, None], 32, axis=0)
         view = _scan.PointsView(pts, 2.0)
         monkeypatch.setattr(view, "distances_to", mock.Mock(side_effect=AssertionError("a row evaluated")))
-        i, bound = _scan._exact_check(view, 0.5, 40, 19950)
-        assert i is None and _full_check(view, 0.5, 40, 19950)[1] <= bound < 0.5
+        hit, bound = _check(view, 0.5, 40, 19950)
+        assert hit is None and _full_check(view, 0.5, 40, 19950)[1] <= bound < 0.5
 
 
 class TestBoxPyramid:

@@ -290,6 +290,33 @@ class TestCountFluctuations:
         assert empirical_convergence_rate(traj, 0.02) == ConvergenceRateResult(True, 121, 2**16)
         assert sum(counted) <= 76_904
 
+    def test_batched_checks_halve_the_kernel_calls_of_a_tight_tail(self, monkeypatch):
+        # The u = 2, 4,096-row case of the metastability scenario at seed 2026, at eps = 0.02:
+        # 119 fluctuations by row 322, then a tail whose checks clear eps by a few per cent.
+        # Checking a run of alive rows in one kernel call makes at most half the calls of
+        # checking one row at a time, with the same chain.
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(2026).spawn(1)[0]))
+        angles = rng.uniform(0.25, math.pi, 2) * np.where(rng.uniform(size=2) < 0.5, -1.0, 1.0)
+        z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        traj = ergodic_averages(RotationProduct(angles), Vector(z / Vector(z, p=2).norm(), p=2), 4096)
+        calls = []
+        norm = _scan.batch_norm_p
+
+        def counting(points, p):
+            calls.append(len(points))
+            return norm(points, p)
+
+        monkeypatch.setattr(_scan, "batch_norm_p", counting)
+        chains = []
+        for budget in (_scan._CHUNK_FLOATS, 0):  # 0: no second row fits, so every check is one row
+            view = PointsView(traj.points, 2.0)
+            monkeypatch.setattr(_scan, "_CHUNK_FLOATS", budget)
+            chains.append((list(_scan.greedy_chain(view, 0.02, 0, 4095)), len(calls)))
+            calls.clear()
+        (batched, batched_calls), (single, single_calls) = chains
+        assert batched == single and len(batched) == 119 and batched[-1] == (313, 322)
+        assert batched_calls <= single_calls / 2
+
     def test_settled_tail_is_pruned_by_chunk_boxes(self, monkeypatch):
         # A u = 2 rotation of 999,999 rows, settled at eps = 0.5 after row 4: the scan
         # certifies the tail by the boxes of doubling chunks, so about a thousand rows,
