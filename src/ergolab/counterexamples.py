@@ -17,9 +17,9 @@ import numpy as np
 
 from ._scan import PointsView, first_violation
 from .averages import AverageTrajectory, ergodic_averages
-from .errors import HorizonExhaustedError
+from .errors import HorizonExhaustedError, InvalidInputError
 from .operators import RotationProduct
-from .spaces import Vector, _exponent, _integer, _shown
+from .spaces import MAX_TRAJECTORY_SLOTS, Vector, _exponent, _integer, _shown
 from .variation import count_fluctuations, g_next_power_of_two, metastability_rate
 
 __all__ = [
@@ -49,8 +49,8 @@ def build_rotation_counterexample(p: float, u: int) -> RotationCounterexample:
     which forces a fluctuation of size 2 eps inside every dyadic interval
     [2^(k-1), 2^k] with k <= u.
     """
-    p, u = _exponent(p, "counterexample exponent", "p", 2), _integer(u, "u", 1)
-    angles = math.pi / np.exp2(np.arange(u, dtype=np.float64))
+    p, u = _exponent(p, "counterexample exponent", "p", 2), _integer(u, "u", 1, MAX_TRAJECTORY_SLOTS)
+    angles = math.pi * np.exp2(-np.arange(u, dtype=np.float64))  # pi / 2^k overflows 2^k from k = 1,024
     scale = u ** (-1.0 / p)
     x = Vector(np.full(u, scale, dtype=np.complex128), p=p)
     eps = 1.0 / (2.0 * u ** (1.0 / p))
@@ -86,13 +86,19 @@ def verify_metastability_lower_bound(p: int, horizon: int | None = None) -> Lowe
     eps = 1/4, the metastability rate for g(n) = next power of two and the
     greedy fluctuation count.
 
-    The default horizon is 2^u. When the rate search exhausts it, the
-    verified lower bound (every smaller n was checked and failed) is
-    reported with rate_exhausted=True; it exceeds 2^p for every p >= 2.
+    The default horizon is 2^u; u times the horizon must be at most
+    MAX_TRAJECTORY_SLOTS, so p <= 4 at the default. When the rate search
+    exhausts the horizon, the verified lower bound (every smaller n was
+    checked and failed) is reported with rate_exhausted=True; it exceeds 2^p
+    for every p >= 2.
     """
-    p = _integer(p, "p", 2)
-    u = 2**p
-    horizon = _integer(2**u if horizon is None else horizon, "horizon", 1)
+    p, default = _integer(p, "p", 2), horizon is None
+    u = 2 ** min(p, 64)  # u = 2^p slots over 2^u rows by default; a power past 2^64 is shown, not built
+    horizon = 2 ** min(u, 64) if default else _integer(horizon, "horizon", 1)
+    if u * horizon > MAX_TRAJECTORY_SLOTS:  # before any array: u slots alone may be past the cap
+        dim = u if p <= 64 else f"2^{_shown(p)}"
+        raise InvalidInputError(f"horizon {f'2^{dim}' if default and u > 64 else _shown(horizon)} * "
+                                f"dimension {dim} exceeds the cap of {MAX_TRAJECTORY_SLOTS} trajectory slots")
     built = build_rotation_counterexample(p, u)
     eps = 0.25  # = 1/(2 u^(1/p)) exactly, since u^(1/p) = 2
     traj = ergodic_averages(built.operator, built.x, horizon)

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DimensionMismatchError, InvalidInputError, PreconditionError
 from .operators import Operator
 from .averages import orbit
-from .spaces import MAX_TRAJECTORY_SLOTS, Vector, _checked, _exponent, _frozen, _integer, _integers, _shown
+from .spaces import MAX_TRAJECTORY_SLOTS, Vector, _exponent, _frozen, _integer, _integers, _shown
 from .variation import IndexSequence
 
 __all__ = [
@@ -59,13 +59,6 @@ class SeqFunction:
     def dim(self) -> int:
         return self.values.shape[1]
 
-    def at(self, x: int) -> Vector:
-        """f(x), the implicit zero outside the window included."""
-        x = _integer(x, "x")
-        if self.lo <= x < self.hi:
-            return Vector(self.values[x - self.lo], self.p)
-        return Vector(np.zeros(self.dim, dtype=np.complex128), self.p)
-
     def _aligned(self, other: "SeqFunction") -> tuple[int, np.ndarray, np.ndarray]:
         if not isinstance(other, SeqFunction):
             raise InvalidInputError("expected a SeqFunction")
@@ -88,11 +81,6 @@ class SeqFunction:
     def __sub__(self, other: "SeqFunction") -> "SeqFunction":
         lo, a, b = self._aligned(other)
         return SeqFunction(lo, a - b, self.p)
-
-    def __mul__(self, scalar) -> "SeqFunction":
-        return SeqFunction(self.lo, self.values * _checked(scalar, "scalar factor", 0), self.p)
-
-    __rmul__ = __mul__
 
 
 def lpb_norm(f: SeqFunction) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidInputError
+from .errors import InvalidInputError
 
 __all__ = [
     "Vector",
@@ -131,7 +131,7 @@ def _integers(values, name: str, lo: int | None = None) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Vector:
-    """A point of l^p_u(C). Immutable; arithmetic returns new vectors."""
+    """A point of l^p_u(C). Immutable."""
 
     components: np.ndarray
     p: float
@@ -148,30 +148,6 @@ class Vector:
         """(sum_i |z_i|^p)^(1/p) over the complex slots: the kernel's scaled path
         on one row, so no p-th power overflows at any scale."""
         return float(_scaled_norms(np.abs(self.components)[None, :], self.p)[0])
-
-    def _coerce(self, other: "Vector") -> None:
-        if not isinstance(other, Vector):
-            raise InvalidInputError("expected a Vector")
-        if other.dim != self.dim:
-            raise DimensionMismatchError(f"dimension {other.dim} != {self.dim}")
-        if other.p != self.p:
-            raise InvalidInputError(f"norm exponent {other.p} != {self.p}")
-
-    def __add__(self, other: "Vector") -> "Vector":
-        self._coerce(other)
-        return Vector(self.components + other.components, self.p)
-
-    def __sub__(self, other: "Vector") -> "Vector":
-        self._coerce(other)
-        return Vector(self.components - other.components, self.p)
-
-    def __mul__(self, scalar) -> "Vector":
-        return Vector(self.components * _checked(scalar, "scalar factor", 0), self.p)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Vector":
-        return Vector(-self.components, self.p)
 
 
 def batch_norm_p(points: np.ndarray, p: float) -> np.ndarray:
@@ -313,6 +289,9 @@ def check_uniform_convexity(
     are skipped as vacuous.
     """
     dim, trials = _integer(dim, "dimension", 1), _integer(trials, "trials", 1)
+    if dim * trials > MAX_TRAJECTORY_SLOTS:  # checked before any sample is drawn
+        raise InvalidInputError(f"dimension {_shown(dim)} * trials {_shown(trials)} exceeds the cap of "
+                                f"{MAX_TRAJECTORY_SLOTS} sample slots")
     rng = np.random.default_rng(_integer(seed, "seed", 0))
     p = desc.p
 

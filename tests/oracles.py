@@ -4,7 +4,8 @@ Everything here is deliberately naive: plain Python loops over explicitly
 enumerated candidates, with its own norm arithmetic. Nothing imports the
 package under test, so agreement between these and the library is a real
 two-route check, not a tautology. `ref_orbit` reads an operator's defining
-array or size and nothing else of it. Two references pin bits rather than
+array or size and nothing else of it, and `value_at` a `SeqFunction`'s window and
+values. Two references pin bits rather than
 values: `ref_drift` is the plain all-pairs loop over m - n, and the caller hands
 it the package's row norm; `ref_row_norms` repeats the norm kernel's numpy
 arithmetic but sums each row in a Python loop.
@@ -164,6 +165,13 @@ def hilbert_midpoint_norm_sq(x, y):
     ny = sum(abs(z) ** 2 for z in y)
     nd = sum(abs(a - b) ** 2 for a, b in zip(x, y)) / 4.0
     return (nx + ny) / 2.0 - nd
+
+
+def value_at(f, x):
+    """f(x) of a SeqFunction as a complex row, the implicit zero outside its window included."""
+    if f.lo <= x < f.hi:
+        return f.values[x - f.lo]
+    return np.zeros(f.dim, dtype=np.complex128)
 
 
 def block_average_ref(values, lo, n_level, x):

@@ -359,7 +359,7 @@ class TestStabilityWindowCheck:
         assert len(rep.violations) >= 1
         for i, j in rep.violations:
             assert 2 <= i < j <= 128
-            d = traj.point(j) - traj.point(i)
+            d = Vector(traj.point(j).components - traj.point(i).components, traj.p)
             assert d.norm() >= par.eps
 
     def test_truncation_after_sixteen_violations(self):

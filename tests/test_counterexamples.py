@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,6 +46,14 @@ class TestRotationBuilder:
             build_rotation_counterexample(1.5, 4)
         with pytest.raises(InvalidInputError):
             build_rotation_counterexample(2.0, 0)
+
+    def test_angles_past_1024_slots_underflow_without_a_warning(self):
+        # pi / 2^k overflowed 2^k from k = 1,024, and slots 1,025-1,075 got angle 0
+        angles = build_rotation_counterexample(2.0, 1100).operator.angles  # RuntimeWarnings are errors here
+        k = np.arange(1024, dtype=np.float64)
+        assert angles[:1024].tobytes() == (math.pi / np.exp2(k)).tobytes()
+        assert angles[1024] == math.ldexp(math.pi, -1024) and angles[1074] == math.ldexp(math.pi, -1074) > 0.0
+        assert np.all(angles[1:] <= angles[:-1]) and angles[-1] == 0.0
 
 
 class TestDyadicIntervalFluctuation:
@@ -100,7 +109,7 @@ class TestCyclicShiftFamily:
         op, x = _shift_at_e1(16)
         traj = ergodic_averages(op, x, 16)
         for k in range(0, 4):
-            d = traj.point(2 ** (k + 1)) - traj.point(2**k)
+            d = Vector(traj.point(2 ** (k + 1)).components - traj.point(2**k).components, x.p)
             assert d.norm() == pytest.approx(1.0, abs=1e-12)
 
     def test_average_values(self):
@@ -144,6 +153,29 @@ class TestVerifier:
     def test_validation(self):
         with pytest.raises(InvalidInputError):
             verify_metastability_lower_bound(1)
+
+    @pytest.mark.parametrize("call, text", [
+        (lambda: verify_metastability_lower_bound(64),
+         "horizon 2^18446744073709551616 * dimension 18446744073709551616 exceeds the cap of 16777216 "
+         "trajectory slots"),
+        (lambda: verify_metastability_lower_bound(65),
+         "horizon 2^2^65 * dimension 2^65 exceeds the cap of 16777216 trajectory slots"),
+        (lambda: verify_metastability_lower_bound(24, 2),
+         "horizon 2 * dimension 16777216 exceeds the cap of 16777216 trajectory slots"),
+        (lambda: build_rotation_counterexample(2.0, 2**40), "u 1099511627776 outside [1, 16777216]"),
+        (lambda: build_rotation_counterexample(2.0, 10**8), "u 100000000 outside [1, 16777216]"),
+    ], ids=["p64", "p65", "p24-horizon2", "u2^40", "u10^8"])
+    def test_families_past_the_slot_cap_are_rejected_before_any_array(self, call, text):
+        # p = 24 used to build a 2^24-bit horizon and 2^24-slot arrays first (689 MB peak RSS);
+        # u = 10^8 failed allocating 1.49 GiB in numpy
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInputError, match=f"^{re.escape(text)}$"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_default_horizon_past_the_slot_cap_is_rejected(self):
         # p = 5: 2^32 rows of 32 slots, which used to fail allocating 32 GiB in numpy

@@ -34,6 +34,10 @@ PUBLIC_NAMES = ["AverageTrajectory", "ConvergenceRateResult", "CountOverflowErro
 # What the library reads of an operator; each kind adds only its defining data to these.
 OPERATOR_MEMBERS = {"certificate", "dim", "orbit"}
 
+# The value classes' public members: measurements read their arrays, so no point-by-point API.
+VECTOR_MEMBERS = {"components", "p", "dim", "norm"}
+SEQFUNCTION_MEMBERS = {"lo", "values", "p", "hi", "dim"}
+
 
 def test_public_names_are_pinned():
     assert len(PUBLIC_NAMES) == 56
@@ -51,6 +55,20 @@ def test_operator_protocol_members_are_pinned():
                          ids=["rotation", "shift", "dense"])
 def test_operator_kinds_expose_the_protocol_and_their_data_only(op, data):
     assert {name for name in dir(op) if not name.startswith("_")} == OPERATOR_MEMBERS | data
+
+
+@pytest.mark.parametrize("value, members", [(ergolab.Vector([1.0], 2.0), VECTOR_MEMBERS),
+                                            (ergolab.SeqFunction(0, [[1.0]], 2.0), SEQFUNCTION_MEMBERS)],
+                         ids=["Vector", "SeqFunction"])
+def test_value_classes_expose_their_pinned_members_only(value, members):
+    assert {name for name in dir(value) if not name.startswith("_")} == members
+
+
+def test_no_vector_arithmetic_or_scalar_products():
+    # SeqFunction keeps + and -, which the decomposition checks use
+    assert not [name for name in ("__add__", "__sub__", "__mul__", "__rmul__", "__neg__")
+                if hasattr(ergolab.Vector, name)]
+    assert not [name for name in ("__mul__", "__rmul__") if hasattr(ergolab.SeqFunction, name)]
 
 
 def test_all_is_the_union_of_the_module_lists():

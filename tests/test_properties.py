@@ -63,8 +63,8 @@ class TestNormProperties:
         n = min(len(re), len(im))
         x = _vec(np.array(re[:n]) + 1j * np.array(im[:n]), p)
         y = _vec(np.array(im[:n]) + 1j * np.array(re[:n]), p)
-        assert (c * x).norm() == pytest.approx(abs(c) * x.norm(), rel=1e-12, abs=1e-12)
-        assert (x + y).norm() <= x.norm() + y.norm() + 1e-12
+        assert _vec(c * x.components, p).norm() == pytest.approx(abs(c) * x.norm(), rel=1e-12, abs=1e-12)
+        assert _vec(x.components + y.components, p).norm() <= x.norm() + y.norm() + 1e-12
 
 
 class TestScannersAgainstBruteForce:
