@@ -5,6 +5,11 @@ segment of points for the earliest index j such that some earlier index
 i >= c (the anchor) has ||a_j - a_i|| >= eps. The scan below is exact; the
 pruning never changes the answer, only skips work:
 
+- before any box work, the view's one cached block of exact pairwise distances (`PointsView.near`: at most
+  32 rows and 2^15 floats of differences, one kernel call) settles a segment whose first separated row, or
+  whose end, lies in it. Else the box scan starts after the block, its running box spanning it. A block
+  starts at the anchor, or ends at hi if the segment fits (reversed windows move down); a view whose last
+  block settled nothing builds no more, so scans of long steps pay for one block per view;
 - a running per-real-coordinate bounding box of the candidate prefix gives a
   certified upper bound on the best distance at each j (`box_reach`, with
   the row a degenerate box). The chunk of rows bounded at once doubles
@@ -52,6 +57,7 @@ Indices here are 0-based; the public modules translate to 1-based.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -64,10 +70,12 @@ _CHUNK_FLOATS = 2**15  # cap on rows x real coordinates of one chunk
 _BALL_STEP = 16  # first slice of the ball-run search; later slices double
 _NEAR = 1.0 - 2.0**-48  # (sum |z|^p)^(1/p) rounds at most a few ulps below max |z|
 _BLOCK, _BLOCK_FLOATS = 32, 2**15  # rows of a block box; least rows x real coordinates of a check using them
+_NEAR_ROWS = 32  # most rows of a view's block of exact pairwise distances
 
 
 class PointsView:
-    """An (N, u) complex point array, checked by the caller, and its scan geometry: steps, chunk, boxes."""
+    """An (N, u) complex point array, checked by the caller, and its scan geometry: steps, chunk, boxes,
+    and one cached block of exact pairwise distances (`near`). A view serves one public call."""
 
     def __init__(self, pts: np.ndarray, p: float):
         if pts.shape[1] > 1 and pts.strides[1] != pts.itemsize:
@@ -78,6 +86,8 @@ class PointsView:
         self.coords = pts.view(np.float64)  # (Re z_1, Im z_1, ..., Re z_u, Im z_u) per row
         self.chunk = max(_CHUNK, _CHUNK_FLOATS // self.coords.shape[1])  # most rows bounded at once
         self._boxes = {}  # block size -> boxes
+        self._near = 0, np.zeros((0, 0))
+        self.near_paid = True  # the last block settled a scan, so another may be built
 
     @cached_property
     def steps(self) -> np.ndarray:
@@ -92,6 +102,21 @@ class PointsView:
         """||a_i - a_j|| for i in [lo, hi), in one kernel call; an array j of k rows gives (k, hi - lo)."""
         diff = self.pts[lo:hi] - self.pts[j, None]  # elementwise, so each distance has its one-row bits
         return batch_norm_p(diff.reshape(-1, diff.shape[-1]), self.p).reshape(diff.shape[:-1])
+
+    def near(self, anchor: int, hi: int) -> tuple[int, np.ndarray] | None:
+        """(b, dist): the cached block of rows [b, b + m) if it holds anchor < hi and the next row, else a new
+        one of m = `_NEAR_ROWS` rows (fewer if m^2 difference rows pass `_CHUNK_FLOATS` floats) from anchor, or
+        ending at hi if the segment fits; None once a block settled nothing. dist[r, c] = ||a_(b+c) - a_(b+r)||
+        for c < r, else 0, from one kernel call, so each distance has its one-row bits."""
+        b, dist = self._near
+        if not b <= anchor < b + len(dist) - 1:
+            m = min(_NEAR_ROWS, math.isqrt(_CHUNK_FLOATS // self.coords.shape[1]))
+            if not self.near_paid or m < 2:
+                return None
+            b = anchor if hi - anchor >= m else max(0, hi + 1 - m)
+            end = min(self.n, b + m)
+            self._near, self.near_paid = (b, np.tril(self.distances_to(np.arange(b, end), b, end), -1)), False
+        return self._near
 
     def boxes(self, size: int) -> tuple[np.ndarray, np.ndarray]:
         """Per-real-coordinate min and max of each aligned block of `size` rows (a power of two), the short
@@ -158,6 +183,20 @@ def _runs(edges: np.ndarray, segs: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(edges[segs[first]].tolist(), edges[segs[last] + 1].tolist()))
 
 
+def _first_separated(view: PointsView, eps: float, dist: np.ndarray, lo: int,
+                     rows: np.ndarray) -> tuple[int, int] | None:
+    """(lo + c, rows[r]) for the first r with some dist[r, c] >= eps and its least such c, or None; dist[r, c] is
+    ||a_(lo+c) - a_(rows[r])||, and those a few ulps below eps are lifted in place as `box_reach` lifts them."""
+    if view.p not in (1.0, 2.0) and (near := (dist < eps) & (dist >= eps * _NEAR)).any():  # point = box
+        r, i = np.nonzero(near)
+        cand, row = view.coords[lo + i], view.coords[rows[r]]
+        dist[r, i] = box_reach(cand, cand, row, row, view.p, eps)
+    if (valid := dist >= eps).any():
+        t = int(np.argmax(valid.any(axis=1)))
+        return lo + int(np.argmax(valid[t])), int(rows[t])
+    return None
+
+
 def _exact_check(view: PointsView, eps: float, anchor: int,
                  rows: np.ndarray) -> tuple[tuple[int, int] | None, np.ndarray]:
     """((i, j) for the first j of the ascending rows with some i in [anchor, j) at ||a_i - a_j|| >= eps, i the
@@ -182,12 +221,8 @@ def _exact_check(view: PointsView, eps: float, anchor: int,
             dist = view.distances_to(rows, c, d)  # (k, d - c)
             if len(rows) > 1:
                 dist[rows[:, None] <= np.arange(c, d)] = 0.0  # a row's candidates end before it
-            if p not in (1.0, 2.0) and (near := (dist < eps) & (dist >= eps * _NEAR)).any():  # point = box
-                r, i = np.nonzero(near)
-                dist[r, i] = box_reach(view.coords[c + i], view.coords[c + i], row[r], row[r], p, eps)
-            if (valid := dist >= eps).any():
-                t = int(np.argmax(valid.any(axis=1)))
-                return (c + int(np.argmax(valid[t])), int(rows[t])), bound
+            if (hit := _first_separated(view, eps, dist, c, rows)) is not None:
+                return hit, bound
             bound = np.maximum(bound, dist.max(axis=1))
     return None, bound
 
@@ -196,15 +231,23 @@ def first_violation(view: PointsView, eps: float, anchor: int, hi: int) -> tuple
     """Earliest j in (anchor, hi] with some i in [anchor, j) at distance >= eps.
 
     Returns (i, j), i the smallest admissible i for that j, or None when the
-    whole segment [anchor, hi] is eps-tight.
+    whole segment [anchor, hi] is eps-tight. eps, a float > 0, is checked by the caller.
     """
-    eps = _real(eps, "separation threshold", 0, above=True)
     if not 0 <= anchor <= hi < view.n:
         raise InvalidInputError(f"segment [{anchor}, {hi}] outside [0, {view.n - 1}]")
     coords, p, chunk, k = view.coords, view.p, _CHUNK, 1
 
     cmin = cmax = coords[anchor]  # the running box of the rows before j
     j = anchor + 1
+    if j <= hi and (near := view.near(anchor, hi)) is not None:  # the segment's first rows, from the block
+        b, dist = near
+        top = min(hi, b + len(dist) - 1)
+        rows = np.arange(j, top + 1)
+        hit = _first_separated(view, eps, dist[j - b : top + 1 - b, anchor - b :].copy(), anchor, rows)
+        if hit is not None or top == hi:
+            view.near_paid = True
+            return hit
+        (cmin, cmax), j = _span(coords[anchor : top + 1]), top + 1
     while j <= hi:
         if chunk > _CHUNK:  # the last chunk was pruned whole: try the next one as one box
             stop = min(hi + 1, j + chunk)

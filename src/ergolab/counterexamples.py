@@ -19,7 +19,7 @@ from ._scan import PointsView, first_violation
 from .averages import AverageTrajectory, ergodic_averages
 from .errors import HorizonExhaustedError, InvalidInputError
 from .operators import RotationProduct
-from .spaces import MAX_TRAJECTORY_SLOTS, Vector, _exponent, _integer, _shown
+from .spaces import MAX_TRAJECTORY_SLOTS, Vector, _exponent, _integer, _real, _shown
 from .variation import count_fluctuations, g_next_power_of_two, metastability_rate
 
 __all__ = [
@@ -64,6 +64,7 @@ def fluctuation_in_dyadic_interval(traj: AverageTrajectory, eps: float, k: int) 
         ends = (2 ** (k - 1), 2**k) if k <= bits + 1 else (f"2^{_shown(k - 1)}", f"2^{_shown(k)}")
         raise HorizonExhaustedError(f"interval [{ends[0]}, {ends[1]}] exceeds horizon {traj.horizon}",
                                     checked_up_to=traj.horizon)
+    eps = _real(eps, "separation threshold", 0, above=True)
     return first_violation(PointsView(traj.points, traj.p), eps, 2 ** (k - 1) - 1, 2**k - 1) is not None
 
 

@@ -259,7 +259,7 @@ def empirical_convergence_rate(points: PointsLike, eps: float, *,
     violation endpoint finds that index directly.
     """
     view = _points_view(points, p_norm)
-    n = view.n
+    n, eps = view.n, _real(eps, "separation threshold", 0, above=True)
     hit = first_violation(PointsView(view.pts[::-1], view.p), eps, 0, n - 1)
     if hit is None:
         return ConvergenceRateResult(True, 1, n)

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ergolab import (
+    AverageTrajectory,
     ConvergenceRateResult,
     CyclicShift,
     DenseMatrix,
@@ -27,6 +28,7 @@ from ergolab import (
     count_fluctuations,
     empirical_convergence_rate,
     ergodic_averages,
+    fluctuation_in_dyadic_interval,
     g_double,
     g_next_power_of_two,
     g_successor,
@@ -566,6 +568,74 @@ class TestBlockPrunedChecks:
         monkeypatch.setattr(view, "distances_to", mock.Mock(side_effect=AssertionError("a row evaluated")))
         hit, bound = _check(view, 0.5, 40, 19950)
         assert hit is None and _full_check(view, 0.5, 40, 19950)[1] <= bound < 0.5
+
+
+def _near_and_none(pts, p, eps, segments):
+    """first_violation over the segments in order on one forward and one reversed view, the selector
+    scans and every dyadic interval, with each view's cached block of exact distances and with no
+    block (`_NEAR_ROWS` = 0)."""
+    traj = AverageTrajectory(pts, p, RotationProduct(np.zeros(pts.shape[1])), Vector(np.ones(pts.shape[1]), p))
+
+    def run():
+        views = (_scan.PointsView(pts, p), _scan.PointsView(pts[::-1], p))
+        return ([_scan.first_violation(view, eps, a, b) for view in views for a, b in segments],
+                _selector_scans(pts, eps, p),
+                [fluctuation_in_dyadic_interval(traj, eps, k) for k in range(1, len(pts).bit_length())])
+
+    near = run()
+    with mock.patch.object(_scan, "_NEAR_ROWS", 0):
+        none = run()
+    return near, none
+
+
+class TestNearBlock:
+    """Scans that read their first rows off a view's cached block of exact pairwise distances
+    find the same hits, witnesses, rates and dyadic answers as scans that build no block. The
+    segments of one view start at, end at and straddle the edges of its 32-row blocks, on
+    forward and reversed views, at p in {1, 1.5, 2, 3, 4} and scales 2^-600 to 2^600, with eps
+    drawn at random or exactly on a distance. Or the only separated pair is a two-slot tie at
+    eps, |(4, 0) - (0, 0)| = 4 = eps, which p = 1.5, 3 and 4 round below eps and the near-eps
+    lift restores: it starts in the first block of the forward and the reversed view and ends
+    in it, on its last row or just past it, and segments end on it."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 4), st.integers(2, 200), st.sampled_from([1.0, 1.5, 2.0, 3.0, 4.0]),
+           st.sampled_from([-600, 0, 600]), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_same_hits_witnesses_rates_and_dyadic_answers(self, u, n, p, k, on_a_distance, seed):
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal(u) + 1j * rng.standard_normal(u)
+        pts = ergodic_averages(RotationProduct(rng.uniform(-np.pi, np.pi, u)), Vector(z, p), n).points
+        pts = pts / Vector(z, p).norm() * 2.0**k
+        eps = float(np.exp(rng.uniform(np.log(0.01), np.log(0.5)))) * 2.0**k
+        if on_a_distance:
+            i, j = sorted(rng.choice(n, 2, replace=False))
+            eps = float(batch_norm_p(pts[j : j + 1] - pts[i : i + 1], p)[0])
+            assume(eps > 0.0)
+        segments, a = [], int(rng.integers(n))
+        for _ in range(12):  # each near the last, so later segments read or pass the edges of its block
+            a = int(np.clip(a + rng.integers(-40, 41), 0, n - 1))
+            segments.append((a, min(n - 1, a + int(rng.choice([0, 1, 2, 30, 31, 32, 33, 64])))))
+        near, none = _near_and_none(pts, p, eps, segments)
+        assert near == none
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from([1.5, 3.0, 4.0]), st.sampled_from([-600, 0, 600]), st.integers(0, 31),
+           st.sampled_from([1, 2, 5, 31, 32, 33]), st.integers(0, 60), st.integers(0, 2**32 - 1))
+    def test_two_slot_tie_at_eps_in_a_block(self, p, k, i, d, extra, seed):
+        j, n = i + d, i + d + 2 + extra
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+        pts = np.array([2.0, 0.0]) + 0.05 * w / np.abs(w).sum(axis=1, keepdims=True)  # within 0.05 of (2, 0)
+        pts[i], pts[j] = 0.0, [4.0, 0.0]
+        segments = [(max(0, j - m), j) for m in (31, 32, 33)] + [(i, n - 1), (0, n - 1)]
+        pts, eps = pts * 2.0**k, 4.0 * 2.0**k
+        near, none = _near_and_none(pts, p, eps, segments)
+        assert near == none
+        # At 2^600 and p = 1.5 the kernel raises a power sum near 2^903 to the rounded 1/p and
+        # lands about 100 ulps below eps, out of the lift's reach; elsewhere the tie is the one
+        # fluctuation.
+        if batch_norm_p(pts[j : j + 1] - pts[i : i + 1], p)[0] >= eps * _scan._NEAR:
+            assert near[1][0] == ((i + 1, j + 1),)
 
 
 class TestBoxPyramid:

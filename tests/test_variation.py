@@ -30,6 +30,7 @@ from ergolab import (
     metastability_from_fluctuations,
     metastability_rate,
     p_variation_along,
+    verify_metastability_lower_bound,
 )
 
 from ergolab import _scan, variation
@@ -290,15 +291,19 @@ class TestCountFluctuations:
         assert empirical_convergence_rate(traj, 0.02) == ConvergenceRateResult(True, 121, 2**16)
         assert sum(counted) <= 76_904
 
-    def test_batched_checks_halve_the_kernel_calls_of_a_tight_tail(self, monkeypatch):
-        # The u = 2, 4,096-row case of the metastability scenario at seed 2026, at eps = 0.02:
-        # 119 fluctuations by row 322, then a tail whose checks clear eps by a few per cent.
-        # Checking a run of alive rows in one kernel call makes at most half the calls of
-        # checking one row at a time, with the same chain.
+    @staticmethod
+    def _metastability_case():
+        """The u = 2, 4,096-row case of the metastability scenario at seed 2026."""
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(2026).spawn(1)[0]))
         angles = rng.uniform(0.25, math.pi, 2) * np.where(rng.uniform(size=2) < 0.5, -1.0, 1.0)
         z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        traj = ergodic_averages(RotationProduct(angles), Vector(z / Vector(z, p=2).norm(), p=2), 4096)
+        return ergodic_averages(RotationProduct(angles), Vector(z / Vector(z, p=2).norm(), p=2), 4096)
+
+    def test_batched_checks_halve_the_kernel_calls_of_a_tight_tail(self, monkeypatch):
+        # The metastability case at eps = 0.02: 119 fluctuations by row 322, then a tail whose
+        # checks clear eps by a few per cent. Checking a run of alive rows in one kernel call
+        # makes at most half the calls of checking one row at a time, with the same chain.
+        traj = self._metastability_case()
         calls = []
         norm = _scan.batch_norm_p
 
@@ -316,6 +321,58 @@ class TestCountFluctuations:
         (batched, batched_calls), (single, single_calls) = chains
         assert batched == single and len(batched) == 119 and batched[-1] == (313, 322)
         assert batched_calls <= single_calls / 2
+
+    def test_near_block_halves_the_kernel_calls_of_short_steps(self, monkeypatch):
+        # The metastability case at eps = 0.05: 47 fluctuations of at most 8 rows each, and
+        # 2-row g_successor windows. Reading short segments off the view's cached block of
+        # exact distances makes at most half the kernel calls of a scan with no block, with
+        # the same chain and rate.
+        traj = self._metastability_case()
+        calls = []
+        norm = _scan.batch_norm_p
+
+        def counting(points, p):
+            calls.append(len(points))
+            return norm(points, p)
+
+        monkeypatch.setattr(_scan, "batch_norm_p", counting)
+        runs = []
+        for rows in (_scan._NEAR_ROWS, 0):  # 0: no block
+            monkeypatch.setattr(_scan, "_NEAR_ROWS", rows)
+            rep = count_fluctuations(traj, 0.05)
+            runs.append((rep.witnesses, len(calls)))
+            calls.clear()
+            runs.append((metastability_rate(traj, 0.05, g_successor), len(calls)))
+            calls.clear()
+        (chain, chain_calls), (rate, rate_calls), (chain0, chain0_calls), (rate0, rate0_calls) = runs
+        assert chain == chain0 and len(chain) == 47 and chain[-1] == (114, 122)
+        assert rate == rate0 == 20
+        assert chain_calls <= chain0_calls / 2 and rate_calls <= rate0_calls / 2
+
+    def test_views_stop_building_blocks_after_one_settles_nothing(self, monkeypatch):
+        # The p = 4 rotation family's steps double, so each view's blocks settle its first
+        # scans and then one settles nothing: each of the two views builds no block after
+        # that one, so scans of long steps pay for one unpaid block per view.
+        settled = {}  # view -> whether each of its blocks settled a scan, the last one open
+        near = PointsView.near
+
+        def recording(self, anchor, hi):
+            before, paid = self._near, self.near_paid
+            out = near(self, anchor, hi)
+            if self._near is not before:  # a new block: the one before it, if any, settled a scan or not
+                blocks = settled.setdefault(self, [])
+                if blocks:
+                    blocks[-1] = paid
+                blocks.append(None)
+            return out
+
+        monkeypatch.setattr(PointsView, "near", recording)
+        res = verify_metastability_lower_bound(4)
+        assert (res.rate_lower_bound, res.rate_exhausted, res.fluctuation_count) == (39_633, True, 26)
+        assert len(settled) == 2
+        for view, blocks in settled.items():
+            blocks[-1] = view.near_paid
+            assert blocks[-1] is False and all(blocks[:-1])
 
     def test_settled_tail_is_pruned_by_chunk_boxes(self, monkeypatch):
         # A u = 2 rotation of 999,999 rows, settled at eps = 0.5 after row 4: the scan

@@ -16,8 +16,9 @@ metric it holds how many pairs the change won, the change of the medians, the
 parent's interquartile range, and two verdicts: `clear_gain` (the change wins at
 least 9 of 10 pairs and its median beats the parent's by more than the parent's
 interquartile range) and `worse_than_bound` (the change's median is worse than
-the parent's by more than the metric's bound). Exit status 1 when some run was
-not correct or failed an operation.
+the parent's by more than the metric's bound). At the end it prints one stderr
+line per workload and metric with the two medians, the pairs won and both
+verdicts. Exit status 1 when some run was not correct or failed an operation.
 """
 
 from __future__ import annotations
@@ -79,6 +80,14 @@ def compare(runs: dict[str, list[dict]], metrics: dict[str, dict]) -> dict:
     return out
 
 
+def verdict_lines(result: dict) -> list[str]:
+    """One line per workload and metric: parent -> change median, pairs won, both verdicts."""
+    return [f"{workload} {name}: {res['parent']['metrics'][name]['median']:.4g} -> "
+            f"{res['change']['metrics'][name]['median']:.4g} {v['unit']}, won {v['pairs_won']}/{v['pairs']}, "
+            f"clear_gain {v['clear_gain']}, worse_than_bound {v['worse_than_bound']}"
+            for workload, res in result["workloads"].items() for name, v in res["verdicts"].items()]
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", help="checkout of the parent commit")
@@ -114,6 +123,7 @@ def main(argv: list[str] | None = None) -> int:
         json.dump(result, fh, indent=1)
         fh.write("\n")
     print(f"wrote {args.out}", file=sys.stderr)
+    print("\n".join(verdict_lines(result)), file=sys.stderr)
     return 1 if bad else 0
 
 
