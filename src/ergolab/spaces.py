@@ -161,35 +161,45 @@ def batch_norm_p(points: np.ndarray, p: float) -> np.ndarray:
     reproduce bit for bit, so `sum(axis=1)` stays. A row whose norm lies in
     [2^(-1000/p), 2^(1000/p)] has a power sum in [2^-1000, 2^1000], so no
     p-th power overflows and underflow loses nothing that shows; the other
-    rows, zero rows included, are recomputed scaled by their largest modulus.
+    rows are recomputed scaled by their largest modulus, except a zero row,
+    whose unscaled norm is exactly 0.
     """
     moduli = np.abs(points)
     u = moduli.shape[1]
     if u == 1:
         return moduli.ravel()
     with np.errstate(over="ignore"):
-        powers = moduli**p  # on the whole contiguous array: a strided power can round differently
-        if u < 8:
-            out = powers[:, 0] + powers[:, 1]
-            for k in range(2, u):
-                out += powers[:, k]
-        else:
-            out = powers.sum(axis=1)
+        out = _row_sums(moduli**p)  # the power on the whole contiguous array: a strided one can round differently
         out **= 1.0 / p
     limit = 2.0 ** (1000.0 / p)
     if out.size and not (out.min() >= 1.0 / limit and out.max() <= limit):  # the mask only when a row is out
         odd = ~((out >= 1.0 / limit) & (out <= limit))
-        out[odd] = _scaled_norms(moduli[odd], p)
+        odd &= _row_sums(moduli) > 0.0  # a zero row's norm is its unscaled 0
+        if odd.any():
+            out[odd] = _scaled_norms(moduli[odd], p)
+    return out
+
+
+def _row_sums(terms: np.ndarray) -> np.ndarray:
+    """Row sums of (n, u >= 2) terms: below 8 columns added column by column, left to right."""
+    if terms.shape[1] >= 8:
+        return terms.sum(axis=1)
+    out = terms[:, 0] + terms[:, 1]
+    for k in range(2, terms.shape[1]):
+        out += terms[:, k]
     return out
 
 
 def _scaled_norms(moduli: np.ndarray, p: float) -> np.ndarray:
     """Row-wise p-norm of nonnegative moduli, scaled by each row's peak. A zero
-    row's peak is 1 and its sum 0, which is its root; other rows sum to >= 1. Each
-    root is a scalar pow: numpy's array power rounds some last bits differently."""
+    row's peak is 1 and its sum 0, which is its root; a row whose peak is inf (an
+    overflowed difference) has norm inf; other rows sum to >= 1. Each root is a
+    scalar pow: numpy's array power rounds some last bits differently."""
     peak = moduli.max(axis=1)
     peak[peak == 0.0] = 1.0
-    sums = np.sum((moduli / peak[:, None]) ** p, axis=1)
+    with np.errstate(invalid="ignore"):  # inf / inf, in a row whose sum is set to 1 below
+        sums = np.sum((moduli / peak[:, None]) ** p, axis=1)
+    sums[np.isinf(peak)] = 1.0
     live = sums > 0.0
     sums[live] = [s ** (1.0 / p) for s in sums[live].tolist()]
     return peak * sums

@@ -14,12 +14,13 @@ Conventions fixed here once:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from ._scan import PointsView, first_violation, greedy_chain
+from ._scan import _BLOCK, _CHUNK_FLOATS, PointsView, _runs, box_reach, first_violation, greedy_chain
 from .averages import AverageTrajectory
 from .errors import CountOverflowError, HorizonExhaustedError, InvalidInputError
 from .spaces import _checked, _exponent, _integer, _integers, _real, _shown, batch_norm_p
@@ -40,6 +41,7 @@ __all__ = [
 ]
 
 _COUNT_CAP = 2**63 - 1
+_MARGIN = 1.0 + 2.0**-30  # on a block's box reach, before the power: far past the kernel's rounding
 
 PointsLike = Union[AverageTrajectory, np.ndarray, Sequence]
 
@@ -121,19 +123,33 @@ def p_variation_along(points: PointsLike, ts: IndexSequence, q: float, *,
     if ts.indices[-1] > view.n:  # before int64 conversion, which a huge index overflows
         raise InvalidInputError(f"index {_shown(ts.indices[-1])} exceeds horizon {view.n}")
     idx = np.asarray(ts.indices, dtype=np.int64)
-    steps = batch_norm_p(view.pts[idx[1:] - 1] - view.pts[idx[:-1] - 1], view.p)
-    return float(np.sum(steps**q))
+    with np.errstate(over="ignore"):  # a step or its power past the float range is inf
+        steps = batch_norm_p(view.pts[idx[1:] - 1] - view.pts[idx[:-1] - 1], view.p)
+        return float(np.sum(steps**q))
 
 
 def max_p_variation(points: PointsLike, q: float | Sequence[float], *, p_norm: float | None = None
                     ) -> tuple[float, IndexSequence] | list[tuple[float, IndexSequence]]:
     """Maximum of p_variation_along over all increasing index sequences, and a witness.
 
-    Quadratic dynamic program: V[j] = max(0, max_(i<j) V[i] + ||a_j - a_i||^q),
-    with backpointers for the witness. Ties fall to the smallest index. For a
-    sequence of exponents q (a list, tuple or 1-D array) it returns a list, one
-    (value, witness) per exponent, in order, each bit for bit its own call's:
-    one pass of distances per row j serves every exponent.
+    The dynamic program V[j] = max(0, max_(i<j) V[i] + ||a_j - a_i||^q), with
+    backpointers for the witness; ties fall to the smallest index. For a sequence
+    of exponents q (a list, tuple or 1-D array) it returns a list, one (value,
+    witness) per exponent, in order, each bit for bit its own call's.
+
+    Rows go in aligned blocks R of 32 (`PointsView.boxes`). Each row of R is first
+    scored against seed blocks: the block before R and, per exponent, the block of
+    the last row's predecessor. The least of those row maxima is the exponent's
+    incumbent. An earlier block C is skipped when, for every exponent,
+    max V over C + (box_reach(C, R) * (1 + 2^-30))^q lies below its incumbent: then
+    every score in C lies below every row's maximum, so C holds neither a best
+    predecessor nor a tie. The margin goes on the reach before the power, so it
+    covers the few ulps by which a kernel distance and a box reach can round
+    apart, for every q >= 1. The kept blocks take `PointsView.distances_to` calls,
+    so each distance has its one-row bits; predecessors inside R go row by row, and
+    an outer tie beats them, its index being smaller. So the values and witnesses
+    are bit for bit those of the plain loop over all N(N-1)/2 pairs, from a
+    fraction of them: a tenth at N = 2,048 on rotations, less as N grows.
     """
     view = _points_view(points, p_norm)
     if isinstance(q, np.ndarray) and q.ndim == 0:
@@ -142,19 +158,74 @@ def max_p_variation(points: PointsLike, q: float | Sequence[float], *, p_norm: f
     qs = [_exponent(v, "variation exponent", "q") for v in (q if grid else [q])]
     if not qs:
         raise InvalidInputError("variation exponent sequence must be nonempty")
+    with np.errstate(over="ignore"):  # a score or a difference past the float range is inf
+        best, back = _block_dp(view, qs)
+    out = [_witness(best[k], back[k]) for k in range(len(qs))]
+    return out if grid else out[0]
+
+
+def _block_dp(view: PointsView, qs: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """(best, back), each (len(qs), N): the DP of `max_p_variation`, one block of rows at a time."""
     n = view.n
     best = np.zeros((len(qs), n), dtype=np.float64)
     back = np.full((len(qs), n), -1, dtype=np.int64)
-    for j in range(1, n):
-        dist = view.distances_to(j, 0, j)
+    lo, hi = view.boxes(_BLOCK)
+    peak = np.zeros((len(qs), len(lo)))  # peak[k, c]: the most of best[k] over block c
+    for b in range(len(lo)):
+        r0, r1 = b * _BLOCK, min(n, (b + 1) * _BLOCK)
+        rows, m = np.arange(r0, r1), r1 - r0
+        seeds = np.unique(np.append(back[:, r0 - 1] // _BLOCK, b - 1))  # at b = 0 both are -1
+        seeds = seeds[seeds >= 0]
+        dist = _distances(view, rows, np.append(seeds, b))  # the seeds' columns, then R's own
+        # Per exponent, each row's best outer score and its least index: over the seeds, then the kept rest.
+        val, arg = np.zeros((len(qs), m)), np.full((len(qs), m), -1)
+        if b:
+            _fold(best, seeds, dist[:, :-m], qs, val, arg)
+            reach = box_reach(lo[:b], hi[:b], lo[b], hi[b], view.p, math.inf) * _MARGIN
+            keep = np.zeros(b, dtype=bool)
+            for k, qk in enumerate(qs):
+                keep |= ~(peak[k, :b] + reach**qk < val[k].min())
+            keep[seeds] = False
+            if (rest := np.flatnonzero(keep)).size:
+                _fold(best, rest, _distances(view, rows, rest), qs, val, arg)
+        inner = np.ascontiguousarray(dist[:, -m:])  # row t, column c < t: ||a_(r0+c) - a_(r0+t)||
         for k, qk in enumerate(qs):
-            scores = best[k, :j] + dist**qk
-            i = int(np.argmax(scores))
-            if scores[i] > 0.0:
-                best[k, j] = scores[i]
-                back[k, j] = i
-    out = [_witness(best[k], back[k]) for k in range(len(qs))]
-    return out if grid else out[0]
+            vals, args, done = val[k].tolist(), arg[k].tolist(), []
+            for t, row in enumerate((inner**qk).tolist()):
+                scores = [v + d for v, d in zip(done, row)]  # the predecessors inside R
+                if scores and (top := max(scores)) > vals[t]:  # an outer tie keeps its smaller index
+                    vals[t], args[t] = top, r0 + scores.index(top)
+                if not vals[t] > 0.0:
+                    vals[t], args[t] = 0.0, -1
+                done.append(vals[t])
+            best[k, r0:r1], back[k, r0:r1], peak[k, b] = vals, args, max(vals)
+    return best, back
+
+
+def _distances(view: PointsView, rows: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """dist[r, c] = ||a_i - a_(rows[r])|| for the c-th row i of the ascending aligned blocks, in
+    `distances_to` calls of at most `_CHUNK_FLOATS` floats of differences, or of one row and column."""
+    width = view.coords.shape[1]
+    if len(rows) > 1 and len(rows) * width > _CHUNK_FLOATS:
+        return np.concatenate([_distances(view, rows[r : r + 1], blocks) for r in range(len(rows))])
+    step = max(1, _CHUNK_FLOATS // (len(rows) * width))
+    edges = np.minimum(np.arange(blocks[-1] + 2) * _BLOCK, view.n)
+    parts = [view.distances_to(rows, c, min(e, c + step)) for s, e in _runs(edges, blocks) for c in range(s, e, step)]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+
+
+def _fold(best: np.ndarray, blocks: np.ndarray, dist: np.ndarray, qs: list[float], val: np.ndarray,
+          arg: np.ndarray) -> None:
+    """Fold each row's most of best[k, i] + dist[row, i]^q_k over the rows i of the (full, ascending) blocks into
+    (val[k], arg[k]), its least i: a larger score replaces, and an equal one at a smaller i."""
+    cols = (blocks[:, None] * _BLOCK + np.arange(_BLOCK)).ravel()
+    dist, rows = np.ascontiguousarray(dist), np.arange(len(dist))  # a strided power can round differently
+    for k, qk in enumerate(qs):
+        scores = best[k, cols] + dist**qk
+        a = scores.argmax(axis=1)
+        v, i = scores[rows, a], cols[a]
+        take = (v > val[k]) | ((v == val[k]) & (i < arg[k]))
+        val[k, take], arg[k, take] = v[take], i[take]
 
 
 def _witness(best: np.ndarray, back: np.ndarray) -> tuple[float, IndexSequence]:

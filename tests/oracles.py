@@ -5,9 +5,10 @@ enumerated candidates, with its own norm arithmetic. Nothing imports the
 package under test, so agreement between these and the library is a real
 two-route check, not a tautology. `ref_orbit` reads an operator's defining
 array or size and nothing else of it, and `value_at` a `SeqFunction`'s window and
-values. Two references pin bits rather than
-values: `ref_drift` is the plain all-pairs loop over m - n, and the caller hands
-it the package's row norm; `ref_row_norms` repeats the norm kernel's numpy
+values. Three references pin bits rather than
+values: `ref_drift` is the plain all-pairs loop over m - n and
+`ref_max_p_variation` the plain p-variation DP over all pairs, and the caller
+hands each the package's row norm; `ref_row_norms` repeats the norm kernel's numpy
 arithmetic but sums each row in a Python loop.
 """
 
@@ -232,3 +233,34 @@ def ref_drift(points, norm_x, p, row_norm):
         if excess[i] > worst:
             worst, worst_pair = float(excess[i]), (i + 1, i + 1 + k)
     return worst, worst_pair
+
+
+def ref_max_p_variation(points, qs, p, row_norm):
+    """[(value, 1-based witness)] per exponent of the DP V[j] = max(0, max_(i<j)
+    V[i] + ||a_j - a_i||^q) over every pair, one row j at a time: all j
+    distances to a_j in one `row_norm(rows, p)` call, the norm kernel under test,
+    then per q the scores V[:j] + dist^q, whose first maximum (the least index)
+    is j's predecessor when it is positive. The witness ends at the first
+    largest V and follows the predecessors back."""
+    points = np.asarray(points, dtype=np.complex128)
+    if points.ndim == 1:
+        points = points[:, None]
+    n = len(points)
+    best = np.zeros((len(qs), n))
+    back = np.full((len(qs), n), -1)
+    with np.errstate(over="ignore"):  # a difference, a distance or a score past the float range is inf
+        for j in range(1, n):
+            dist = row_norm(points[:j] - points[j, None], p)
+            for k, q in enumerate(qs):
+                scores = best[k, :j] + dist**q
+                i = int(np.argmax(scores))
+                if scores[i] > 0.0:
+                    best[k, j], back[k, j] = scores[i], i
+    out = []
+    for k in range(len(qs)):
+        end = int(np.argmax(best[k]))
+        chain = [end]
+        while back[k, chain[-1]] >= 0:
+            chain.append(int(back[k, chain[-1]]))
+        out.append((float(best[k, end]), tuple(i + 1 for i in reversed(chain))))
+    return out

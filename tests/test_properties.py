@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ergolab import (
     AverageTrajectory,
@@ -41,7 +41,7 @@ from ergolab import (
 )
 
 from ergolab import _scan
-from oracles import brute_force_fluctuations, brute_force_p_variation, ref_orbit
+from oracles import brute_force_fluctuations, brute_force_p_variation, ref_max_p_variation, ref_orbit
 
 grid_values = st.lists(
     st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), min_size=1, max_size=8
@@ -195,6 +195,63 @@ def _exact_averages(rows, ms):
         out.append([float(t / m) for t in totals])
         lo = m
     return np.array(out)
+
+
+def _variation_points(kind, u, n, p, rng):
+    """n points of the given kind: the averages of a rotation, a cyclic shift or a non-normal
+    `DenseMatrix` contraction, an i.i.d. cloud, two to four points repeated at random, the same
+    with every coordinate moved by up to 4 ulps, or one point. Two kinds put the block bound on
+    its edge. "staircase": on a line, rows 0-31 at 0, 32-62 at 1, 63 at 1/2 (its predecessor in
+    block 1), then 2 and -0.9: at q = 2 block 0 holds row 64's best predecessor, and its bound, 4,
+    lies between row 64's seed maximum, 3.5, and row 65's, 4.61. "ulp-tie": 32 copies of a point c,
+    each coordinate moved by up to 2 ulps, 32 copies of the one farthest from b, then b: row 64
+    ties across blocks 0 and 1, and block 0's box reach can round below the distance of the tie."""
+    if kind in ("rotation", "cyclic", "dense-contraction"):
+        op, x, _ = _operator_and_orbit(kind, u, n, rng)
+        return ergodic_averages(op, Vector(x, p=2.0), n).points
+    if kind == "cloud":
+        return rng.standard_normal((n, u)) + 1j * rng.standard_normal((n, u))
+    if kind == "staircase":
+        line = np.concatenate(([0.0] * 32, [1.0] * 31, [0.5, 2.0, -0.9], rng.uniform(-2.0, 2.0, n)))[:n]
+        return line[:, None] * (rng.standard_normal(u) + 1j * rng.standard_normal(u))
+    if kind == "ulp-tie":
+        c, b = rng.standard_normal((2, u)) + 1j * rng.standard_normal((2, u))
+        jitter = 1.0 + 2.0**-52 * rng.integers(-2, 3, (32, 2 * u))
+        copies = (np.tile(c.view(np.float64), (32, 1)) * jitter).view(np.complex128)
+        far = copies[np.argmax(batch_norm_p(copies - b, p))]
+        return np.vstack((copies, np.tile(far, (32, 1)), np.tile(b, (n, 1))))[:n]
+    m = int(rng.integers(2, 5))
+    few = rng.standard_normal((m, u)) + 1j * rng.standard_normal((m, u))
+    if kind == "constant":
+        return np.repeat(few[:1], n, axis=0)
+    pts = few[rng.integers(0, len(few), n)]
+    if kind == "jittered":  # box reaches and distances a few ulps apart, and near ties
+        pts = (pts.view(np.float64) * (1.0 + 2.0**-52 * rng.integers(-4, 5, (n, 2 * u)))).view(np.complex128)
+    return pts
+
+
+class TestBlockPrunedVariation:
+    """max_p_variation skips the 32-row blocks whose box bound falls below an incumbent, yet its
+    values and witnesses are bit for bit those of `oracles.ref_max_p_variation`, the DP over every
+    pair, handed the package's row norm: on the averages of rotations, cyclic shifts and non-normal
+    contractions, i.i.d. clouds, repeated or constant points and the two edge kinds of
+    `_variation_points`, at p in {1, 1.5, 2, 3}, grids of q in {1, 1.5, 2, 3, 64}, scales 2^-600,
+    1 and 2^600, and N on and next to the block edges or a few hundred. The examples are the edge
+    kinds at a q and seed where the edge is reached."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(["rotation", "cyclic", "dense-contraction", "cloud", "repeated", "jittered",
+                            "constant", "staircase", "ulp-tie"]),
+           st.integers(1, 4), st.one_of(st.sampled_from([1, 2, 31, 32, 33, 64, 65]), st.integers(100, 400)),
+           st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+           st.lists(st.sampled_from([1.0, 1.5, 2.0, 3.0, 64.0]), min_size=1, max_size=3, unique=True),
+           st.sampled_from([-600, 0, 600]), st.integers(0, 2**32 - 1))
+    @example("staircase", 1, 66, 2.0, [2.0], 0, 0)
+    @example("ulp-tie", 2, 65, 2.0, [64.0], 0, 53)
+    def test_values_and_witnesses_are_the_plain_dps(self, kind, u, n, p, qs, k, seed):
+        pts = _variation_points(kind, u, n, p, np.random.default_rng(seed)) * 2.0**k
+        got = [(value, witness.indices) for value, witness in max_p_variation(pts, qs, p_norm=p)]
+        assert got == ref_max_p_variation(pts, qs, p, batch_norm_p)
 
 
 class TestBlockedAverages:

@@ -33,6 +33,7 @@ from ergolab import (
     p_variation_along,
 )
 
+from ergolab import spaces
 from ergolab.spaces import _scaled_norms
 from oracles import ref_norm, ref_row_norms
 
@@ -181,6 +182,27 @@ class TestBatchNorm:
         if u < 8:  # summed column by column, which is left to right
             assert out.tobytes() == ref_row_norms(pts, p).tobytes()
         assert out.tobytes() == _summed_by_rows(pts, p).tobytes()  # fails if numpy changes its order
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_zero_rows_stay_unscaled_and_underflowing_rows_rescale(self, p, monkeypatch):
+        # A row of zero moduli is exactly 0 from the unscaled sum, so it never takes the scaled
+        # path; a row whose powers underflow to 0 with nonzero moduli still does.
+        tiny = [[2.0**-1074, 0.0], [2.0**-700, 2.0**-700], [2.0**-1000, 2.0**-1074]]
+        pts = np.array([[0.0, 0.0], [1.0, 2.0], [0.0, 0.0]] + tiny, dtype=complex)
+        scaled = []
+
+        def recording(moduli, p):
+            scaled.append(len(moduli))
+            return _scaled_norms(moduli, p)
+
+        monkeypatch.setattr(spaces, "_scaled_norms", recording)
+        out = batch_norm_p(pts, p)
+        assert out.tobytes() == ref_row_norms(pts, p).tobytes()
+        assert out[0] == out[2] == 0.0 and (out[3:] > 0.0).all()
+        assert sum(scaled) <= len(tiny)  # the zero rows are not among them
+        scaled.clear()
+        assert batch_norm_p(np.zeros((64, 3), dtype=complex), p).tobytes() == bytes(64 * 8)
+        assert scaled == []
 
 
 def _summed_by_rows(points, p):

@@ -40,6 +40,7 @@ from oracles import (
     brute_force_fluctuations,
     brute_force_metastability,
     brute_force_p_variation,
+    ref_max_p_variation,
 )
 
 
@@ -147,6 +148,40 @@ class TestMaxPVariation:
         assert max_p_variation(pts, np.array(2.0)) == max_p_variation(pts, 2.0)
         with pytest.raises(InvalidInputError, match="^variation exponent must satisfy q >= 1, got True$"):
             max_p_variation(pts, np.array(True))
+
+    def test_block_pruning_evaluates_under_a_fifth_of_the_pairs(self, monkeypatch):
+        # A seeded u = 2, 2,048-row rotation at q = 2 and 3: the kernel calls of the DP, its box
+        # reaches included, take fewer rows than a fifth of the N(N - 1)/2 pairs, and the answer
+        # is the plain DP's. A change that stops pruning fails here.
+        rng = np.random.default_rng(2026)
+        z = Vector(rng.standard_normal(2) + 1j * rng.standard_normal(2), p=2)
+        traj = ergodic_averages(RotationProduct(rng.uniform(-np.pi, np.pi, 2)), z, 2048)
+        rows = []
+        norm = _scan.batch_norm_p
+
+        def counting(points, p):
+            rows.append(len(points))
+            return norm(points, p)
+
+        monkeypatch.setattr(_scan, "batch_norm_p", counting)
+        got = max_p_variation(traj, [2.0, 3.0])
+        assert sum(rows) < 0.2 * 2048 * 2047 / 2
+        want = ref_max_p_variation(traj.points, [2.0, 3.0], 2.0, norm)
+        assert [(value, witness.indices) for value, witness in got] == want
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_an_overflowing_difference_is_an_infinite_distance(self, p):
+        # (1e308, 0) - (-1e308, 0) overflows, which numpy reports: the distance is inf, not the
+        # NaN of inf / inf in the scaled norm, so every scan sees the pair as separated.
+        pts = np.array([[1e308, 0.0], [-1e308, 0.0]])
+        with np.errstate(over="ignore"):
+            assert count_fluctuations(pts, 1.0, p_norm=p).witnesses == ((1, 2),)
+            assert empirical_convergence_rate(pts, 1.0, p_norm=p) == ConvergenceRateResult(False, None, 2)
+            assert max_p_variation(pts, [1.0, 2.0], p_norm=p) == [(math.inf, IndexSequence((1, 2)))] * 2
+            assert p_variation_along(pts, (1, 2), 2.0, p_norm=p) == math.inf
+            with pytest.raises(HorizonExhaustedError) as exc:
+                metastability_rate(pts, 1.0, g_successor, p_norm=p)
+            assert exc.value.checked_up_to == 1
 
 
 class TestCountFluctuations:
